@@ -13,7 +13,6 @@ complex match the pair's interval homology in every degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .filtration import (
     INF,
@@ -43,7 +42,6 @@ def _filtration_order(x: FilteredSet) -> list[tuple[Simplex, FiltValue]]:
     return sorted(x.entries, key=lambda item: (item[1], len(item[0]), item[0]))
 
 
-@lru_cache(maxsize=None)
 def barcode(x: FilteredSet, field=GF2) -> tuple[Bar, ...]:
     """Bars of an absolute filtered set; zero-length bars are dropped."""
     ordered = _filtration_order(x)
@@ -92,7 +90,6 @@ def barcode(x: FilteredSet, field=GF2) -> tuple[Bar, ...]:
     return tuple(sorted(bars, key=lambda b: (b.degree, b.birth, b.death == INF, b.death)))
 
 
-@lru_cache(maxsize=None)
 def reduced_barcode(x: FilteredSet, field=GF2) -> tuple[Bar, ...]:
     """Bars of the reduced theory: one never-dying degree-0 bar removed.
 
@@ -117,7 +114,6 @@ def _fresh_apex(vertices) -> str:
     return name
 
 
-@lru_cache(maxsize=None)
 def cone_off_subset(pair: RelativeFilteredPair) -> FilteredSet:
     """Adjoin an apex joined to the subset, entering at the global minimum.
 

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 from .axioms import FAIL, fuzz_axiom_reports, verify_axiom
 from .barcode import bars_alive, pair_barcode
-from .filtration import Interval, critical_intervals, fin, pair_of
-from .formats import instance_tag, parse_any, parse_cover, parse_filtration, parse_map, parse_pair, parse_triple
+from .filtration import Interval, critical_intervals, fin, pair_of, union
+from .formats import (instance_tag, parse_any, parse_cover, parse_filtration, parse_map, parse_pair,
+                      parse_sections, parse_triple)
 from .homology import betti_grid, homology, induced_map
 from .linalg import GF
 from .sequences import check_exact, les_pair, les_triple, mayer_vietoris, triad_sequence
@@ -30,8 +31,6 @@ class RunConfig:
 
     field: GF
     output: str  # "text" or "records"
-    seed: int = 0
-    fuzz: int = 0
 
 
 def _parse_interval(text: str) -> Interval:
@@ -102,12 +101,8 @@ def _cmd_sequence(args, cfg: RunConfig) -> int:
         x1, x2 = parse_cover(args.pair)
         seq = mayer_vietoris(x1, x2, interval, field=cfg.field)
     elif args.triad:
-        from .filtration import union
-        from .formats import parse_sections_text
-        from pathlib import Path
-
-        x1, x2 = parse_cover(args.pair)
-        sections = parse_sections_text(Path(args.pair).read_text(), args.pair)
+        sections = parse_sections(args.pair, ("X1", "X2"), "cover")
+        x1, x2 = sections["X1"], sections["X2"]
         ambient = sections.get("X", union(x1, x2))
         seq = triad_sequence(ambient, x1, x2, interval, field=cfg.field)
     else:
@@ -271,8 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(field=GF(args.field), output=args.format,
-                        seed=getattr(args, "seed", 0), fuzz=getattr(args, "fuzz", 0))
+        cfg = RunConfig(field=GF(args.field), output=args.format)
         return args.run(args, cfg)
     except (ValueError, OSError, OracleMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)

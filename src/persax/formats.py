@@ -122,21 +122,23 @@ def parse_any(path):
     return pair_of(parse_filtration_text(text, str(path)))
 
 
-def parse_triple(path) -> tuple[FilteredSet, FilteredSet, FilteredSet]:
+def parse_sections(path, required: tuple[str, ...], kind: str) -> dict[str, FilteredSet]:
+    """Every section of a multi-part file, which must hold the ``required`` ones."""
     path = Path(path)
     sections = parse_sections_text(path.read_text(), str(path))
-    for name in ("X", "A", "B"):
+    for name in required:
         if name not in sections:
-            raise ParseError(str(path), 0, f"a triple file needs an [{name}] section")
+            raise ParseError(str(path), 0, f"a {kind} file needs an [{name}] section")
+    return sections
+
+
+def parse_triple(path) -> tuple[FilteredSet, FilteredSet, FilteredSet]:
+    sections = parse_sections(path, ("X", "A", "B"), "triple")
     return sections["X"], sections["A"], sections["B"]
 
 
 def parse_cover(path) -> tuple[FilteredSet, FilteredSet]:
-    path = Path(path)
-    sections = parse_sections_text(path.read_text(), str(path))
-    for name in ("X1", "X2"):
-        if name not in sections:
-            raise ParseError(str(path), 0, f"a cover file needs an [{name}] section")
+    sections = parse_sections(path, ("X1", "X2"), "cover")
     return sections["X1"], sections["X2"]
 
 

@@ -34,7 +34,6 @@ from .linalg import (
     chain_map_matrix,
     hstack,
     image,
-    inclusion_matrix,
     kernel,
 )
 
@@ -155,8 +154,12 @@ def _homology_cached(pair: RelativeFilteredPair, n: int, interval: Interval, fld
         empty = Subspace.zero(fld, space.dim)
         return HomologyGroup(pair, n, interval, fld, space, empty, empty,
                              Matrix.zero(fld, space.dim, 0))
-    incl = inclusion_matrix(pair, n, interval, fld)
-    persisted = image(incl * _cycles(pair, n, interval.lo, fld).basis)
+    # inclusion_matrix times the lower-endpoint cycles, as the row selection it
+    # is: each upper-endpoint simplex takes its lower-endpoint row, if it has one
+    lower = _cycles(pair, n, interval.lo, fld).basis
+    rows = dict(zip(chain_space(pair, n, interval.lo).basis, lower.rows))
+    absent = (fld.zero,) * lower.ncols
+    persisted = image(Matrix(fld, [rows.get(sk, absent) for sk in space.basis], space.dim, lower.ncols))
     bnd = _boundaries(pair, n, interval.hi, fld)
     dying = persisted.intersect(bnd)
     reps = persisted.complement_in(dying)

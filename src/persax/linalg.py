@@ -53,6 +53,9 @@ class GF:
     p: int
 
     def __post_init__(self):
+        # trial division stays under 46,341 steps below this bound
+        if self.p >= 2**31:
+            raise ValueError(f"characteristic {self.p} is not below 2**31")
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
@@ -563,7 +566,6 @@ def boundary_matrix(pair: RelativeFilteredPair, n: int, eps: FiltValue, field=GF
     return Matrix(field, out, rows.dim, cols.dim)
 
 
-@lru_cache(maxsize=None)
 def inclusion_matrix(pair: RelativeFilteredPair, n: int, interval: Interval, field=GF2) -> Matrix:
     """Chain map from the lower-endpoint basis into the upper-endpoint basis.
 

@@ -141,38 +141,47 @@ def _default_degree(pair: RelativeFilteredPair) -> int:
     return max(pair.total.dimension + 1, 0)
 
 
-def _zero_cap(last_group, interval: Interval, field) -> tuple:
-    zero = zero_group(field, interval)
-    arrow = LinearMap(last_group, zero, Matrix.zero(field, 0, last_group.dim), "0")
-    return zero, arrow
+def _long_sequence(top: int, interval: Interval, field, triangle, delta, kind: str) -> ExactSequence:
+    """Degree-n triangles from ``top`` down to 0, joined by ``delta`` and capped by zero.
+
+    ``triangle(n)`` gives three groups and the two (map, label) arrows between
+    them; ``delta(n)`` gives the (map, label) arrow from the last degree-n
+    group to the first degree-(n-1) group.
+    """
+    nodes, steps = [], []
+    for n in range(top, -1, -1):
+        groups, arrows = triangle(n)
+        nodes += groups
+        steps += arrows
+        if n > 0:
+            steps.append(delta(n))
+    last = nodes[-1]
+    nodes.append(zero_group(field, interval))
+    steps.append((LinearMap(last, nodes[-1], Matrix.zero(field, 0, last.dim), "0"), "0"))
+    arrows, labels = zip(*steps)
+    return ExactSequence(tuple(nodes), arrows, labels, f"{kind} sequence over {interval}")
+
+
+def _inclusion_triangle(a, b, c, interval: Interval, field):
+    """The triangle H(a) -> H(b) -> H(c) induced by the inclusions, as i_n and j_n."""
+    inc_i = inclusion(a, b)
+    inc_j = inclusion(b, c)
+
+    def triangle(n):
+        groups = [homology(p, n, interval, field) for p in (a, b, c)]
+        return groups, [(induced_map(inc_i, n, interval, field), f"i_{n}"),
+                        (induced_map(inc_j, n, interval, field), f"j_{n}")]
+
+    return triangle
 
 
 def les_pair(pair: RelativeFilteredPair, interval: Interval, n_max: int | None = None, field=GF2) -> ExactSequence:
     """The long homology sequence of a pair, from n_max down to the zero cap."""
     if n_max is None:
         n_max = _default_degree(pair)
-    a_abs = absolute(pair.sub)
-    x_abs = absolute(pair.total)
-    inc_i = inclusion(a_abs, x_abs)
-    inc_j = inclusion(x_abs, pair)
-    nodes, arrows, labels = [], [], []
-    for n in range(n_max, -1, -1):
-        nodes += [
-            homology(a_abs, n, interval, field),
-            homology(x_abs, n, interval, field),
-            homology(pair, n, interval, field),
-        ]
-        arrows += [induced_map(inc_i, n, interval, field), induced_map(inc_j, n, interval, field)]
-        labels += [f"i_{n}", f"j_{n}"]
-        if n > 0:
-            arrows.append(connecting(pair, n, interval, field))
-            labels.append(f"d_{n}")
-    zero, cap = _zero_cap(nodes[-1], interval, field)
-    nodes.append(zero)
-    arrows.append(cap)
-    labels.append("0")
-    return ExactSequence(tuple(nodes), tuple(arrows), tuple(labels),
-                         f"pair sequence over {interval}")
+    triangle = _inclusion_triangle(absolute(pair.sub), absolute(pair.total), pair, interval, field)
+    return _long_sequence(n_max, interval, field, triangle,
+                          lambda n: (connecting(pair, n, interval, field), f"d_{n}"), "pair")
 
 
 def _require_filtered_subset(sub: FilteredSet, ambient: FilteredSet, what: str):
@@ -193,30 +202,14 @@ def les_triple(x: FilteredSet, a: FilteredSet, b: FilteredSet, interval: Interva
     ab = pair_of(a, b)
     if n_max is None:
         n_max = _default_degree(xa)
-    inc_i = inclusion(ab, xb)
-    inc_j = inclusion(xb, xa)
+    triangle = _inclusion_triangle(ab, xb, xa, interval, field)
     inc_quot = inclusion(absolute(a), ab)
-    nodes, arrows, labels = [], [], []
-    for n in range(n_max, -1, -1):
-        nodes += [
-            homology(ab, n, interval, field),
-            homology(xb, n, interval, field),
-            homology(xa, n, interval, field),
-        ]
-        arrows += [induced_map(inc_i, n, interval, field), induced_map(inc_j, n, interval, field)]
-        labels += [f"i_{n}", f"j_{n}"]
-        if n > 0:
-            bnd = induced_map(inc_quot, n - 1, interval, field).compose(
-                connecting(xa, n, interval, field)
-            )
-            arrows.append(bnd)
-            labels.append(f"d_{n}")
-    zero, cap = _zero_cap(nodes[-1], interval, field)
-    nodes.append(zero)
-    arrows.append(cap)
-    labels.append("0")
-    return ExactSequence(tuple(nodes), tuple(arrows), tuple(labels),
-                         f"triple sequence over {interval}")
+
+    def delta(n):
+        bnd = induced_map(inc_quot, n - 1, interval, field).compose(connecting(xa, n, interval, field))
+        return bnd, f"d_{n}"
+
+    return _long_sequence(n_max, interval, field, triangle, delta, "triple")
 
 
 def is_proper_triad(x: FilteredSet, x1: FilteredSet, x2: FilteredSet, interval: Interval,
@@ -259,44 +252,31 @@ def mayer_vietoris(x1: FilteredSet, x2: FilteredSet, interval: Interval,
     l1 = inclusion(absolute(u), pair_of(u, x2))
     k1 = inclusion(pair_of(x1, meet), pair_of(u, x2))
 
-    nodes, arrows, labels = [], [], []
-    for n in range(n_max, -1, -1):
+    def triangle(n):
         h_meet = homology(meet_abs, n, interval, field)
-        h1 = homology(absolute(x1), n, interval, field)
-        h2 = homology(absolute(x2), n, interval, field)
+        summed = DirectSumGroup((homology(absolute(x1), n, interval, field),
+                                 homology(absolute(x2), n, interval, field)))
         h_union = homology(absolute(u), n, interval, field)
-        summed = DirectSumGroup((h1, h2))
-        split = LinearMap(
-            h_meet, summed,
-            vstack(induced_map(inc1, n, interval, field).matrix,
-                   -induced_map(inc2, n, interval, field).matrix),
-            f"(i,-i)_{n}",
+        split = LinearMap(h_meet, summed, vstack(induced_map(inc1, n, interval, field).matrix,
+                                                 -induced_map(inc2, n, interval, field).matrix),
+                          f"(i,-i)_{n}")
+        merge = LinearMap(summed, h_union, hstack(induced_map(j1, n, interval, field).matrix,
+                                                  induced_map(j2, n, interval, field).matrix),
+                          f"(j+j)_{n}")
+        return [h_meet, summed, h_union], [(split, split.label), (merge, merge.label)]
+
+    def delta(n):
+        k1n = induced_map(k1, n, interval, field)
+        bnd = (
+            connecting(pair_of(x1, meet), n, interval, field)
+            .compose(k1n.inverse())
+            .compose(induced_map(l1, n, interval, field))
         )
-        merge = LinearMap(
-            summed, h_union,
-            hstack(induced_map(j1, n, interval, field).matrix,
-                   induced_map(j2, n, interval, field).matrix),
-            f"(j+j)_{n}",
-        )
-        nodes += [h_meet, summed, h_union]
-        arrows += [split, merge]
-        labels += [f"(i,-i)_{n}", f"(j+j)_{n}"]
-        if n > 0:
-            k1n = induced_map(k1, n, interval, field)
-            delta = (
-                connecting(pair_of(x1, meet), n, interval, field)
-                .compose(k1n.inverse())
-                .compose(induced_map(l1, n, interval, field))
-            )
-            arrows.append(LinearMap(h_union, homology(meet_abs, n - 1, interval, field),
-                                    delta.matrix, f"D_{n}"))
-            labels.append(f"D_{n}")
-    zero, cap = _zero_cap(nodes[-1], interval, field)
-    nodes.append(zero)
-    arrows.append(cap)
-    labels.append("0")
-    return ExactSequence(tuple(nodes), tuple(arrows), tuple(labels),
-                         f"Mayer-Vietoris sequence over {interval}")
+        bnd = LinearMap(homology(absolute(u), n, interval, field),
+                        homology(meet_abs, n - 1, interval, field), bnd.matrix, f"D_{n}")
+        return bnd, bnd.label
+
+    return _long_sequence(n_max, interval, field, triangle, delta, "Mayer-Vietoris")
 
 
 def triad_sequence(x: FilteredSet, x1: FilteredSet, x2: FilteredSet, interval: Interval,
@@ -313,34 +293,20 @@ def triad_sequence(x: FilteredSet, x1: FilteredSet, x2: FilteredSet, interval: I
     rel_u = pair_of(x, u)
     if n_max is None:
         n_max = _default_degree(rel_u)
-    inc_i = inclusion(side, rel_x2)
-    inc_j = inclusion(rel_x2, rel_u)
+    triangle = _inclusion_triangle(side, rel_x2, rel_u, interval, field)
     l2 = inclusion(absolute(u), pair_of(u, x2))
     k1 = inclusion(side, pair_of(u, x2))
-    nodes, arrows, labels = [], [], []
-    for q in range(n_max, -1, -1):
-        nodes += [
-            homology(side, q, interval, field),
-            homology(rel_x2, q, interval, field),
-            homology(rel_u, q, interval, field),
-        ]
-        arrows += [induced_map(inc_i, q, interval, field), induced_map(inc_j, q, interval, field)]
-        labels += [f"i_{q}", f"j_{q}"]
-        if q > 0:
-            bnd = (
-                induced_map(k1, q - 1, interval, field)
-                .inverse()
-                .compose(induced_map(l2, q - 1, interval, field))
-                .compose(connecting(rel_u, q, interval, field))
-            )
-            arrows.append(bnd)
-            labels.append(f"d_{q}")
-    zero, cap = _zero_cap(nodes[-1], interval, field)
-    nodes.append(zero)
-    arrows.append(cap)
-    labels.append("0")
-    return ExactSequence(tuple(nodes), tuple(arrows), tuple(labels),
-                         f"triad sequence over {interval}")
+
+    def delta(q):
+        bnd = (
+            induced_map(k1, q - 1, interval, field)
+            .inverse()
+            .compose(induced_map(l2, q - 1, interval, field))
+            .compose(connecting(rel_u, q, interval, field))
+        )
+        return bnd, f"d_{q}"
+
+    return _long_sequence(n_max, interval, field, triangle, delta, "triad")
 
 
 def _restrict_to_subgroup(lmap: LinearMap, subgroup: HomologyGroup, side: str) -> LinearMap:
@@ -365,34 +331,26 @@ def reduced_les_pair(pair: RelativeFilteredPair, interval: Interval,
     """
     if n_max is None:
         n_max = _default_degree(pair)
-    n_max = max(n_max, 1)
-    base = les_pair(pair, interval, n_max, field)
-    red_a = reduced_homology(pair.sub, 0, interval, field)
-    red_x = reduced_homology(pair.total, 0, interval, field)
-    h_xa0 = homology(pair, 0, interval, field)
-    tail_d = _restrict_to_subgroup(connecting(pair, 1, interval, field), red_a, "target")
-    tail_i = _restrict_to_subgroup(
-        _restrict_to_subgroup(
-            induced_map(inclusion(absolute(pair.sub), absolute(pair.total)), 0, interval, field),
-            red_a, "source"),
-        red_x, "target")
-    tail_j = _restrict_to_subgroup(
-        induced_map(inclusion(absolute(pair.total), pair), 0, interval, field),
-        red_x, "source")
-    nodes = list(base.nodes[:-4])
-    arrows = list(base.arrows[:-4])
-    labels = list(base.labels[:-4])
-    arrows.append(tail_d)
-    labels.append("d~_1")
-    nodes += [red_a, red_x, h_xa0]
-    arrows += [tail_i, tail_j]
-    labels += ["i~_0", "j~_0"]
-    zero, cap = _zero_cap(h_xa0, interval, field)
-    nodes.append(zero)
-    arrows.append(cap)
-    labels.append("0")
-    return ExactSequence(tuple(nodes), tuple(arrows), tuple(labels),
-                         f"reduced pair sequence over {interval}")
+    unreduced = _inclusion_triangle(absolute(pair.sub), absolute(pair.total), pair, interval, field)
+
+    def triangle(n):
+        groups, arrows = unreduced(n)
+        if n > 0:
+            return groups, arrows
+        (i_0, _), (j_0, _) = arrows
+        red_a = reduced_homology(pair.sub, 0, interval, field)
+        red_x = reduced_homology(pair.total, 0, interval, field)
+        i_0 = _restrict_to_subgroup(_restrict_to_subgroup(i_0, red_a, "source"), red_x, "target")
+        j_0 = _restrict_to_subgroup(j_0, red_x, "source")
+        return [red_a, red_x, groups[2]], [(i_0, "i~_0"), (j_0, "j~_0")]
+
+    def delta(n):
+        bnd = connecting(pair, n, interval, field)
+        if n > 1:
+            return bnd, f"d_{n}"
+        return _restrict_to_subgroup(bnd, reduced_homology(pair.sub, 0, interval, field), "target"), "d~_1"
+
+    return _long_sequence(max(n_max, 1), interval, field, triangle, delta, "reduced pair")
 
 
 def are_contiguous(f: PreservingMap, g: PreservingMap, interval: Interval | None = None) -> bool:

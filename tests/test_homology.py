@@ -13,6 +13,7 @@ from persax import (
     absolute,
     bars_alive,
     betti_grid,
+    boundary_matrix,
     coefficient_group,
     compose,
     connecting,
@@ -22,9 +23,11 @@ from persax import (
     homology,
     identity_map,
     image,
+    inclusion_matrix,
     induced_map,
     inclusion,
     is_star_shaped,
+    kernel,
     pair_barcode,
     pair_of,
     point,
@@ -77,6 +80,16 @@ class TestHomologyExamples:
             rep = group.reps.column(j)
             assert all(v == 0 for v in d.apply(rep))
             assert group.cycles.contains(rep)
+
+    def test_persisted_cycles_are_the_included_lower_cycles(self):
+        master = random.Random(5)
+        for _ in range(10):
+            pair = random_pair(random.Random(master.getrandbits(64)))
+            for iv in critical_intervals(pair):
+                for n in range(pair.total.dimension + 2):
+                    lower = kernel(boundary_matrix(pair, n, iv.lo, GF3)).basis
+                    included = image(inclusion_matrix(pair, n, iv, GF3) * lower)
+                    assert homology(pair, n, iv, GF3).cycles == included
 
 
 def test_dims_match_brute_force_oracle_on_fuzzed_pairs():

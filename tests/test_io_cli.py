@@ -105,6 +105,36 @@ class TestMapFiles:
             parse_map(tmp_path / "map.txt")
 
 
+COVER_TEXT = """\
+[X1]
+0 a
+0 b
+0 c
+1 a b
+1 b c
+[X2]
+0 a
+0 c
+0 d
+1 c d
+2 a d
+"""
+
+# the cover plus an ambient set with one more edge
+TRIAD_TEXT = "[X]\n0 a\n0 b\n0 c\n0 d\n1 a b\n1 b c\n1 c d\n2 a d\n2 a c\n" + COVER_TEXT
+
+
+def sequence_records(dims, labels, verdicts):
+    """``sequence --format records`` stdout for the given nodes."""
+    labels = labels.split() + [""]
+    return "".join(f"sequence\t{i}\t{d}\t{label}\t{v}\n"
+                   for i, (d, label, v) in enumerate(zip(dims, labels, verdicts.split())))
+
+
+PAIR_LABELS = "i_2 j_2 d_2 i_1 j_1 d_1 i_0 j_0 0"
+ALL_EXACT = "- " + "exact " * 8 + "-"
+
+
 def run_cli(*args):
     return run_persax(*args, capture_output=True, text=True)
 
@@ -148,6 +178,32 @@ class TestCli:
         assert proc.returncode == 0
         assert "exact" in proc.stdout
 
+    @pytest.mark.parametrize("flag, text, interval, stdout, code", [
+        ("--triple", PAIR_TEXT + "[B]\n0 a\n", "1,2",
+         sequence_records((0, 0, 0, 0, 1, 1, 0, 0, 0, 0), PAIR_LABELS, ALL_EXACT), 0),
+        ("--mv", COVER_TEXT, "1,2",
+         sequence_records((0, 0, 0, 0, 0, 0, 2, 2, 1, 0),
+                          "(i,-i)_2 (j+j)_2 D_2 (i,-i)_1 (j+j)_1 D_1 (i,-i)_0 (j+j)_0 0",
+                          "- exact exact exact exact exact FAIL exact exact -"), 1),
+        ("--triad", COVER_TEXT, "1,2",
+         sequence_records((0, 0, 0, 1, 1, 0, 0, 0, 0, 0), PAIR_LABELS, ALL_EXACT), 0),
+        ("--triad", TRIAD_TEXT, "2,2",
+         sequence_records((0, 0, 0, 1, 2, 1, 0, 0, 0, 0), PAIR_LABELS, ALL_EXACT), 0),
+    ])
+    def test_sequence_kinds_records(self, tmp_path, flag, text, interval, stdout, code):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        proc = run_cli("sequence", flag, "--pair", str(path), "--interval", interval,
+                       "--format", "records")
+        assert (proc.stdout, proc.returncode) == (stdout, code)
+
+    def test_triad_without_second_cover_set_is_rejected(self, tmp_path):
+        path = tmp_path / "half.txt"
+        path.write_text("[X1]\n0 a\n")
+        proc = run_cli("sequence", "--triad", "--pair", str(path), "--interval", "0,0")
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {path}:0: a cover file needs an [X2] section\n"
+
     def test_induced_matrix(self, tmp_path, rim_file):
         (tmp_path / "map.txt").write_text(
             f"domain: {rim_file}\ncodomain: {rim_file}\na -> b\nb -> c\nc -> a\n")
@@ -182,6 +238,13 @@ class TestCli:
         proc = run_cli("compute", "--input", str(rim_file), "--interval", "1,1",
                        "--degree", "1", "--field", "3", "--format", "records")
         assert proc.stdout == "dim\t1\t1\t1\t1\n"
+
+    def test_oversized_field_is_rejected(self, rim_file):
+        proc = run_persax("compute", "--input", str(rim_file), "--interval", "1,2",
+                          "--degree", "1", "--field", "1000000000000000003",
+                          capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: characteristic 1000000000000000003 is not below 2**31\n"
 
     def test_verify_axioms_fuzz_is_byte_identical_across_runs(self):
         first = run_cli("verify-axioms", "--fuzz", "5", "--seed", "7",

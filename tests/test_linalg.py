@@ -40,6 +40,12 @@ def test_gf_requires_prime():
         GF(6)
 
 
+def test_gf_rejects_characteristics_from_two_to_the_31():
+    assert GF(2147483647).p == 2**31 - 1
+    with pytest.raises(ValueError, match="not below 2\\*\\*31"):
+        GF(1000000000000000003)
+
+
 def test_field_arithmetic_is_modular():
     f = GF3
     assert f.add(2, 2) == 1
