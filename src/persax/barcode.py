@@ -35,7 +35,8 @@ class Bar:
     death: FiltValue  # INF when the class never dies
 
     def alive_through(self, interval: Interval) -> bool:
-        return self.birth <= interval.lo and self.death > interval.hi
+        # only FiltValue.__lt__ is native; total_ordering's <= and > cost more calls
+        return not interval.lo < self.birth and interval.hi < self.death
 
 
 def _filtration_order(x: FilteredSet) -> list[tuple[Simplex, FiltValue]]:

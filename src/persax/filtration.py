@@ -14,6 +14,7 @@ and monotone (faces never carry larger values than their cofaces).
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from typing import Iterable, Mapping
@@ -90,6 +91,27 @@ class FiltValue:
 INF = FiltValue(None)
 
 
+def _check_digit_limit(text: str) -> None:
+    """Reject a decimal exponent that would give more digits than int() allows.
+
+    Fraction builds 10**exponent before reducing, so a long exponent would
+    otherwise run for minutes.  Digits are counted as written.
+    """
+    mantissa, _, exp = text.lower().partition("e")
+    try:
+        exp = int(exp)
+    except ValueError:
+        return  # no exponent, or a malformed one that Fraction rejects
+    whole, _, decimal = mantissa.partition(".")
+    places = sum(ch.isdigit() for ch in decimal)
+    numerator = sum(ch.isdigit() for ch in whole) + places + max(exp, 0)
+    denominator = 1 + places + max(-exp, 0)
+    # interpreters before 3.10.7 lack the int() limit: take its default there
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    if limit and max(numerator, denominator) > limit:
+        raise ValueError(f"{text!r} has more than {limit} digits")
+
+
 def fin(value) -> FiltValue:
     """Coerce an int, Fraction, string ('3', '1/2', 'inf'), or FiltValue."""
     if isinstance(value, FiltValue):
@@ -97,7 +119,11 @@ def fin(value) -> FiltValue:
     if isinstance(value, str):
         if value.strip() == "inf":
             return INF
-        return FiltValue(Fraction(value))
+        _check_digit_limit(value)
+        try:
+            return FiltValue(Fraction(value))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     if isinstance(value, (int, Fraction)):
         return FiltValue(Fraction(value))
     raise TypeError(f"cannot interpret {value!r} as a filtration value")

@@ -49,7 +49,7 @@ def parse_filtration_text(text: str, source: str = "<string>") -> FilteredSet:
             raise ParseError(source, line_no, "expected a value and at least one vertex")
         try:
             value = fin(tokens[0])
-        except (ValueError, TypeError, ZeroDivisionError):
+        except (ValueError, TypeError):
             raise ParseError(source, line_no, f"bad value {tokens[0]!r}") from None
         verts = tokens[1:]
         if len(set(verts)) != len(verts):

@@ -32,9 +32,9 @@ from .linalg import (
     boundary_matrix,
     chain_space,
     chain_map_matrix,
-    hstack,
     image,
     kernel,
+    quotient_coords,
 )
 
 
@@ -71,8 +71,8 @@ class HomologyGroup:
     ``reps`` holds chain vectors (columns, in the upper-endpoint basis) whose
     classes form a basis of the group.  ``cycles`` is the image of the
     lower-endpoint cycle space; ``boundaries`` the full upper-endpoint
-    boundary space.  ``coords_of`` expresses any chain vector's class in the
-    chosen basis, when the class lies in the group's span.
+    boundary space.  ``coords_of`` expresses chain vectors' classes in the
+    chosen basis, when the classes lie in the group's span.
     """
 
     pair: RelativeFilteredPair
@@ -88,20 +88,12 @@ class HomologyGroup:
     def dim(self) -> int:
         return self.reps.ncols
 
-    def coords_of(self, chain_vector) -> tuple:
-        """Basis coordinates of a chain vector's class.
-
-        Solves rep-combination + boundary = vector; the rep part is unique
-        because representative classes are independent modulo boundaries.
-        """
-        sol = hstack(self.reps, self.boundaries.basis).solve(tuple(chain_vector))
-        if sol is None:
+    def coords_of(self, chain_vectors: Matrix) -> Matrix:
+        """Basis coordinates of the class of each chain-vector column."""
+        coords = quotient_coords(self.reps, self.boundaries, chain_vectors)
+        if coords is None:
             raise ClassNotInTarget("chain's class lies outside the group")
-        return tuple(sol[: self.dim])
-
-    def rep_vector(self, coords) -> tuple:
-        """Chain vector representing the class with the given coordinates."""
-        return self.reps.apply(tuple(coords))
+        return coords
 
     def describe(self) -> str:
         return f"H_{self.degree}{self.interval} dim {self.dim}"
@@ -147,6 +139,14 @@ class DirectSumGroup:
         return " (+) ".join(p.describe() for p in self.parts)
 
 
+def _move_rows(m: Matrix, basis, new_basis) -> Matrix:
+    """Each simplex of ``new_basis`` takes its row of m (rows indexed by
+    ``basis``), or a zero row when ``basis`` lacks it."""
+    rows = dict(zip(basis, m.rows))
+    absent = (m.field.zero,) * m.ncols
+    return Matrix(m.field, [rows.get(sk, absent) for sk in new_basis], len(new_basis), m.ncols)
+
+
 @lru_cache(maxsize=None)
 def _homology_cached(pair: RelativeFilteredPair, n: int, interval: Interval, fld) -> HomologyGroup:
     space = chain_space(pair, n, interval.hi)
@@ -154,12 +154,9 @@ def _homology_cached(pair: RelativeFilteredPair, n: int, interval: Interval, fld
         empty = Subspace.zero(fld, space.dim)
         return HomologyGroup(pair, n, interval, fld, space, empty, empty,
                              Matrix.zero(fld, space.dim, 0))
-    # inclusion_matrix times the lower-endpoint cycles, as the row selection it
-    # is: each upper-endpoint simplex takes its lower-endpoint row, if it has one
-    lower = _cycles(pair, n, interval.lo, fld).basis
-    rows = dict(zip(chain_space(pair, n, interval.lo).basis, lower.rows))
-    absent = (fld.zero,) * lower.ncols
-    persisted = image(Matrix(fld, [rows.get(sk, absent) for sk in space.basis], space.dim, lower.ncols))
+    # inclusion_matrix times the lower-endpoint cycles, as the row selection it is
+    lower_basis = chain_space(pair, n, interval.lo).basis
+    persisted = image(_move_rows(_cycles(pair, n, interval.lo, fld).basis, lower_basis, space.basis))
     bnd = _boundaries(pair, n, interval.hi, fld)
     dying = persisted.intersect(bnd)
     reps = persisted.complement_in(dying)
@@ -186,8 +183,7 @@ def induced_map(f: PreservingMap, n: int, interval: Interval, field=GF2) -> Line
     source = homology(f.domain, n, interval, field)
     target = homology(f.codomain, n, interval, field)
     push = chain_map_matrix(f, n, interval.hi, field)
-    cols = [target.coords_of(push.apply(source.reps.column(j))) for j in range(source.dim)]
-    return LinearMap(source, target, Matrix.from_columns(field, cols, target.dim), "f*")
+    return LinearMap(source, target, target.coords_of(push * source.reps), "f*")
 
 
 def connecting(pair: RelativeFilteredPair, n: int, interval: Interval, field=GF2) -> LinearMap:
@@ -202,38 +198,22 @@ def connecting(pair: RelativeFilteredPair, n: int, interval: Interval, field=GF2
     source = homology(pair, n, interval, field)
     target = homology(absolute(pair.sub), n - 1, interval, field)
     x_abs = absolute(pair.total)
-    abs_space = chain_space(x_abs, n, interval.hi)
-    abs_index = {sk: i for i, sk in enumerate(abs_space.basis)}
-    bnd = boundary_matrix(x_abs, n, interval.hi, field)
+    lift = _move_rows(source.reps, source.space.basis, chain_space(x_abs, n, interval.hi).basis)
+    dchains = boundary_matrix(x_abs, n, interval.hi, field) * lift
     lower = chain_space(x_abs, n - 1, interval.hi)
     sub_space = chain_space(absolute(pair.sub), n - 1, interval.hi)
     sub_basis = set(sub_space.basis)
-    sub_positions = []
-    for sk in sub_space.basis:
-        pos = lower.index(sk)
-        if pos is None:
-            raise AssertionError("subset simplex missing from the ambient complex")
-        sub_positions.append(pos)
-    cols = []
-    for j in range(source.dim):
-        rel = source.reps.column(j)
-        lift = [field.zero] * abs_space.dim
-        for i, sk in enumerate(source.space.basis):
-            lift[abs_index[sk]] = rel[i]
-        dchain = bnd.apply(tuple(lift))
-        if any(
-            dchain[i] != field.zero and sk not in sub_basis
-            for i, sk in enumerate(lower.basis)
-        ):
-            raise AssertionError("boundary of a relative cycle escaped the subset")
-        vec = tuple(dchain[pos] for pos in sub_positions)
-        try:
-            cols.append(target.coords_of(vec))
-        except ClassNotInTarget as exc:
-            raise NotRepresentableAtLowerEndpoint(
-                f"degree {n} boundary class has no lower-endpoint representative"
-            ) from exc
-    return LinearMap(source, target, Matrix.from_columns(field, cols, target.dim), "d")
+    if not sub_basis <= set(lower.basis):
+        raise AssertionError("subset simplex missing from the ambient complex")
+    if any(any(row) for sk, row in zip(lower.basis, dchains.rows) if sk not in sub_basis):
+        raise AssertionError("boundary of a relative cycle escaped the subset")
+    try:
+        coords = target.coords_of(_move_rows(dchains, lower.basis, sub_space.basis))
+    except ClassNotInTarget as exc:
+        raise NotRepresentableAtLowerEndpoint(
+            f"degree {n} boundary class has no lower-endpoint representative"
+        ) from exc
+    return LinearMap(source, target, coords, "d")
 
 
 def _min_value(x: FilteredSet) -> FiltValue | None:
@@ -284,8 +264,7 @@ def h0_decomposition(x: FilteredSet, x_vertex: str, interval: Interval, field=GF
     reduced = reduced_homology(x, 0, interval, field)
     pc = point_class(1, x_vertex, x, interval, field)
     line = image(Matrix.from_columns(field, [pc], group.dim))
-    red_coords = [group.coords_of(reduced.reps.column(j)) for j in range(reduced.dim)]
-    red_span = image(Matrix.from_columns(field, red_coords, group.dim))
+    red_span = image(group.coords_of(reduced.reps))
     if line.intersect(red_span).dim != 0:
         raise AssertionError("vertex class meets the reduced part")
     if group.dim != reduced.dim + 1:

@@ -68,6 +68,9 @@ class GF:
         return 1
 
     def coerce(self, x):
+        # int first: the Fraction test goes through ABCMeta on every entry
+        if isinstance(x, int):
+            return x % self.p
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
@@ -496,13 +499,27 @@ def quotient_dim(u: Subspace, v: Subspace) -> int:
     return u.dim - v.dim
 
 
+def quotient_coords(reps: Matrix, sub: Subspace, vectors: Matrix) -> Matrix | None:
+    """Coordinates over ``reps``, modulo ``sub``, of each column of ``vectors``.
+
+    One reduction solves rep-combination + sub-vector = column for every
+    column at once; the rep part is unique when the reps are independent
+    modulo ``sub``.  None when some column lies outside their span.
+    """
+    if vectors.ncols == 0:
+        return Matrix.zero(reps.field, reps.ncols, 0)
+    sol = hstack(reps, sub.basis).solve_matrix(vectors)
+    if sol is None:
+        return None
+    return Matrix(reps.field, sol.rows[: reps.ncols], reps.ncols, sol.ncols)
+
+
 def coords_in_quotient(vec: Sequence, u: Subspace, v: Subspace) -> tuple:
     """Coordinates of a vector of u in the canonical complement of v."""
-    comp = u.complement_in(v)
-    sol = hstack(v.basis, comp).solve(vec)
-    if sol is None:
+    coords = quotient_coords(u.complement_in(v), v, Matrix.from_columns(u.field, [vec], u.ambient))
+    if coords is None:
         raise SubspaceNotContained("vector lies outside the subspace")
-    return tuple(sol[v.dim :])
+    return coords.column(0)
 
 
 # ---------------------------------------------------------------------------

@@ -128,10 +128,11 @@ def check_exact(seq: ExactSequence) -> ExactnessReport:
             witness = ("image_not_in_kernel", unit)
             ok = False
         elif not im.contains_subspace(ker):
-            bad_vec = next(
-                ker.basis.column(j) for j in range(ker.dim) if not im.contains(ker.basis.column(j))
-            )
-            witness = ("kernel_not_in_image", bad_vec)
+            # a kernel column lies in the image iff its reduction against the
+            # image basis vanishes below the image's rank
+            red = hstack(im.basis, ker.basis).rref()[0]
+            bad = next(j for j in range(ker.dim) if any(red.column(im.dim + j)[im.dim:]))
+            witness = ("kernel_not_in_image", ker.basis.column(bad))
             ok = False
         checks.append(NodeCheck(i, im.dim, ker.dim, ok, witness))
     return ExactnessReport(seq.description, tuple(checks))
@@ -312,8 +313,7 @@ def triad_sequence(x: FilteredSet, x1: FilteredSet, x2: FilteredSet, interval: I
 def _restrict_to_subgroup(lmap: LinearMap, subgroup: HomologyGroup, side: str) -> LinearMap:
     """Re-express a map through a subgroup of its source or target."""
     parent = lmap.source if side == "source" else lmap.target
-    coords = [parent.coords_of(subgroup.reps.column(j)) for j in range(subgroup.dim)]
-    embed = Matrix.from_columns(parent.field, coords, parent.dim)
+    embed = parent.coords_of(subgroup.reps)
     if side == "source":
         return LinearMap(subgroup, lmap.target, lmap.matrix * embed, lmap.label + "~")
     solved = embed.solve_matrix(lmap.matrix)

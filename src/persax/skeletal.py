@@ -37,7 +37,7 @@ from .homology import (
     homology,
     induced_map,
 )
-from .linalg import GF2, Matrix, Subspace, hstack, image, kernel
+from .linalg import GF2, Matrix, Subspace, image, kernel, quotient_coords
 
 
 class OracleMismatch(RuntimeError):
@@ -171,11 +171,12 @@ class SkeletalHomology:
     def dim(self) -> int:
         return self.reps.ncols
 
-    def coords_of(self, chain_vector) -> tuple:
-        sol = hstack(self.reps, self.boundaries.basis).solve(tuple(chain_vector))
-        if sol is None:
+    def coords_of(self, chain_vectors: Matrix) -> Matrix:
+        """Basis coordinates of the class of each generator-coordinate column."""
+        coords = quotient_coords(self.reps, self.boundaries, chain_vectors)
+        if coords is None:
             raise OracleMismatch("vector's class lies outside the skeletal homology")
-        return tuple(sol[: self.dim])
+        return coords
 
 
 @lru_cache(maxsize=None)
@@ -211,17 +212,13 @@ def direct_to_skeletal(pair: RelativeFilteredPair, q: int, interval: Interval,
     mid = RelativeFilteredPair(skeletal_pair(pair, q).total, pair.sub)
     to_direct = induced_map(inclusion(mid, pair), q, interval, field)
     to_chains = induced_map(inclusion(mid, skeletal_pair(pair, q)), q, interval, field)
-    cols = []
-    for j in range(direct.dim):
-        unit = tuple(field.one if k == j else field.zero for k in range(direct.dim))
-        lift = to_direct.matrix.solve(unit)
-        if lift is None:
-            raise OracleMismatch("skeleton inclusion fails to reach a direct class")
-        z = to_chains.matrix.apply(lift)
-        if not skel.cycles.contains(z):
-            raise OracleMismatch("lifted class is not a skeletal cycle")
-        cols.append(skel.coords_of(z))
-    matrix = Matrix.from_columns(field, cols, skel.dim)
+    lifts = to_direct.matrix.solve_matrix(Matrix.identity(field, direct.dim))
+    if lifts is None:
+        raise OracleMismatch("skeleton inclusion fails to reach a direct class")
+    z = to_chains.matrix * lifts
+    if skel.cycles.basis.solve_matrix(z) is None:
+        raise OracleMismatch("lifted class is not a skeletal cycle")
+    matrix = skel.coords_of(z)
     if direct.dim != skel.dim or not matrix.is_invertible():
         raise OracleMismatch(
             f"direct/skeletal comparison failed in degree {q}: "

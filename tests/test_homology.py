@@ -1,5 +1,6 @@
 """Interval homology groups, induced and connecting maps, grids, barcodes."""
 
+import hashlib
 import random
 
 import pytest
@@ -150,8 +151,7 @@ class TestInducedMaps:
         from persax.linalg import chain_map_matrix
 
         push = chain_map_matrix(f, 0, iv.hi, GF3)
-        cols = [regauged.coords_of(push.apply(group.reps.column(j)))
-                for j in range(group.dim)]
+        cols = regauged.coords_of(push * group.reps).columns
         # [rep] = 2^{-1} * [regauged rep]  =>  coords double back
         assert cols[0] == (2,)
 
@@ -368,3 +368,51 @@ class TestBarcode:
         from persax import skeleton, barcode
 
         assert barcode(skeleton(point(0), -1)) == ()
+
+
+def _dump(build) -> str:
+    """What a call returns, or the type and message of what it raised."""
+    try:
+        return str(build())
+    except Exception as exc:
+        return f"raise\t{type(exc).__name__}\t{exc}"
+
+
+def _some_intervals(rng, obj, k=3):
+    ivs = critical_intervals(obj) or (Interval(0, 0),)
+    return [ivs[j] for j in sorted(rng.sample(range(len(ivs)), min(k, len(ivs))))]
+
+
+class TestPinnedCoordinateMaps:
+    # sha256 of the dump below, recorded from the per-column coordinate solves
+    DIGEST = "eeaebcc5dfa5398e64a3934e12aa9108012917f88fa6aa56bb763b1e78e8e246"
+
+    def test_maps_read_off_in_group_bases_match_the_pinned_dump(self):
+        from persax import direct_to_skeletal, skeleton
+        from persax.fuzz import random_pair_map
+
+        lines = []
+        for i in range(30):
+            rng = random.Random(i)
+            field = (GF2, GF3)[i % 2]
+            pair = random_pair(rng)
+            f = random_pair_map(rng)
+            for iv in _some_intervals(rng, f.domain):
+                for n in range(f.domain.total.dimension + 2):
+                    lines.append(f"f* {n} {iv}\t"
+                                 + _dump(lambda: induced_map(f, n, iv, field).matrix.rows))
+            x = pair.total
+            # a skeleton subset gives connecting maps with nonzero sources
+            for p in (pair, pair_of(x, skeleton(x, rng.randint(0, 1)))):
+                for iv in _some_intervals(rng, p):
+                    for q in range(x.dimension + 2):
+                        lines.append(f"iso {q} {iv}\t"
+                                     + _dump(lambda: direct_to_skeletal(p, q, iv, field).matrix.rows))
+                        if q > 0:
+                            lines.append(f"d {q} {iv}\t"
+                                         + _dump(lambda: connecting(p, q, iv, field).matrix.rows))
+                    v = rng.choice(sorted(x.vertices))
+                    lines.append(f"h0 {v} {iv}\t" + _dump(lambda: h0_decomposition(x, v, iv, field)))
+        text = "\n".join(lines)
+        assert "raise\tOracleMismatch" in text and "raise\tVertexNotPresent" in text
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST

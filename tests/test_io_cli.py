@@ -1,6 +1,7 @@
 """File formats, round trips, and the command-line interface."""
 
 import random
+import time
 
 import pytest
 
@@ -54,6 +55,16 @@ class TestParsing:
         bad = "[X]\n1 a\n[A]\n0 a\n"
         with pytest.raises(ParseError):
             parse_pair_text(bad)
+
+    def test_huge_exponent_is_rejected_before_it_is_built(self):
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse_filtration_text("1e999999999 a\n")
+        assert time.perf_counter() - start < 1
+
+    def test_exponent_within_the_digit_limit_parses(self):
+        fs = parse_filtration_text("1e4000 a\n")
+        assert fs.value(("a",)) == fin(10**4000)
 
     def test_nonmonotone_input_rejected_with_location(self):
         with pytest.raises(ParseError):
@@ -245,6 +256,13 @@ class TestCli:
                           capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
         assert proc.stderr == "error: characteristic 1000000000000000003 is not below 2**31\n"
+
+    @pytest.mark.parametrize("interval", ["1/0,2", "0,1e999999999"])
+    def test_bad_interval_value_is_a_usage_error(self, rim_file, interval):
+        proc = run_persax("compute", "--input", str(rim_file), "--interval", interval,
+                          "--degree", "1", capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     def test_verify_axioms_fuzz_is_byte_identical_across_runs(self):
         first = run_cli("verify-axioms", "--fuzz", "5", "--seed", "7",

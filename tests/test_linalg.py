@@ -137,6 +137,31 @@ class TestSubspaces:
         rebuilt = comp.apply(coords)
         assert v.contains(tuple(GF3.sub(a, b) for a, b in zip(vec, rebuilt)))
 
+    def test_batched_quotient_coords_match_column_solves(self):
+        from persax.linalg import hstack, quotient_coords
+
+        rng = random.Random(11)
+        solved = unsolved = 0
+        for _ in range(60):
+            fld = rng.choice((GF2, GF3))
+            n, k, m = rng.randint(1, 6), rng.randint(0, 3), rng.randint(1, 4)
+            rand = lambda r, c: Matrix(fld, [[rng.randrange(fld.p) for _ in range(c)]
+                                             for _ in range(r)], r, c)
+            reps, sub = rand(n, k), image(rand(n, rng.randint(0, 3)))
+            vectors = hstack(reps, sub.basis) * rand(k + sub.dim, m)
+            if rng.random() < 0.3:
+                vectors = rand(n, m)
+            sols = [hstack(reps, sub.basis).solve(col) for col in vectors.columns]
+            coords = quotient_coords(reps, sub, vectors)
+            if None in sols:
+                unsolved += 1
+                assert coords is None
+            else:
+                solved += 1
+                assert coords.columns == tuple(sol[:k] for sol in sols)
+            assert quotient_coords(reps, sub, rand(n, 0)) == Matrix.zero(fld, k, 0)
+        assert solved and unsolved
+
 
 def _gf2_span(vectors, ambient):
     span = {(0,) * ambient}
