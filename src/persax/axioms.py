@@ -8,6 +8,7 @@ is not met by the instance.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from .filtration import (
@@ -16,12 +17,26 @@ from .filtration import (
     RelativeFilteredPair,
     absolute,
     compose,
+    critical_values,
     identity_map,
     inclusion,
     intersection,
     pair_of,
     point,
+    standard_boundary,
+    standard_simplex,
     union,
+    validate_map,
+)
+from .formats import instance_tag
+from .fuzz import (
+    DEFAULT_VALUES,
+    random_composable_maps,
+    random_contiguous_pair,
+    random_excision_parts,
+    random_filtration,
+    random_pair,
+    random_pair_map,
 )
 from .homology import connecting, homology, induced_map
 from .linalg import GF2
@@ -182,8 +197,6 @@ def _simplex_dimension_check(field, **bundle) -> AxiomReport:
     if not intervals:
         raise MalformedInstance("simplex dimension check needs intervals")
     q_max = bundle.get("q_max", 4)
-    from .filtration import standard_simplex
-
     for q in range(0, q_max + 1):
         solid = absolute(standard_simplex(q, alpha))
         birth = solid.total.value(sorted(solid.total.vertices)[:1])
@@ -201,8 +214,6 @@ def _simplex_dimension_check(field, **bundle) -> AxiomReport:
 
 def random_interval(rng, obj) -> Interval:
     """An interval with endpoints at the object's critical values."""
-    from .filtration import critical_values
-
     vals = critical_values(obj)
     if not vals:
         return Interval(0, 0)
@@ -213,9 +224,6 @@ def random_interval(rng, obj) -> Interval:
 
 def _boundary_target_maps(rng):
     """Two maps into a hollow simplex boundary; contiguity is not guaranteed."""
-    from .filtration import standard_boundary, validate_map
-    from .fuzz import random_filtration
-
     domain = pair_of(random_filtration(rng))
     target = pair_of(standard_boundary(4, 0, tuple(f"t{i}" for i in range(5))))
     verts = sorted(target.total.vertices)
@@ -229,18 +237,6 @@ def _boundary_target_maps(rng):
 
 def fuzz_axiom_reports(count: int, seed: int, field=GF2) -> list[AxiomReport]:
     """Seeded random instances for every axiom; deterministic for a seed."""
-    import random
-
-    from .formats import instance_tag
-    from .fuzz import (
-        DEFAULT_VALUES,
-        random_composable_maps,
-        random_contiguous_pair,
-        random_excision_parts,
-        random_pair,
-        random_pair_map,
-    )
-
     master = random.Random(seed)
     reports = []
     for index in range(count):

@@ -36,7 +36,7 @@ class RunConfig:
 def _parse_interval(text: str) -> Interval:
     parts = text.split(",")
     if len(parts) != 2:
-        raise SystemExit(f"bad interval {text!r}: expected 'lo,hi'")
+        raise ValueError(f"bad interval {text!r}: expected 'lo,hi'")
     return Interval(fin(parts[0].strip()), fin(parts[1].strip()))
 
 
@@ -139,6 +139,8 @@ def _axiom_lines(reports, cfg: RunConfig) -> tuple[list[str], bool]:
 
 
 def _cmd_verify_axioms(args, cfg: RunConfig) -> int:
+    if args.fuzz < 0:
+        raise ValueError(f"--fuzz must not be negative, got {args.fuzz}")
     reports = []
     for path in args.input or ():
         pair = parse_any(path)

@@ -142,21 +142,9 @@ def simplex(vertices: Iterable[str]) -> Simplex:
     return vs
 
 
-def dim(sigma: Simplex) -> int:
-    return len(sigma) - 1
-
-
 def facets(sigma: Simplex) -> list[Simplex]:
     """Codimension-1 faces, in the order of the omitted position."""
     return [sigma[:i] + sigma[i + 1 :] for i in range(len(sigma))]
-
-
-def faces(sigma: Simplex) -> list[Simplex]:
-    """All nonempty proper faces."""
-    out = []
-    for k in range(1, len(sigma)):
-        out.extend(itertools.combinations(sigma, k))
-    return out
 
 
 class FilteredSet:
@@ -454,10 +442,6 @@ class PreservingMap:
         """The induced map between the subsets, as absolute pairs."""
         vm = {v: self.vertex_map[v] for v in self.domain.sub.vertices}
         return validate_map(vm, absolute(self.domain.sub), absolute(self.codomain.sub))
-
-    def as_absolute(self) -> "PreservingMap":
-        """The same vertex map between the total sets, subsets dropped."""
-        return validate_map(self.vertex_map, absolute(self.domain.total), absolute(self.codomain.total))
 
 
 def validate_map(

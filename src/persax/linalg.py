@@ -145,7 +145,7 @@ GF3 = GF(3)
 class Matrix:
     """An immutable exact matrix with an explicit shape and field."""
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "_hash")
+    __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field, rows: Sequence[Sequence], nrows: int | None = None, ncols: int | None = None):
         rows = tuple(tuple(field.coerce(x) for x in row) for row in rows)
@@ -159,7 +159,6 @@ class Matrix:
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_hash", hash((field, nrows, ncols, rows)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -179,22 +178,20 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, field, columns: Sequence[Sequence], nrows: int) -> "Matrix":
-        cols = [tuple(field.coerce(x) for x in c) for c in columns]
-        if any(len(c) != nrows for c in cols):
+        if any(len(c) != nrows for c in columns):
             raise DimensionMismatch("column length mismatch")
-        return cls(field, tuple(tuple(c[i] for c in cols) for i in range(nrows)), nrows, len(cols))
+        rows = tuple(zip(*columns)) if columns else ((),) * nrows
+        return cls(field, rows, nrows, len(columns))
 
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.rows)
 
     @property
     def columns(self) -> tuple[tuple, ...]:
-        return tuple(self.column(j) for j in range(self.ncols))
+        return tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
 
     def transpose(self) -> "Matrix":
-        if self.nrows == 0:
-            return Matrix(self.field, ((),) * self.ncols, self.ncols, 0)
-        return Matrix(self.field, tuple(zip(*self.rows)), self.ncols, self.nrows)
+        return Matrix(self.field, self.columns, self.ncols, self.nrows)
 
     def __eq__(self, other):
         return (
@@ -206,7 +203,7 @@ class Matrix:
         )
 
     def __hash__(self):
-        return self._hash
+        return hash((self.field, self.nrows, self.ncols, self.rows))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -214,15 +211,8 @@ class Matrix:
         if self.field != other.field or self.ncols != other.nrows:
             raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
         fld = self.field
-        out = []
-        cols = other.transpose().rows
-        for row in self.rows:
-            out.append(
-                tuple(
-                    _dot(fld, row, col)
-                    for col in cols
-                )
-            )
+        cols = other.columns
+        out = [tuple(_dot(fld, row, col) for col in cols) for row in self.rows]
         return Matrix(fld, out, self.nrows, other.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -239,9 +229,6 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         fld = self.field
         return Matrix(fld, tuple(tuple(fld.neg(a) for a in row) for row in self.rows), self.nrows, self.ncols)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
 
     def scale(self, c) -> "Matrix":
         fld = self.field
@@ -372,13 +359,12 @@ class Subspace:
     Two computations of the same subspace are therefore bit-identical.
     """
 
-    __slots__ = ("ambient", "basis", "pivots", "_hash")
+    __slots__ = ("ambient", "basis", "pivots")
 
     def __init__(self, ambient: int, basis: Matrix, pivots: tuple[int, ...]):
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", pivots)
-        object.__setattr__(self, "_hash", hash((ambient, basis)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -386,10 +372,7 @@ class Subspace:
     @classmethod
     def spanned_by(cls, columns: Matrix) -> "Subspace":
         """Canonicalize a spanning set of column vectors."""
-        red, pivots = columns.transpose().rref()
-        rows = red.rows[: len(pivots)]
-        basis = Matrix(columns.field, rows, len(pivots), columns.nrows).transpose()
-        return cls(columns.nrows, basis, pivots)
+        return _echelon(columns.field, columns.columns, columns.nrows)
 
     @classmethod
     def zero(cls, field, ambient: int) -> "Subspace":
@@ -421,7 +404,7 @@ class Subspace:
         )
 
     def __hash__(self):
-        return self._hash
+        return hash((self.ambient, self.basis))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"
@@ -452,6 +435,16 @@ class Subspace:
         return Matrix.from_columns(self.field, cols, self.ambient)
 
 
+def _echelon(field, vectors: Sequence[Sequence], ambient: int) -> Subspace:
+    """The canonical basis of the span of ``vectors``, each of length ``ambient``.
+
+    The vectors, taken as rows, go through ``Matrix.rref``; its nonzero rows
+    are the basis columns, so every subspace is reduced by the one loop.
+    """
+    red, pivots = Matrix(field, vectors, len(vectors), ambient).rref()
+    return Subspace(ambient, Matrix.from_columns(field, red.rows[: len(pivots)], ambient), pivots)
+
+
 def _check_same_ambient(u: Subspace, v: Subspace):
     if u.ambient != v.ambient or u.field != v.field:
         raise DimensionMismatch("subspaces live in different ambient spaces")
@@ -462,14 +455,14 @@ def kernel(m: Matrix) -> Subspace:
     red, pivots = m.rref()
     fld = m.field
     free = [j for j in range(m.ncols) if j not in set(pivots)]
-    cols = []
+    vectors = []
     for j in free:
         vec = [fld.zero] * m.ncols
         vec[j] = fld.one
         for r, p in enumerate(pivots):
             vec[p] = fld.neg(red.rows[r][j])
-        cols.append(tuple(vec))
-    space = Subspace.spanned_by(Matrix.from_columns(fld, cols, m.ncols))
+        vectors.append(vec)
+    space = _echelon(fld, vectors, m.ncols)
     if space.dim + len(pivots) != m.ncols:
         raise AssertionError("rank-nullity failed; reduction is broken")
     return space
@@ -542,13 +535,6 @@ class ChainSpace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def index(self, sigma: Simplex) -> int | None:
-        # bases are small; linear scan keeps the structure simple
-        try:
-            return self.basis.index(sigma)
-        except ValueError:
-            return None
 
 
 @lru_cache(maxsize=None)

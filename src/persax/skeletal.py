@@ -73,12 +73,6 @@ class SkeletalChainGroup:
     def dim(self) -> int:
         return len(self.generators)
 
-    def index(self, sigma: Simplex) -> int | None:
-        try:
-            return self.generators.index(sigma)
-        except ValueError:
-            return None
-
 
 @lru_cache(maxsize=None)
 def skeletal_chain_group(pair: RelativeFilteredPair, q: int, interval: Interval,

@@ -257,12 +257,18 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr == "error: characteristic 1000000000000000003 is not below 2**31\n"
 
-    @pytest.mark.parametrize("interval", ["1/0,2", "0,1e999999999"])
+    @pytest.mark.parametrize("interval", ["1/0,2", "0,1e999999999", "1", "1,2,3"])
     def test_bad_interval_value_is_a_usage_error(self, rim_file, interval):
         proc = run_persax("compute", "--input", str(rim_file), "--interval", interval,
                           "--degree", "1", capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    def test_negative_fuzz_count_is_a_usage_error(self):
+        proc = run_persax("verify-axioms", "--fuzz", "-1", capture_output=True, text=True,
+                          timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: --fuzz must not be negative, got -1\n"
 
     def test_verify_axioms_fuzz_is_byte_identical_across_runs(self):
         first = run_cli("verify-axioms", "--fuzz", "5", "--seed", "7",

@@ -1,5 +1,6 @@
 """Exact field arithmetic, echelon forms, subspace calculus, chain matrices."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from persax import (
     chain_map_matrix,
     chain_space,
     coords_in_quotient,
+    critical_intervals,
     fin,
     image,
     inclusion_matrix,
@@ -32,6 +34,7 @@ from persax import (
     validate,
     validate_map,
 )
+from persax.fuzz import random_pair
 
 
 def test_gf_requires_prime():
@@ -292,3 +295,66 @@ def test_chain_space_is_deterministically_ordered():
     pair = filled_triangle()
     cs = chain_space(pair, 1, fin(1))
     assert cs.basis == (("a", "b"), ("a", "c"), ("b", "c"))
+
+
+def _dump_matrix(m):
+    return f"{m.field} {m.nrows}x{m.ncols} " + ";".join(",".join(map(str, r)) for r in m.rows)
+
+
+def _dump_space(s):
+    return f"{s.ambient} {s.pivots} " + _dump_matrix(s.basis)
+
+
+def _random_matrix(rng, field, nrows, ncols):
+    if field == QQ:
+        entry = lambda: Fraction(rng.randint(-2, 2), rng.randint(1, 3)) * (rng.random() < 0.6)
+    else:
+        entry = lambda: rng.randrange(field.p) if rng.random() < 0.6 else 0
+    return Matrix(field, [[entry() for _ in range(ncols)] for _ in range(nrows)], nrows, ncols)
+
+
+class TestPinnedCanonicalBases:
+    # sha256 of the dump below, recorded before spanned_by and kernel shared one canonicalizer
+    DIGEST = "f672c743c2ea20cd53fef384b232b5a7fc51d15d5be22c9e9d2a26f7020307a3"
+
+    def _dump_instance(self, i):
+        rng = random.Random(i)
+        field = (GF2, GF3, QQ)[i % 3]
+        n, m, k = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 3)
+        a = _random_matrix(rng, field, n, m)
+        other = image(_random_matrix(rng, field, n, rng.randint(0, 4)))
+        red, pivots = a.rref()
+        span = image(a)
+        lines = [
+            _dump_matrix(red) + f" {pivots}",
+            _dump_space(kernel(a)),
+            _dump_space(span),
+            _dump_space(span.intersect(other)),
+            _dump_space(span.sum(other)),
+            _dump_matrix(span.sum(other).complement_in(other)),
+            _dump_space(preimage(a, other)),
+            _dump_matrix(a.transpose()),
+            _dump_matrix(Matrix.from_columns(field, a.transpose().rows, n)),
+            _dump_matrix(a * _random_matrix(rng, field, m, k)),
+        ]
+        for rhs in (a * _random_matrix(rng, field, m, k), _random_matrix(rng, field, n, k)):
+            sol = a.solve_matrix(rhs)
+            lines.append("none" if sol is None else _dump_matrix(sol))
+        # equal objects built by other routes hash equal
+        same = Matrix(field, [[Fraction(x) for x in r] for r in a.rows], n, m)
+        assert same == a and hash(same) == hash(a)
+        for again in (Subspace.spanned_by(span.basis),
+                      Subspace.spanned_by(Matrix.from_columns(field, a.columns, n))):
+            assert again == span and hash(again) == hash(span)
+        if field != QQ:
+            pair = random_pair(rng)
+            interval = rng.choice(critical_intervals(pair) or (Interval(0, 0),))
+            for deg in range(3):
+                lines.append(_dump_matrix(inclusion_matrix(pair, deg, interval, field)))
+        return lines
+
+    def test_canonical_bases_match_the_pinned_dump(self):
+        lines = [line for i in range(120) for line in self._dump_instance(i)]
+        text = "\n".join(lines)
+        assert "QQ 0x" in text and "x0 " in text and "none" in text and "/" in text
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
