@@ -5,7 +5,8 @@ endpoint pairs), ``sequence`` (build and check an exact sequence),
 ``verify-axioms`` (the full axiom suite on files and/or seeded random
 instances), ``oracle-compare`` (direct vs skeletal vs bar-count dimensions),
 and ``induced`` (the matrix of a map file).  Exit code 0 means every verdict
-passed.  With a fixed seed the output bytes are fully reproducible.
+passed, 1 that some verdict failed, and 2 a usage error or a failed internal
+check.  With a fixed seed the output bytes are fully reproducible.
 """
 
 from __future__ import annotations
@@ -141,6 +142,8 @@ def _axiom_lines(reports, cfg: RunConfig) -> tuple[list[str], bool]:
 def _cmd_verify_axioms(args, cfg: RunConfig) -> int:
     if args.fuzz < 0:
         raise ValueError(f"--fuzz must not be negative, got {args.fuzz}")
+    if not args.input and not args.fuzz:
+        raise ValueError("verify-axioms needs --input or a positive --fuzz")
     reports = []
     for path in args.input or ():
         pair = parse_any(path)
@@ -272,6 +275,9 @@ def main(argv=None) -> int:
         return args.run(args, cfg)
     except (ValueError, OSError, OracleMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except AssertionError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 2
 
 

@@ -4,6 +4,13 @@ Matrices are immutable tuples of field elements; every reduction is an exact
 Gaussian elimination with a fixed pivoting rule (first nonzero entry in row
 order), so all echelon bases are canonical and bit-identical across runs.
 
+``Matrix.rref`` is the one elimination, with one arithmetic per field: over
+GF(2) each row is a Python int reduced by XOR; over any other GF(p) each row
+update is one ``% p`` per entry on plain ints; over QQ (reachable from the
+library only) it calls the field's methods on ``Fraction`` entries.  Products
+list each right-hand column's nonzero entries once and reduce each output
+entry once.
+
 The chain-level constructions live here too: ordered simplex bases for the
 relative chain groups of a pair at a level, boundary matrices, the inclusion
 matrices between levels, and the matrices induced by vertex maps.
@@ -13,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Sequence
 
 from .filtration import (
@@ -164,12 +172,26 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @classmethod
+    def _trusted(cls, field, rows: tuple[tuple, ...], nrows: int, ncols: int) -> "Matrix":
+        """A matrix over a tuple of equal-length tuples of already reduced entries.
+
+        Skips the coercion and shape check of ``__init__``; for results
+        computed inside this module only.
+        """
+        m = object.__new__(cls)
+        _set_field(m, field)
+        _set_nrows(m, nrows)
+        _set_ncols(m, ncols)
+        _set_rows(m, rows)
+        return m
+
+    @classmethod
     def zero(cls, field, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, tuple((field.zero,) * ncols for _ in range(nrows)), nrows, ncols)
+        return cls._trusted(field, ((field.zero,) * ncols,) * nrows, nrows, ncols)
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
-        return cls(
+        return cls._trusted(
             field,
             tuple(tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n)),
             n,
@@ -191,7 +213,7 @@ class Matrix:
         return tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.columns, self.ncols, self.nrows)
+        return Matrix._trusted(self.field, self.columns, self.ncols, self.nrows)
 
     def __eq__(self, other):
         return (
@@ -211,15 +233,20 @@ class Matrix:
         if self.field != other.field or self.ncols != other.nrows:
             raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
         fld = self.field
-        cols = other.columns
-        out = [tuple(_dot(fld, row, col) for col in cols) for row in self.rows]
-        return Matrix(fld, out, self.nrows, other.ncols)
+        coerce, zero = fld.coerce, fld.zero
+        # each column's nonzero (index, entry) pairs, listed once
+        cols = [[(k, b) for k, b in enumerate(col) if b] for col in other.columns]
+        out = tuple(
+            tuple([coerce(sum([row[k] * b for k, b in col], zero)) for col in cols])
+            for row in self.rows
+        )
+        return Matrix._trusted(fld, out, self.nrows, other.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape or self.field != other.field:
             raise DimensionMismatch("shape mismatch in addition")
         fld = self.field
-        return Matrix(
+        return Matrix._trusted(
             fld,
             tuple(tuple(fld.add(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)),
             self.nrows,
@@ -228,20 +255,20 @@ class Matrix:
 
     def __neg__(self) -> "Matrix":
         fld = self.field
-        return Matrix(fld, tuple(tuple(fld.neg(a) for a in row) for row in self.rows), self.nrows, self.ncols)
+        return Matrix._trusted(fld, tuple(tuple(fld.neg(a) for a in row) for row in self.rows),
+                               self.nrows, self.ncols)
 
     def scale(self, c) -> "Matrix":
         fld = self.field
         c = fld.coerce(c)
-        return Matrix(fld, tuple(tuple(fld.mul(c, a) for a in row) for row in self.rows), self.nrows, self.ncols)
+        return Matrix._trusted(fld, tuple(tuple(fld.mul(c, a) for a in row) for row in self.rows),
+                               self.nrows, self.ncols)
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product."""
         if len(vec) != self.ncols:
             raise DimensionMismatch("vector length mismatch")
-        fld = self.field
-        vec = tuple(fld.coerce(x) for x in vec)
-        return tuple(_dot(fld, row, vec) for row in self.rows)
+        return (self * Matrix.from_columns(self.field, [vec], self.ncols)).column(0)
 
     @property
     def shape(self):
@@ -256,26 +283,14 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns."""
+        if not self.nrows or not self.ncols:
+            return self, ()
         fld = self.field
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            pivot_row = next((i for i in range(r, self.nrows) if rows[i][c] != fld.zero), None)
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv = fld.inv(rows[r][c])
-            rows[r] = [fld.mul(inv, a) for a in rows[r]]
-            for i in range(self.nrows):
-                if i != r and rows[i][c] != fld.zero:
-                    factor = rows[i][c]
-                    rows[i] = [fld.sub(a, fld.mul(factor, b)) for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.nrows:
-                break
-        return Matrix(fld, rows, self.nrows, self.ncols), tuple(pivots)
+        if fld == GF2:
+            rows, pivots = _rref_bits(self.rows, self.ncols)
+        else:
+            rows, pivots = _rref_rows(fld, self.rows, self.nrows, self.ncols)
+        return Matrix._trusted(fld, rows, self.nrows, self.ncols), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -290,23 +305,15 @@ class Matrix:
         if b.nrows != self.nrows:
             raise DimensionMismatch("right-hand side has wrong height")
         fld = self.field
-        aug = Matrix(
-            fld,
-            tuple(r1 + r2 for r1, r2 in zip(self.rows, b.rows)) if self.nrows else (),
-            self.nrows,
-            self.ncols + b.ncols,
-        )
-        red, pivots = aug.rref()
-        lead = [p for p in pivots if p < self.ncols]
-        if len(lead) != len(pivots):
+        n = self.ncols
+        red, pivots = hstack(self, b).rref()
+        if pivots and pivots[-1] >= n:
             return None  # a pivot in the augmented block: inconsistent system
-        cols = []
-        for j in range(b.ncols):
-            x = [fld.zero] * self.ncols
-            for r, p in enumerate(lead):
-                x[p] = red.rows[r][self.ncols + j]
-            cols.append(tuple(x))
-        return Matrix.from_columns(fld, cols, self.ncols)
+        # free variables zero: unknown p takes the right-hand part of its pivot row
+        out = [(fld.zero,) * b.ncols] * n
+        for r, p in enumerate(pivots):
+            out[p] = red.rows[r][n:]
+        return Matrix._trusted(fld, tuple(out), n, b.ncols)
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
@@ -331,24 +338,94 @@ class Matrix:
         return "\n".join(" ".join(c.rjust(width) for c in row) for row in cells)
 
 
-def _dot(fld, u, v):
-    acc = fld.zero
-    for a, b in zip(u, v):
-        acc = fld.add(acc, fld.mul(a, b))
-    return acc
+# the slot setters, called directly: about twice as fast as object.__setattr__
+_set_field, _set_nrows, _set_ncols, _set_rows = (
+    vars(Matrix)[name].__set__ for name in ("field", "nrows", "ncols", "rows")
+)
+
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_ENTRIES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _rref_bits(rows: tuple[tuple, ...], ncols: int) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+    """``Matrix.rref`` over GF(2), for a matrix with at least one column.
+
+    Each row is an int whose most significant of ``ncols`` bits is column 0.
+    The pivot column is the first with a set bit in a row >= r, found as the
+    highest bit of their OR; the pivot row is the first such row, and every
+    other row with that bit is cleared by XOR.
+    """
+    bits = [int(bytes(row).translate(_DIGITS), 2) for row in rows]
+    pivots = []
+    for r in range(len(bits)):
+        rest = reduce(or_, bits[r:], 0)
+        if not rest:
+            break
+        width = rest.bit_length()
+        bit = 1 << (width - 1)
+        i = r
+        while not bits[i] & bit:
+            i += 1
+        prow = bits[i]
+        bits[i] = bits[r]
+        bits = [x ^ prow if x & bit else x for x in bits]
+        bits[r] = prow
+        pivots.append(ncols - width)
+    form = f"0{ncols}b"
+    return tuple([tuple(format(x, form).encode().translate(_ENTRIES)) for x in bits]), tuple(pivots)
+
+
+def _rref_rows(fld, rows: tuple[tuple, ...], nrows: int, ncols: int) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+    """``Matrix.rref`` row by row: one ``% p`` per entry over GF(p), field methods over QQ."""
+    if isinstance(fld, GF):
+        p = fld.p
+
+        def scaled(f, row):
+            return [f * a % p for a in row]
+
+        def minus(row, f, prow):
+            return [(a - f * b) % p for a, b in zip(row, prow)]
+    else:
+        mul, sub = fld.mul, fld.sub
+
+        def scaled(f, row):
+            return [mul(f, a) for a in row]
+
+        def minus(row, f, prow):
+            return [sub(a, mul(f, b)) for a, b in zip(row, prow)]
+
+    zero = fld.zero
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != zero), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        prow = rows[r] = scaled(fld.inv(rows[r][c]), rows[r])
+        for i in range(nrows):
+            factor = rows[i][c]
+            if i != r and factor != zero:
+                rows[i] = minus(rows[i], factor, prow)
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(map(tuple, rows)), tuple(pivots)
 
 
 def hstack(left: Matrix, right: Matrix) -> Matrix:
     if left.nrows != right.nrows or left.field != right.field:
         raise DimensionMismatch("hstack height mismatch")
-    rows = tuple(r1 + r2 for r1, r2 in zip(left.rows, right.rows)) if left.nrows else ()
-    return Matrix(left.field, rows, left.nrows, left.ncols + right.ncols)
+    rows = tuple(r1 + r2 for r1, r2 in zip(left.rows, right.rows))
+    return Matrix._trusted(left.field, rows, left.nrows, left.ncols + right.ncols)
 
 
 def vstack(top: Matrix, bottom: Matrix) -> Matrix:
     if top.ncols != bottom.ncols or top.field != bottom.field:
         raise DimensionMismatch("vstack width mismatch")
-    return Matrix(top.field, top.rows + bottom.rows, top.nrows + bottom.nrows, top.ncols)
+    return Matrix._trusted(top.field, top.rows + bottom.rows, top.nrows + bottom.nrows, top.ncols)
 
 
 class Subspace:
@@ -415,7 +492,7 @@ class Subspace:
             return Subspace.zero(self.field, self.ambient)
         # solutions of B1 x = B2 y, read off through B1
         ker = kernel(hstack(self.basis, -other.basis))
-        coeffs = Matrix(self.field, ker.basis.rows[: self.dim], self.dim, ker.basis.ncols)
+        coeffs = Matrix._trusted(self.field, ker.basis.rows[: self.dim], self.dim, ker.basis.ncols)
         return Subspace.spanned_by(self.basis * coeffs)
 
     def sum(self, other: "Subspace") -> "Subspace":
@@ -430,19 +507,21 @@ class Subspace:
         """
         if not self.contains_subspace(sub):
             raise SubspaceNotContained("complement requires a contained subspace")
-        keep = [j for j, p in enumerate(self.pivots) if p not in set(sub.pivots)]
-        cols = [self.basis.column(j) for j in keep]
-        return Matrix.from_columns(self.field, cols, self.ambient)
+        absorbed = set(sub.pivots)
+        keep = [j for j, p in enumerate(self.pivots) if p not in absorbed]
+        rows = tuple(tuple(row[j] for j in keep) for row in self.basis.rows)
+        return Matrix._trusted(self.field, rows, self.ambient, len(keep))
 
 
 def _echelon(field, vectors: Sequence[Sequence], ambient: int) -> Subspace:
-    """The canonical basis of the span of ``vectors``, each of length ``ambient``.
+    """The canonical basis of the span of ``vectors``, tuples of ``ambient`` reduced entries.
 
     The vectors, taken as rows, go through ``Matrix.rref``; its nonzero rows
     are the basis columns, so every subspace is reduced by the one loop.
     """
-    red, pivots = Matrix(field, vectors, len(vectors), ambient).rref()
-    return Subspace(ambient, Matrix.from_columns(field, red.rows[: len(pivots)], ambient), pivots)
+    red, pivots = Matrix._trusted(field, tuple(vectors), len(vectors), ambient).rref()
+    basis = Matrix._trusted(field, red.rows[: len(pivots)], len(pivots), ambient).transpose()
+    return Subspace(ambient, basis, pivots)
 
 
 def _check_same_ambient(u: Subspace, v: Subspace):
@@ -454,14 +533,15 @@ def kernel(m: Matrix) -> Subspace:
     """Null space of a matrix, canonicalized; checks rank-nullity."""
     red, pivots = m.rref()
     fld = m.field
-    free = [j for j in range(m.ncols) if j not in set(pivots)]
+    lead = set(pivots)
+    free = [j for j in range(m.ncols) if j not in lead]
     vectors = []
     for j in free:
         vec = [fld.zero] * m.ncols
         vec[j] = fld.one
         for r, p in enumerate(pivots):
             vec[p] = fld.neg(red.rows[r][j])
-        vectors.append(vec)
+        vectors.append(tuple(vec))
     space = _echelon(fld, vectors, m.ncols)
     if space.dim + len(pivots) != m.ncols:
         raise AssertionError("rank-nullity failed; reduction is broken")
@@ -480,7 +560,7 @@ def preimage(m: Matrix, target: Subspace) -> Subspace:
     if target.dim == 0:
         return kernel(m)
     ker = kernel(hstack(m, target.basis))
-    coeffs = Matrix(m.field, ker.basis.rows[: m.ncols], m.ncols, ker.basis.ncols)
+    coeffs = Matrix._trusted(m.field, ker.basis.rows[: m.ncols], m.ncols, ker.basis.ncols)
     return Subspace.spanned_by(coeffs)
 
 
@@ -504,7 +584,7 @@ def quotient_coords(reps: Matrix, sub: Subspace, vectors: Matrix) -> Matrix | No
     sol = hstack(reps, sub.basis).solve_matrix(vectors)
     if sol is None:
         return None
-    return Matrix(reps.field, sol.rows[: reps.ncols], reps.ncols, sol.ncols)
+    return Matrix._trusted(reps.field, sol.rows[: reps.ncols], reps.ncols, sol.ncols)
 
 
 def coords_in_quotient(vec: Sequence, u: Subspace, v: Subspace) -> tuple:
@@ -566,7 +646,7 @@ def boundary_matrix(pair: RelativeFilteredPair, n: int, eps: FiltValue, field=GF
                 if r is not None:
                     out[r][j] = field.add(out[r][j], sign)
             sign = field.neg(sign)
-    return Matrix(field, out, rows.dim, cols.dim)
+    return Matrix._trusted(field, tuple(map(tuple, out)), rows.dim, cols.dim)
 
 
 def inclusion_matrix(pair: RelativeFilteredPair, n: int, interval: Interval, field=GF2) -> Matrix:
@@ -583,7 +663,7 @@ def inclusion_matrix(pair: RelativeFilteredPair, n: int, interval: Interval, fie
         r = index.get(sk)
         if r is not None:
             out[r][j] = field.one
-    return Matrix(field, out, dst.dim, src.dim)
+    return Matrix._trusted(field, tuple(map(tuple, out)), dst.dim, src.dim)
 
 
 def _sort_sign(values: Sequence[str], field):
@@ -617,4 +697,4 @@ def chain_map_matrix(f: PreservingMap, n: int, eps: FiltValue, field=GF2) -> Mat
         r = index.get(target)
         if r is not None:
             out[r][j] = sign
-    return Matrix(field, out, dst.dim, src.dim)
+    return Matrix._trusted(field, tuple(map(tuple, out)), dst.dim, src.dim)

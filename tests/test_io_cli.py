@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from persax import fin, point
+from persax import cli, fin, point
 from persax.formats import (
     ParseError,
     instance_tag,
@@ -269,6 +269,23 @@ class TestCli:
                           timeout=60)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == "error: --fuzz must not be negative, got -1\n"
+
+    @pytest.mark.parametrize("extra", [(), ("--fuzz", "0")])
+    def test_verify_axioms_with_nothing_to_check_is_a_usage_error(self, extra):
+        proc = run_persax("verify-axioms", *extra, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: verify-axioms needs --input or a positive --fuzz\n"
+
+    def test_failed_internal_check_exits_2_with_a_message(self, rim_file, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise AssertionError("rank-nullity failed; reduction is broken")
+
+        monkeypatch.setattr(cli, "homology", broken)
+        code = cli.main(["compute", "--input", str(rim_file), "--interval", "1,2",
+                         "--degree", "1", "--format", "records"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "error: internal check failed: rank-nullity failed; reduction is broken\n"
 
     def test_verify_axioms_fuzz_is_byte_identical_across_runs(self):
         first = run_cli("verify-axioms", "--fuzz", "5", "--seed", "7",

@@ -13,6 +13,7 @@ from persax import (
     GF2,
     GF3,
     QQ,
+    DimensionMismatch,
     Interval,
     Matrix,
     Subspace,
@@ -358,3 +359,131 @@ class TestPinnedCanonicalBases:
         text = "\n".join(lines)
         assert "QQ 0x" in text and "x0 " in text and "none" in text and "/" in text
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
+
+
+# The method-call elimination and dot product that Matrix.rref and Matrix.__mul__
+# used before their native-arithmetic kernels, kept as the reference.
+def _reference_rref(m):
+    fld = m.field
+    rows = [list(r) for r in m.rows]
+    pivots = []
+    r = 0
+    for c in range(m.ncols):
+        pivot_row = next((i for i in range(r, m.nrows) if rows[i][c] != fld.zero), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = fld.inv(rows[r][c])
+        rows[r] = [fld.mul(inv, a) for a in rows[r]]
+        for i in range(m.nrows):
+            if i != r and rows[i][c] != fld.zero:
+                factor = rows[i][c]
+                rows[i] = [fld.sub(a, fld.mul(factor, b)) for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.nrows:
+            break
+    return tuple(map(tuple, rows)), tuple(pivots)
+
+
+def _reference_dot(fld, u, v):
+    acc = fld.zero
+    for a, b in zip(u, v):
+        acc = fld.add(acc, fld.mul(a, b))
+    return acc
+
+
+def _reference_product(a, b):
+    cols = [[row[j] for row in b.rows] for j in range(b.ncols)]
+    return tuple(tuple(_reference_dot(a.field, row, col) for col in cols) for row in a.rows)
+
+
+def _typed(rows):
+    """Entries with their types, so that an int never passes for a Fraction."""
+    return tuple(tuple((type(x).__name__, x) for x in row) for row in rows)
+
+
+KERNEL_FIELDS = (GF2, GF3, GF(5), GF(2147483647), QQ)
+
+
+def _kernel_instance(i):
+    """A seeded pair (a, b) with a * b defined.  By ``i % 7``, a is 0 x n,
+    n x 0, all zero, of rank at most 2, wide and sparse over GF(2) (else
+    random), or random."""
+    rng = random.Random(7000 + i)
+    field = KERNEL_FIELDS[i % len(KERNEL_FIELDS)]
+    kind = i % 7
+    n, m = rng.randint(1, 8), rng.randint(1, 8)
+    if kind == 0:
+        n = 0
+    elif kind == 1:
+        m = 0
+    if kind == 2:
+        a = Matrix.zero(field, n, m)
+    elif kind == 3:  # rank at most 2, so most rows reduce to zero
+        left, right = _random_matrix(rng, field, n, 2), _random_matrix(rng, field, 2, m)
+        a = Matrix(field, _reference_product(left, right), n, m)
+    elif kind == 4 and field == GF2:
+        n, m = rng.randint(2, 40), rng.randint(65, 200)
+        a = Matrix(field, [[int(rng.random() < 0.05) for _ in range(m)] for _ in range(n)], n, m)
+    else:
+        a = _random_matrix(rng, field, n, m)
+    return a, _random_matrix(rng, field, m, rng.randint(0, 5))
+
+
+class TestNativeKernels:
+    def test_rref_and_products_match_the_method_call_reference(self):
+        shapes = set()
+        for i in range(280):
+            a, b = _kernel_instance(i)
+            shapes.add((str(a.field), a.nrows == 0, a.ncols == 0, a.is_zero(), a.ncols > 64))
+            red, pivots = a.rref()
+            ref_rows, ref_pivots = _reference_rref(a)
+            assert pivots == ref_pivots
+            assert _typed(red.rows) == _typed(ref_rows)
+            assert red == Matrix(a.field, ref_rows, a.nrows, a.ncols)
+            product = a * b
+            assert product.shape == (a.nrows, b.ncols)
+            assert _typed(product.rows) == _typed(_reference_product(a, b))
+            if b.ncols:
+                assert _typed([a.apply(b.column(0))]) == _typed([[r[0] for r in product.rows]])
+        for name in ("GF(2)", "GF(3)", "GF(5)", "GF(2147483647)", "QQ"):
+            assert (name, True, False, True, False) in shapes  # 0 x n
+            assert (name, False, True, True, False) in shapes  # n x 0
+            assert (name, False, False, True, False) in shapes  # all zero, nonempty
+        assert ("GF(2)", False, False, False, True) in shapes  # wider than one machine word
+
+    def test_wide_gf2_rref_keeps_the_pivot_rule(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            n, m = rng.randint(1, 30), rng.randint(65, 300)
+            base = [[int(rng.random() < 0.1) for _ in range(m)] for _ in range(n)]
+            # repeated and summed rows make the rank fall short of the height
+            base += [[x ^ y for x, y in zip(base[0], base[-1])], base[0]]
+            a = Matrix(GF2, base)
+            red, pivots = a.rref()
+            assert (red.rows, pivots) == _reference_rref(a)
+            assert all(red.rows[r][p] == 1 for r, p in enumerate(pivots))
+            assert all(not any(row) for row in red.rows[len(pivots):])
+
+    def test_trusted_matrix_equals_and_hashes_like_a_coerced_one(self):
+        cases = [
+            (GF2, ((1, 0, 1), (0, 1, 1)), 2, 3),
+            (GF(5), ((4, 0), (2, 3), (1, 1)), 3, 2),
+            (GF(2147483647), ((2147483646,),), 1, 1),
+            (QQ, ((Fraction(1, 2), Fraction(0)), (Fraction(-3), Fraction(2, 7))), 2, 2),
+            (GF3, (), 0, 4),
+            (QQ, ((), ()), 2, 0),
+        ]
+        for field, rows, n, m in cases:
+            trusted = Matrix._trusted(field, rows, n, m)
+            built = Matrix(field, [list(r) for r in rows], n, m)
+            assert trusted == built and hash(trusted) == hash(built)
+            assert _typed(trusted.rows) == _typed(built.rows)
+            with pytest.raises(AttributeError):
+                trusted.rows = ()
+        # the public constructor still coerces and still rejects ragged rows
+        assert Matrix(GF3, [[4, -1]]).rows == ((1, 2),)
+        assert Matrix(QQ, [[1]]).rows[0][0].__class__ is Fraction
+        with pytest.raises(DimensionMismatch):
+            Matrix(GF2, [[1], [1, 0]])
