@@ -12,7 +12,7 @@ complex match the pair's interval homology in every degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .filtration import (
     INF,
@@ -28,15 +28,12 @@ from .filtration import (
 from .linalg import GF2
 
 
-@dataclass(frozen=True)
-class Bar:
+class Bar(NamedTuple):
+    """A bar; tuple order sorts by degree, then birth, then death (INF last)."""
+
     degree: int
     birth: FiltValue
     death: FiltValue  # INF when the class never dies
-
-    def alive_through(self, interval: Interval) -> bool:
-        # only FiltValue.__lt__ is native; total_ordering's <= and > cost more calls
-        return not interval.lo < self.birth and interval.hi < self.death
 
 
 def _filtration_order(x: FilteredSet) -> list[tuple[Simplex, FiltValue]]:
@@ -88,7 +85,7 @@ def barcode(x: FilteredSet, field=GF2) -> tuple[Bar, ...]:
     for j, (sk, val) in enumerate(ordered):
         if j not in killed and not columns[j]:
             bars.append(Bar(len(sk) - 1, val, INF))
-    return tuple(sorted(bars, key=lambda b: (b.degree, b.birth, b.death == INF, b.death)))
+    return tuple(sorted(bars))
 
 
 def reduced_barcode(x: FilteredSet, field=GF2) -> tuple[Bar, ...]:
@@ -141,4 +138,5 @@ def pair_barcode(pair_or_set, field=GF2) -> tuple[Bar, ...]:
 
 def bars_alive(bars, degree: int, interval: Interval) -> int:
     """Number of bars of one degree containing the whole interval."""
-    return sum(1 for b in bars if b.degree == degree and b.alive_through(interval))
+    lo, hi = interval
+    return sum(1 for b in bars if b.degree == degree and b.birth <= lo and hi < b.death)

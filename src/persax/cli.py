@@ -104,7 +104,7 @@ def _cmd_sequence(args, cfg: RunConfig) -> int:
     elif args.triad:
         sections = parse_sections(args.pair, ("X1", "X2"), "cover")
         x1, x2 = sections["X1"], sections["X2"]
-        ambient = sections.get("X", union(x1, x2))
+        ambient = sections["X"] if "X" in sections else union(x1, x2)
         seq = triad_sequence(ambient, x1, x2, interval, field=cfg.field)
     else:
         seq = les_pair(parse_pair(args.pair), interval, field=cfg.field)

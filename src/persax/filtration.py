@@ -3,8 +3,9 @@
 A filtration assigns to every simplex (a set of vertices) an exact rational
 value, or the sentinel ``INF`` for "never present".  Sublevel sets are
 simplicial complexes nested along the value axis; everything downstream is
-computed from these complexes.  Values are ``fractions.Fraction``, so sublevel
-membership is exact and never subject to rounding.
+computed from these complexes.  A value is the tuple ``(is_inf, Fraction)``
+and an interval the tuple ``(lo, hi)``, so tuple order is value order, and
+sublevel membership is exact and never subject to rounding.
 
 Storage is sparse: only finitely-valued simplices are kept, and the stored
 support must be downward closed (every face of a stored simplex is stored)
@@ -16,7 +17,8 @@ from __future__ import annotations
 import itertools
 import sys
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 
@@ -44,42 +46,26 @@ class SubNotMappedIntoSub(FiltrationError):
     pass
 
 
-@total_ordering
-class FiltValue:
-    """An exact filtration value: a rational number or the INF sentinel.
+class FiltValue(tuple):
+    """An exact filtration value: the tuple ``(is_inf, Fraction)``.
 
-    ``INF`` compares strictly greater than every finite value.  A simplex at
-    INF belongs to no sublevel complex; intervals never reach it.
+    Finite values are ``(False, q)`` and ``INF`` is ``(True, None)``, so tuple
+    order is value order and ``INF`` lies strictly above every finite value.
+    A simplex at INF belongs to no sublevel complex; intervals never reach it.
     """
 
-    __slots__ = ("finite",)
+    __slots__ = ()
 
-    def __init__(self, finite: Fraction | None):
+    def __new__(cls, finite: Fraction | None):
         if finite is not None and not isinstance(finite, Fraction):
             raise TypeError("finite part must be a Fraction or None")
-        object.__setattr__(self, "finite", finite)
+        return tuple.__new__(cls, (finite is None, finite))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FiltValue is immutable")
+    finite = property(itemgetter(1))
 
     @property
     def is_finite(self) -> bool:
         return self.finite is not None
-
-    def __eq__(self, other):
-        return isinstance(other, FiltValue) and self.finite == other.finite
-
-    def __lt__(self, other):
-        if not isinstance(other, FiltValue):
-            return NotImplemented
-        if self.finite is None:
-            return False
-        if other.finite is None:
-            return True
-        return self.finite < other.finite
-
-    def __hash__(self):
-        return hash(("FiltValue", self.finite))
 
     def __str__(self):
         return "inf" if self.finite is None else str(self.finite)
@@ -271,28 +257,21 @@ def pair_of(total: FilteredSet, sub: FilteredSet | None = None) -> RelativeFilte
     return RelativeFilteredPair(total, EMPTY_SET if sub is None else sub)
 
 
-class Interval:
-    """A closed interval [lo, hi] of filtration values with finite hi."""
+class Interval(tuple):
+    """A closed interval ``(lo, hi)`` of filtration values with finite hi."""
 
-    __slots__ = ("lo", "hi")
+    __slots__ = ()
 
-    def __init__(self, lo, hi):
+    def __new__(cls, lo, hi):
         lo, hi = fin(lo), fin(hi)
         if not hi.is_finite:
             raise ValueError("interval upper endpoint must be finite")
         if lo > hi:
             raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        return tuple.__new__(cls, (lo, hi))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Interval is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Interval) and self.lo == other.lo and self.hi == other.hi
-
-    def __hash__(self):
-        return hash(("Interval", self.lo, self.hi))
+    lo = property(itemgetter(0))
+    hi = property(itemgetter(1))
 
     def __repr__(self):
         return f"Interval({self.lo}, {self.hi})"

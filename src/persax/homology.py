@@ -29,6 +29,7 @@ from .linalg import (
     ChainSpace,
     Matrix,
     Subspace,
+    _move_rows,
     boundary_matrix,
     chain_space,
     chain_map_matrix,
@@ -137,14 +138,6 @@ class DirectSumGroup:
 
     def describe(self) -> str:
         return " (+) ".join(p.describe() for p in self.parts)
-
-
-def _move_rows(m: Matrix, basis, new_basis) -> Matrix:
-    """Each simplex of ``new_basis`` takes its row of m (rows indexed by
-    ``basis``), or a zero row when ``basis`` lacks it."""
-    rows = dict(zip(basis, m.rows))
-    absent = (m.field.zero,) * m.ncols
-    return Matrix(m.field, [rows.get(sk, absent) for sk in new_basis], len(new_basis), m.ncols)
 
 
 @lru_cache(maxsize=None)

@@ -666,6 +666,15 @@ def inclusion_matrix(pair: RelativeFilteredPair, n: int, interval: Interval, fie
     return Matrix._trusted(field, tuple(map(tuple, out)), dst.dim, src.dim)
 
 
+def _move_rows(m: Matrix, basis, new_basis) -> Matrix:
+    """Each simplex of ``new_basis`` takes its row of m (rows indexed by
+    ``basis``), or a zero row when ``basis`` lacks it."""
+    rows = dict(zip(basis, m.rows))
+    absent = (m.field.zero,) * m.ncols
+    return Matrix._trusted(m.field, tuple(rows.get(sk, absent) for sk in new_basis),
+                           len(new_basis), m.ncols)
+
+
 def _sort_sign(values: Sequence[str], field):
     """Sign of the permutation sorting the sequence; zero on repeats."""
     values = list(values)

@@ -1,6 +1,7 @@
 """Filtered sets, pairs, maps, and the combinatorial constructions."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from persax import (
     INF,
     FiltrationError,
+    FiltValue,
     Interval,
     MissingFace,
     MonotonicityViolation,
@@ -58,6 +60,74 @@ class TestFiltValue:
     def test_total_order(self):
         vals = [INF, fin(1), fin("1/2"), fin(0), fin(-3)]
         assert sorted(vals) == [fin(-3), fin(0), fin("1/2"), fin(1), INF]
+
+    def test_equal_values_are_equal_and_hash_equal(self):
+        built = [fin("1/2"), fin(Fraction(1, 2)), FiltValue(Fraction(1, 2))]
+        assert all(v == built[0] for v in built)
+        assert len({hash(v) for v in built}) == 1
+
+    def test_never_equal_to_a_number(self):
+        assert fin(1) != 1
+        assert fin(1) != Fraction(1)
+        assert INF != float("inf")
+
+    def test_finite_part_must_be_a_fraction(self):
+        with pytest.raises(TypeError):
+            FiltValue(1)
+
+    def test_immutable(self):
+        v = fin(1)
+        with pytest.raises(AttributeError):
+            v.finite = Fraction(2)
+        with pytest.raises(AttributeError):
+            v.other = 0
+        assert v.finite == Fraction(1)
+
+    def test_str_and_repr(self):
+        assert str(INF) == "inf"
+        assert str(fin("1/2")) == "1/2"
+        assert repr(fin("1/2")) == "FiltValue(1/2)"
+        assert repr(INF) == "FiltValue(inf)"
+
+    def test_sorted_bars_follow_the_explicit_key(self):
+        from persax import barcode, pair_barcode
+        from persax.fuzz import random_pair
+
+        def old_key(b):
+            return (b.degree, b.birth, b.death == INF, b.death)
+
+        master = random.Random(11)
+        for _ in range(40):
+            pair = random_pair(random.Random(master.getrandbits(64)))
+            for bars in (barcode(pair.total), pair_barcode(pair)):
+                shuffled = list(bars)
+                master.shuffle(shuffled)
+                assert sorted(shuffled) == sorted(shuffled, key=old_key) == list(bars)
+
+
+class TestInterval:
+    def test_str_and_repr(self):
+        assert repr(Interval(0, 1)) == "Interval(0, 1)"
+        assert str(Interval(0, 1)) == "[0,1]"
+        assert str(Interval("1/2", 2)) == "[1/2,2]"
+
+    def test_infinite_hi_and_reversed_endpoints_rejected(self):
+        with pytest.raises(ValueError):
+            Interval(0, INF)
+        with pytest.raises(ValueError):
+            Interval(2, 1)
+
+    def test_equal_endpoints_are_equal_and_hash_equal(self):
+        assert Interval(0, "1/2") == Interval(fin(0), fin(Fraction(1, 2)))
+        assert hash(Interval(0, "1/2")) == hash(Interval(fin(0), fin(Fraction(1, 2))))
+        assert Interval(0, 1).lo == fin(0) and Interval(0, 1).hi == fin(1)
+
+    def test_immutable(self):
+        iv = Interval(0, 1)
+        with pytest.raises(AttributeError):
+            iv.lo = fin(1)
+        with pytest.raises(AttributeError):
+            iv.other = 0
 
 
 class TestValidate:
@@ -306,7 +376,6 @@ class TestCriticalValues:
 @st.composite
 def small_filtrations(draw):
     from persax.fuzz import random_filtration
-    import random
 
     seed = draw(st.integers(0, 10**9))
     return random_filtration(random.Random(seed))

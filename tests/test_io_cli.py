@@ -2,8 +2,10 @@
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from persax import cli, fin, point
 from persax.formats import (
@@ -96,6 +98,33 @@ class TestRoundTrip:
     def test_instance_tags_are_stable(self):
         pair = parse_pair_text(PAIR_TEXT)
         assert instance_tag(pair) == instance_tag(parse_pair_text(PAIR_TEXT))
+
+
+# finite values over a wide range of sizes and denominators
+VALUES = st.one_of(st.fractions(max_denominator=10**6),
+                   st.integers(-10**40, 10**40).map(Fraction))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.lists(VALUES, min_size=1, max_size=4, unique=True))
+def test_parse_inverts_serialize_on_generated_pairs(seed, values):
+    pair = random_pair(random.Random(seed), values=values)
+    assert parse_pair_text(serialize_pair(pair)) == pair
+
+
+TOKENS = ["0", "1", "-2", "1/2", "3/6", "inf", "1/0", "1e999999999", "1e-999999999",
+          "2.5e3", "nan", "a", "b", "c", "[X]", "[A]", "[SECTION]", "[", "]", "#", "->"]
+LINES = st.lists(st.sampled_from(TOKENS), max_size=5).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(LINES, max_size=12).map("\n".join))
+def test_malformed_text_raises_only_parse_errors(text):
+    for parse in (parse_filtration_text, parse_pair_text):
+        try:
+            parse(text)
+        except ParseError:
+            pass
 
 
 class TestMapFiles:
