@@ -49,7 +49,6 @@ from .linalg import (
     GF2,
     GF3,
     QQ,
-    ChainSpace,
     DimensionMismatch,
     Matrix,
     Subspace,

@@ -73,17 +73,14 @@ def _need(bundle, *keys):
     return [bundle[k] for k in keys]
 
 
-def _degrees(pair: RelativeFilteredPair, bundle) -> range:
-    top = bundle.get("n_max")
-    if top is None:
-        top = max(pair.total.dimension, 0) + 1
-    return range(0, top + 1)
+def _degrees(pair: RelativeFilteredPair) -> range:
+    return range(0, max(pair.total.dimension, 0) + 2)
 
 
 def _identity_check(field, **bundle) -> AxiomReport:
     pair, interval = _need(bundle, "pair", "interval")
     ident = identity_map(pair)
-    for n in _degrees(pair, bundle):
+    for n in _degrees(pair):
         lm = induced_map(ident, n, interval, field)
         if not lm.is_identity():
             return AxiomReport("A1", bundle["tag"], FAIL,
@@ -96,7 +93,7 @@ def _composition_check(field, **bundle) -> AxiomReport:
     if g.codomain != f.domain:
         raise MalformedInstance("maps do not compose")
     fg = compose(f, g)
-    for n in _degrees(fg.domain, bundle):
+    for n in _degrees(fg.domain):
         lhs = induced_map(fg, n, interval, field)
         rhs = induced_map(f, n, interval, field).compose(induced_map(g, n, interval, field))
         if lhs.matrix != rhs.matrix:
@@ -108,8 +105,7 @@ def _composition_check(field, **bundle) -> AxiomReport:
 def _naturality_check(field, **bundle) -> AxiomReport:
     f, interval = _need(bundle, "f", "interval")
     restricted = f.restrict_to_sub()
-    top = max(max(f.domain.total.dimension, f.codomain.total.dimension, 0) + 1,
-              bundle.get("n_max") or 0)
+    top = max(f.domain.total.dimension, f.codomain.total.dimension, 0) + 1
     for n in range(1, top + 1):
         left = induced_map(restricted, n - 1, interval, field).compose(
             connecting(f.domain, n, interval, field))
@@ -123,7 +119,7 @@ def _naturality_check(field, **bundle) -> AxiomReport:
 
 def _exactness_check(field, axiom_id, **bundle) -> AxiomReport:
     pair, interval = _need(bundle, "pair", "interval")
-    report = check_exact(les_pair(pair, interval, bundle.get("n_max"), field))
+    report = check_exact(les_pair(pair, interval, field))
     if report.ok:
         return AxiomReport(axiom_id, bundle["tag"], PASS,
                            (("nodes", str(len(report.checks))),))

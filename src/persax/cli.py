@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .axioms import FAIL, fuzz_axiom_reports, verify_axiom
 from .barcode import bars_alive, pair_barcode
@@ -24,14 +23,6 @@ from .homology import betti_grid, homology, induced_map
 from .linalg import GF
 from .sequences import check_exact, les_pair, les_triple, mayer_vietoris, triad_sequence
 from .skeletal import OracleMismatch, direct_to_skeletal, skeletal_homology
-
-
-@dataclass
-class RunConfig:
-    """Resolved options shared by the commands."""
-
-    field: GF
-    output: str  # "text" or "records"
 
 
 def _parse_interval(text: str) -> Interval:
@@ -47,10 +38,10 @@ def _load_input(path: str, as_pair: bool):
     return pair_of(parse_filtration(path))
 
 
-def _format_chain(space, vector, field) -> str:
+def _format_chain(simplices, vector, field) -> str:
     terms = [
         f"{coef}*{{{','.join(sk)}}}"
-        for sk, coef in zip(space.basis, vector)
+        for sk, coef in zip(simplices, vector)
         if coef != field.zero
     ]
     return " + ".join(terms) if terms else "0"
@@ -60,26 +51,26 @@ def _emit(lines: list[str]) -> None:
     sys.stdout.write("\n".join(lines) + ("\n" if lines else ""))
 
 
-def _cmd_compute(args, cfg: RunConfig) -> int:
+def _cmd_compute(args, field) -> int:
     pair = _load_input(args.input, args.pair)
     interval = _parse_interval(args.interval)
-    group = homology(pair, args.degree, interval, cfg.field)
+    group = homology(pair, args.degree, interval, field)
     lines = []
-    if cfg.output == "records":
+    if args.format == "records":
         lines.append(f"dim\t{args.degree}\t{interval.lo}\t{interval.hi}\t{group.dim}")
     else:
-        lines.append(f"H_{args.degree}{interval} over {cfg.field}: dim {group.dim}")
+        lines.append(f"H_{args.degree}{interval} over {field}: dim {group.dim}")
         for j in range(group.dim):
-            lines.append(f"  rep {j}: {_format_chain(group.space, group.reps.column(j), cfg.field)}")
+            lines.append(f"  rep {j}: {_format_chain(group.simplices, group.reps.column(j), field)}")
     _emit(lines)
     return 0
 
 
-def _cmd_grid(args, cfg: RunConfig) -> int:
+def _cmd_grid(args, field) -> int:
     pair = _load_input(args.input, args.pair)
-    grid = betti_grid(pair, args.degree, cfg.field)
+    grid = betti_grid(pair, args.degree, field)
     lines = []
-    if cfg.output == "records":
+    if args.format == "records":
         for i, lo in enumerate(grid.values):
             for j in range(i, len(grid.values)):
                 lines.append(f"grid\t{args.degree}\t{lo}\t{grid.values[j]}\t{grid.value(i, j)}")
@@ -93,21 +84,21 @@ def _cmd_grid(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_sequence(args, cfg: RunConfig) -> int:
+def _cmd_sequence(args, field) -> int:
     interval = _parse_interval(args.interval)
     if args.triple:
         x, a, b = parse_triple(args.pair)
-        seq = les_triple(x, a, b, interval, field=cfg.field)
+        seq = les_triple(x, a, b, interval, field=field)
     elif args.mv:
         x1, x2 = parse_cover(args.pair)
-        seq = mayer_vietoris(x1, x2, interval, field=cfg.field)
+        seq = mayer_vietoris(x1, x2, interval, field=field)
     elif args.triad:
         sections = parse_sections(args.pair, ("X1", "X2"), "cover")
         x1, x2 = sections["X1"], sections["X2"]
         ambient = sections["X"] if "X" in sections else union(x1, x2)
-        seq = triad_sequence(ambient, x1, x2, interval, field=cfg.field)
+        seq = triad_sequence(ambient, x1, x2, interval, field=field)
     else:
-        seq = les_pair(parse_pair(args.pair), interval, field=cfg.field)
+        seq = les_pair(parse_pair(args.pair), interval, field=field)
     report = check_exact(seq)
     verdicts = {c.index: c for c in report.checks}
     lines = []
@@ -115,7 +106,7 @@ def _cmd_sequence(args, cfg: RunConfig) -> int:
         check = verdicts.get(i)
         verdict = "-" if check is None else ("exact" if check.ok else "FAIL")
         label = seq.labels[i] if i < len(seq.labels) else ""
-        if cfg.output == "records":
+        if args.format == "records":
             lines.append(f"sequence\t{i}\t{node.dim}\t{label}\t{verdict}")
         else:
             arrow = f" --{label}-->" if label else ""
@@ -124,13 +115,13 @@ def _cmd_sequence(args, cfg: RunConfig) -> int:
     return 0 if report.ok else 1
 
 
-def _axiom_lines(reports, cfg: RunConfig) -> tuple[list[str], bool]:
+def _axiom_lines(reports, records: bool) -> tuple[list[str], bool]:
     lines = []
     all_ok = True
     for rep in reports:
         if rep.verdict == FAIL:
             all_ok = False
-        if cfg.output == "records":
+        if records:
             lines.append(f"axiom\t{rep.axiom}\t{rep.instance}\t{rep.verdict}")
         else:
             detail = "; ".join(f"{k}={v}" for k, v in rep.details)
@@ -139,7 +130,7 @@ def _axiom_lines(reports, cfg: RunConfig) -> tuple[list[str], bool]:
     return lines, all_ok
 
 
-def _cmd_verify_axioms(args, cfg: RunConfig) -> int:
+def _cmd_verify_axioms(args, field) -> int:
     if args.fuzz < 0:
         raise ValueError(f"--fuzz must not be negative, got {args.fuzz}")
     if not args.input and not args.fuzz:
@@ -150,40 +141,40 @@ def _cmd_verify_axioms(args, cfg: RunConfig) -> int:
         tag = instance_tag(pair)
         for interval in critical_intervals(pair) or (Interval(0, 0),):
             for axiom in ("A1", "A4", "S2"):
-                reports.append(verify_axiom(axiom, cfg.field, pair=pair,
+                reports.append(verify_axiom(axiom, field, pair=pair,
                                             interval=interval, tag=tag))
     if args.fuzz:
-        reports.extend(fuzz_axiom_reports(args.fuzz, args.seed, cfg.field))
-    lines, all_ok = _axiom_lines(reports, cfg)
+        reports.extend(fuzz_axiom_reports(args.fuzz, args.seed, field))
+    lines, all_ok = _axiom_lines(reports, args.format == "records")
     counts = {}
     for rep in reports:
         counts[rep.verdict] = counts.get(rep.verdict, 0) + 1
     summary = " ".join(f"{k}={counts[k]}" for k in sorted(counts))
-    lines.append(f"summary\t{summary}" if cfg.output == "records" else f"summary: {summary}")
+    lines.append(f"summary\t{summary}" if args.format == "records" else f"summary: {summary}")
     _emit(lines)
     return 0 if all_ok else 1
 
 
-def _cmd_oracle_compare(args, cfg: RunConfig) -> int:
+def _cmd_oracle_compare(args, field) -> int:
     pair = _load_input(args.input, args.pair)
-    bars = pair_barcode(pair, cfg.field)
+    bars = pair_barcode(pair, field)
     top = max(pair.total.dimension, 0) + 1
     lines = []
     ok = True
     for interval in critical_intervals(pair) or (Interval(0, 0),):
         for n in range(0, top + 1):
-            direct = homology(pair, n, interval, cfg.field).dim
-            skeletal = skeletal_homology(pair, n, interval, cfg.field).dim
+            direct = homology(pair, n, interval, field).dim
+            skeletal = skeletal_homology(pair, n, interval, field).dim
             counted = bars_alive(bars, n, interval)
             try:
-                direct_to_skeletal(pair, n, interval, cfg.field)
+                direct_to_skeletal(pair, n, interval, field)
                 iso = True
             except OracleMismatch:
                 iso = False
             agree = direct == skeletal == counted and iso
             ok = ok and agree
             word = "ok" if agree else "MISMATCH"
-            if cfg.output == "records":
+            if args.format == "records":
                 lines.append(
                     f"oracle\t{n}\t{interval.lo}\t{interval.hi}\t{direct}\t{skeletal}\t{counted}\t{word}"
                 )
@@ -196,12 +187,12 @@ def _cmd_oracle_compare(args, cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _cmd_induced(args, cfg: RunConfig) -> int:
+def _cmd_induced(args, field) -> int:
     f = parse_map(args.map)
     interval = _parse_interval(args.interval)
-    lm = induced_map(f, args.degree, interval, cfg.field)
+    lm = induced_map(f, args.degree, interval, field)
     lines = []
-    if cfg.output == "records":
+    if args.format == "records":
         lines.append(f"induced\t{args.degree}\t{interval.lo}\t{interval.hi}"
                      f"\t{lm.matrix.nrows}x{lm.matrix.ncols}")
         for row in lm.matrix.rows:
@@ -271,8 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(field=GF(args.field), output=args.format)
-        return args.run(args, cfg)
+        return args.run(args, GF(args.field))
     except (ValueError, OSError, OracleMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

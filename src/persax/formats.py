@@ -143,29 +143,32 @@ def parse_cover(path) -> tuple[FilteredSet, FilteredSet]:
 
 
 def parse_map(path) -> PreservingMap:
+    """A vertex map file: ``domain:`` and ``codomain:`` once each, one image per vertex."""
     path = Path(path)
-    domain = codomain = None
+    ends = {}
     arrows = {}
     for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
         line = _strip(raw)
         if not line:
             continue
-        if line.startswith("domain:"):
-            domain = parse_any((path.parent / line.split(":", 1)[1].strip()))
-            continue
-        if line.startswith("codomain:"):
-            codomain = parse_any((path.parent / line.split(":", 1)[1].strip()))
+        head, colon, rest = line.partition(":")
+        if colon and head in ("domain", "codomain"):
+            if head in ends:
+                raise ParseError(str(path), line_no, f"second {head}: line")
+            ends[head] = parse_any(path.parent / rest.strip())
             continue
         if "->" not in line:
             raise ParseError(str(path), line_no, "expected 'v -> w'")
         left, right = (part.strip() for part in line.split("->", 1))
         if not left or not right:
             raise ParseError(str(path), line_no, "expected 'v -> w'")
-        arrows[left] = right
-    if domain is None or codomain is None:
+        if arrows.setdefault(left, right) != right:
+            raise ParseError(str(path), line_no,
+                             f"conflicting images for {left!r}: {arrows[left]!r} and {right!r}")
+    if len(ends) != 2:
         raise ParseError(str(path), 0, "map files need domain: and codomain: lines")
     try:
-        return validate_map(arrows, domain, codomain)
+        return validate_map(arrows, ends["domain"], ends["codomain"])
     except FiltrationError as exc:
         raise ParseError(str(path), 0, str(exc)) from exc
 

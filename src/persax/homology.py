@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .filtration import (
+    EMPTY_SET,
     FiltValue,
     FilteredSet,
     Interval,
@@ -21,12 +22,12 @@ from .filtration import (
     absolute,
     critical_values,
     fin,
+    pair_of,
     point,
     validate_map,
 )
 from .linalg import (
     GF2,
-    ChainSpace,
     Matrix,
     Subspace,
     _move_rows,
@@ -69,8 +70,9 @@ def _boundaries(pair: RelativeFilteredPair, n: int, eps: FiltValue, fld) -> Subs
 class HomologyGroup:
     """A computed interval homology group with chosen representative cycles.
 
-    ``reps`` holds chain vectors (columns, in the upper-endpoint basis) whose
-    classes form a basis of the group.  ``cycles`` is the image of the
+    ``simplices`` is the upper-endpoint chain basis, as ``chain_space``
+    orders it.  ``reps`` holds chain vectors (columns over ``simplices``)
+    whose classes form a basis of the group.  ``cycles`` is the image of the
     lower-endpoint cycle space; ``boundaries`` the full upper-endpoint
     boundary space.  ``coords_of`` expresses chain vectors' classes in the
     chosen basis, when the classes lie in the group's span.
@@ -80,7 +82,7 @@ class HomologyGroup:
     degree: int
     interval: Interval
     field: object
-    space: ChainSpace
+    simplices: tuple
     cycles: Subspace
     boundaries: Subspace
     reps: Matrix
@@ -142,18 +144,18 @@ class DirectSumGroup:
 
 @lru_cache(maxsize=None)
 def _homology_cached(pair: RelativeFilteredPair, n: int, interval: Interval, fld) -> HomologyGroup:
-    space = chain_space(pair, n, interval.hi)
+    simplices = chain_space(pair, n, interval.hi)
     if n < 0:
-        empty = Subspace.zero(fld, space.dim)
-        return HomologyGroup(pair, n, interval, fld, space, empty, empty,
-                             Matrix.zero(fld, space.dim, 0))
+        empty = Subspace.zero(fld, len(simplices))
+        return HomologyGroup(pair, n, interval, fld, simplices, empty, empty,
+                             Matrix.zero(fld, len(simplices), 0))
     # inclusion_matrix times the lower-endpoint cycles, as the row selection it is
-    lower_basis = chain_space(pair, n, interval.lo).basis
-    persisted = image(_move_rows(_cycles(pair, n, interval.lo, fld).basis, lower_basis, space.basis))
+    lower = chain_space(pair, n, interval.lo)
+    persisted = image(_move_rows(_cycles(pair, n, interval.lo, fld).basis, lower, simplices))
     bnd = _boundaries(pair, n, interval.hi, fld)
     dying = persisted.intersect(bnd)
     reps = persisted.complement_in(dying)
-    return HomologyGroup(pair, n, interval, fld, space, persisted, bnd, reps)
+    return HomologyGroup(pair, n, interval, fld, simplices, persisted, bnd, reps)
 
 
 def homology(pair_or_set, n: int, interval: Interval, field=GF2) -> HomologyGroup:
@@ -161,10 +163,9 @@ def homology(pair_or_set, n: int, interval: Interval, field=GF2) -> HomologyGrou
     return _homology_cached(_as_pair(pair_or_set), n, interval, field)
 
 
-def zero_group(field=GF2, interval: Interval | None = None) -> HomologyGroup:
+def zero_group(field, interval: Interval) -> HomologyGroup:
     """A formal zero group, used to cap sequences."""
-    interval = interval if interval is not None else Interval(0, 0)
-    return homology(absolute(point(interval.lo)), -1, interval, field)
+    return homology(pair_of(EMPTY_SET), -1, interval, field)
 
 
 def induced_map(f: PreservingMap, n: int, interval: Interval, field=GF2) -> LinearMap:
@@ -191,17 +192,17 @@ def connecting(pair: RelativeFilteredPair, n: int, interval: Interval, field=GF2
     source = homology(pair, n, interval, field)
     target = homology(absolute(pair.sub), n - 1, interval, field)
     x_abs = absolute(pair.total)
-    lift = _move_rows(source.reps, source.space.basis, chain_space(x_abs, n, interval.hi).basis)
+    lift = _move_rows(source.reps, source.simplices, chain_space(x_abs, n, interval.hi))
     dchains = boundary_matrix(x_abs, n, interval.hi, field) * lift
     lower = chain_space(x_abs, n - 1, interval.hi)
-    sub_space = chain_space(absolute(pair.sub), n - 1, interval.hi)
-    sub_basis = set(sub_space.basis)
-    if not sub_basis <= set(lower.basis):
+    sub_simplices = chain_space(absolute(pair.sub), n - 1, interval.hi)
+    sub_basis = set(sub_simplices)
+    if not sub_basis <= set(lower):
         raise AssertionError("subset simplex missing from the ambient complex")
-    if any(any(row) for sk, row in zip(lower.basis, dchains.rows) if sk not in sub_basis):
+    if any(any(row) for sk, row in zip(lower, dchains.rows) if sk not in sub_basis):
         raise AssertionError("boundary of a relative cycle escaped the subset")
     try:
-        coords = target.coords_of(_move_rows(dchains, lower.basis, sub_space.basis))
+        coords = target.coords_of(_move_rows(dchains, lower, sub_simplices))
     except ClassNotInTarget as exc:
         raise NotRepresentableAtLowerEndpoint(
             f"degree {n} boundary class has no lower-endpoint representative"
@@ -214,13 +215,12 @@ def _min_value(x: FilteredSet) -> FiltValue | None:
     return vals[0] if vals else None
 
 
-def constant_map_to_point(x: FilteredSet, name: str = "p") -> PreservingMap:
-    """Collapse onto a single vertex born at the minimum filtration value."""
+def constant_map_to_point(x: FilteredSet) -> PreservingMap:
+    """Collapse onto the single vertex ``p`` born at the minimum filtration value."""
     alpha = _min_value(x)
     if alpha is None:
         raise ValueError("an empty filtered set has no constant map")
-    target = absolute(point(alpha, name))
-    return validate_map({v: name for v in x.vertices}, absolute(x), target)
+    return validate_map({v: "p" for v in x.vertices}, absolute(x), absolute(point(alpha)))
 
 
 def reduced_homology(x: FilteredSet, n: int, interval: Interval, field=GF2) -> HomologyGroup:
@@ -233,7 +233,7 @@ def reduced_homology(x: FilteredSet, n: int, interval: Interval, field=GF2) -> H
     aug = induced_map(constant_map_to_point(x), 0, interval, field)
     ker = kernel(aug.matrix)
     reps = group.reps * ker.basis
-    return HomologyGroup(group.pair, n, interval, field, group.space,
+    return HomologyGroup(group.pair, n, interval, field, group.simplices,
                          group.cycles, group.boundaries, reps)
 
 
@@ -273,20 +273,19 @@ class CoefficientGroup:
     birth: FiltValue
     field: object
     group: HomologyGroup
-    generator_vertex: str = "p"
 
     @property
     def dim(self) -> int:
         return self.group.dim
 
 
-def coefficient_group(interval: Interval, alpha, field=GF2, name: str = "p") -> CoefficientGroup:
+def coefficient_group(interval: Interval, alpha, field=GF2) -> CoefficientGroup:
     alpha = fin(alpha)
-    group = homology(absolute(point(alpha, name)), 0, interval, field)
+    group = homology(absolute(point(alpha)), 0, interval, field)
     expected = 1 if interval.lo >= alpha else 0
     if group.dim != expected:
         raise AssertionError("one-point group has unexpected dimension")
-    return CoefficientGroup(interval, alpha, field, group, name)
+    return CoefficientGroup(interval, alpha, field, group)
 
 
 @dataclass(frozen=True)

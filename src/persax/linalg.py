@@ -599,32 +599,18 @@ def coords_in_quotient(vec: Sequence, u: Subspace, v: Subspace) -> tuple:
 # Chain spaces and chain-level matrices
 
 
-@dataclass(frozen=True)
-class ChainSpace:
+@lru_cache(maxsize=None)
+def chain_space(pair: RelativeFilteredPair, n: int, eps: FiltValue) -> tuple[Simplex, ...]:
     """Ordered simplex basis of the relative chains of a pair at one level.
 
     The basis lists the degree-n simplices present in the total sublevel
     complex but absent from the subset's, in canonical simplex order.
     """
-
-    pair: RelativeFilteredPair
-    degree: int
-    level: FiltValue
-    basis: tuple[Simplex, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-@lru_cache(maxsize=None)
-def chain_space(pair: RelativeFilteredPair, n: int, eps: FiltValue) -> ChainSpace:
     if n < 0:
-        return ChainSpace(pair, n, eps, ())
+        return ()
     total = complex_at(pair.total, eps)
     sub = complex_at(pair.sub, eps)
-    basis = tuple(sorted(sk for sk in total if len(sk) == n + 1 and sk not in sub))
-    return ChainSpace(pair, n, eps, basis)
+    return tuple(sorted(sk for sk in total if len(sk) == n + 1 and sk not in sub))
 
 
 @lru_cache(maxsize=None)
@@ -635,9 +621,9 @@ def boundary_matrix(pair: RelativeFilteredPair, n: int, eps: FiltValue, field=GF
     """
     rows = chain_space(pair, n - 1, eps)
     cols = chain_space(pair, n, eps)
-    index = {sk: i for i, sk in enumerate(rows.basis)}
-    out = [[field.zero] * cols.dim for _ in range(rows.dim)]
-    for j, sk in enumerate(cols.basis):
+    index = {sk: i for i, sk in enumerate(rows)}
+    out = [[field.zero] * len(cols) for _ in range(len(rows))]
+    for j, sk in enumerate(cols):
         sign = field.one
         for i in range(len(sk)):
             face = sk[:i] + sk[i + 1 :]
@@ -646,7 +632,7 @@ def boundary_matrix(pair: RelativeFilteredPair, n: int, eps: FiltValue, field=GF
                 if r is not None:
                     out[r][j] = field.add(out[r][j], sign)
             sign = field.neg(sign)
-    return Matrix._trusted(field, tuple(map(tuple, out)), rows.dim, cols.dim)
+    return Matrix._trusted(field, tuple(map(tuple, out)), len(rows), len(cols))
 
 
 def inclusion_matrix(pair: RelativeFilteredPair, n: int, interval: Interval, field=GF2) -> Matrix:
@@ -657,13 +643,13 @@ def inclusion_matrix(pair: RelativeFilteredPair, n: int, interval: Interval, fie
     """
     src = chain_space(pair, n, interval.lo)
     dst = chain_space(pair, n, interval.hi)
-    index = {sk: i for i, sk in enumerate(dst.basis)}
-    out = [[field.zero] * src.dim for _ in range(dst.dim)]
-    for j, sk in enumerate(src.basis):
+    index = {sk: i for i, sk in enumerate(dst)}
+    out = [[field.zero] * len(src) for _ in range(len(dst))]
+    for j, sk in enumerate(src):
         r = index.get(sk)
         if r is not None:
             out[r][j] = field.one
-    return Matrix._trusted(field, tuple(map(tuple, out)), dst.dim, src.dim)
+    return Matrix._trusted(field, tuple(map(tuple, out)), len(dst), len(src))
 
 
 def _move_rows(m: Matrix, basis, new_basis) -> Matrix:
@@ -695,9 +681,9 @@ def chain_map_matrix(f: PreservingMap, n: int, eps: FiltValue, field=GF2) -> Mat
     """
     src = chain_space(f.domain, n, eps)
     dst = chain_space(f.codomain, n, eps)
-    index = {sk: i for i, sk in enumerate(dst.basis)}
-    out = [[field.zero] * src.dim for _ in range(dst.dim)]
-    for j, sk in enumerate(src.basis):
+    index = {sk: i for i, sk in enumerate(dst)}
+    out = [[field.zero] * len(src) for _ in range(len(dst))]
+    for j, sk in enumerate(src):
         images = [f.vertex_map[v] for v in sk]
         sign = _sort_sign(images, field)
         if sign is None:
@@ -706,4 +692,4 @@ def chain_map_matrix(f: PreservingMap, n: int, eps: FiltValue, field=GF2) -> Mat
         r = index.get(target)
         if r is not None:
             out[r][j] = sign
-    return Matrix._trusted(field, tuple(map(tuple, out)), dst.dim, src.dim)
+    return Matrix._trusted(field, tuple(map(tuple, out)), len(dst), len(src))

@@ -176,12 +176,14 @@ def _inclusion_triangle(a, b, c, interval: Interval, field):
     return triangle
 
 
-def les_pair(pair: RelativeFilteredPair, interval: Interval, n_max: int | None = None, field=GF2) -> ExactSequence:
-    """The long homology sequence of a pair, from n_max down to the zero cap."""
-    if n_max is None:
-        n_max = _default_degree(pair)
+def les_pair(pair: RelativeFilteredPair, interval: Interval, field=GF2) -> ExactSequence:
+    """The long homology sequence of a pair.
+
+    It starts one degree above the top simplex of the total set, where every
+    group is zero, and runs down to the zero cap after degree 0.
+    """
     triangle = _inclusion_triangle(absolute(pair.sub), absolute(pair.total), pair, interval, field)
-    return _long_sequence(n_max, interval, field, triangle,
+    return _long_sequence(_default_degree(pair), interval, field, triangle,
                           lambda n: (connecting(pair, n, interval, field), f"d_{n}"), "pair")
 
 
@@ -194,15 +196,13 @@ def _require_filtered_subset(sub: FilteredSet, ambient: FilteredSet, what: str):
 
 
 def les_triple(x: FilteredSet, a: FilteredSet, b: FilteredSet, interval: Interval,
-               n_max: int | None = None, field=GF2) -> ExactSequence:
+               field=GF2) -> ExactSequence:
     """The homology sequence of nested filtered sets x >= a >= b."""
     _require_filtered_subset(a, x, "middle set")
     _require_filtered_subset(b, a, "inner set")
     xa = pair_of(x, a)
     xb = pair_of(x, b)
     ab = pair_of(a, b)
-    if n_max is None:
-        n_max = _default_degree(xa)
     triangle = _inclusion_triangle(ab, xb, xa, interval, field)
     inc_quot = inclusion(absolute(a), ab)
 
@@ -210,7 +210,7 @@ def les_triple(x: FilteredSet, a: FilteredSet, b: FilteredSet, interval: Interva
         bnd = induced_map(inc_quot, n - 1, interval, field).compose(connecting(xa, n, interval, field))
         return bnd, f"d_{n}"
 
-    return _long_sequence(n_max, interval, field, triangle, delta, "triple")
+    return _long_sequence(_default_degree(xa), interval, field, triangle, delta, "triple")
 
 
 def is_proper_triad(x: FilteredSet, x1: FilteredSet, x2: FilteredSet, interval: Interval,
@@ -233,7 +233,7 @@ def is_proper_triad(x: FilteredSet, x1: FilteredSet, x2: FilteredSet, interval: 
 
 
 def mayer_vietoris(x1: FilteredSet, x2: FilteredSet, interval: Interval,
-                   n_max: int | None = None, field=GF2) -> ExactSequence:
+                   field=GF2) -> ExactSequence:
     """The Mayer-Vietoris sequence of two filtered sets.
 
     Nodes run intersection -> sum of the parts -> union, stitched by the
@@ -243,8 +243,6 @@ def mayer_vietoris(x1: FilteredSet, x2: FilteredSet, interval: Interval,
     meet = intersection(x1, x2)
     if not is_proper_triad(u, x1, x2, interval, field):
         raise NotProperTriad("cover inclusions do not induce isomorphisms")
-    if n_max is None:
-        n_max = max(u.dimension, 0) + 1
     meet_abs = absolute(meet)
     inc1 = inclusion(meet_abs, absolute(x1))
     inc2 = inclusion(meet_abs, absolute(x2))
@@ -277,11 +275,12 @@ def mayer_vietoris(x1: FilteredSet, x2: FilteredSet, interval: Interval,
                         homology(meet_abs, n - 1, interval, field), bnd.matrix, f"D_{n}")
         return bnd, bnd.label
 
-    return _long_sequence(n_max, interval, field, triangle, delta, "Mayer-Vietoris")
+    return _long_sequence(max(u.dimension, 0) + 1, interval, field, triangle, delta,
+                          "Mayer-Vietoris")
 
 
 def triad_sequence(x: FilteredSet, x1: FilteredSet, x2: FilteredSet, interval: Interval,
-                   n_max: int | None = None, field=GF2) -> ExactSequence:
+                   field=GF2) -> ExactSequence:
     """The homology sequence of a proper cover inside an ambient set."""
     _require_filtered_subset(x1, x, "first cover set")
     _require_filtered_subset(x2, x, "second cover set")
@@ -292,8 +291,6 @@ def triad_sequence(x: FilteredSet, x1: FilteredSet, x2: FilteredSet, interval: I
     side = pair_of(x1, meet)
     rel_x2 = pair_of(x, x2)
     rel_u = pair_of(x, u)
-    if n_max is None:
-        n_max = _default_degree(rel_u)
     triangle = _inclusion_triangle(side, rel_x2, rel_u, interval, field)
     l2 = inclusion(absolute(u), pair_of(u, x2))
     k1 = inclusion(side, pair_of(u, x2))
@@ -307,7 +304,7 @@ def triad_sequence(x: FilteredSet, x1: FilteredSet, x2: FilteredSet, interval: I
         )
         return bnd, f"d_{q}"
 
-    return _long_sequence(n_max, interval, field, triangle, delta, "triad")
+    return _long_sequence(_default_degree(rel_u), interval, field, triangle, delta, "triad")
 
 
 def _restrict_to_subgroup(lmap: LinearMap, subgroup: HomologyGroup, side: str) -> LinearMap:
@@ -323,14 +320,12 @@ def _restrict_to_subgroup(lmap: LinearMap, subgroup: HomologyGroup, side: str) -
 
 
 def reduced_les_pair(pair: RelativeFilteredPair, interval: Interval,
-                     n_max: int | None = None, field=GF2) -> ExactSequence:
+                     field=GF2) -> ExactSequence:
     """The pair sequence with the degree-0 tail replaced by reduced groups.
 
     Meaningful when the subset is present at the lower endpoint; away from
     the tail the nodes agree with the unreduced sequence.
     """
-    if n_max is None:
-        n_max = _default_degree(pair)
     unreduced = _inclusion_triangle(absolute(pair.sub), absolute(pair.total), pair, interval, field)
 
     def triangle(n):
@@ -350,7 +345,8 @@ def reduced_les_pair(pair: RelativeFilteredPair, interval: Interval,
             return bnd, f"d_{n}"
         return _restrict_to_subgroup(bnd, reduced_homology(pair.sub, 0, interval, field), "target"), "d~_1"
 
-    return _long_sequence(max(n_max, 1), interval, field, triangle, delta, "reduced pair")
+    return _long_sequence(max(_default_degree(pair), 1), interval, field, triangle, delta,
+                          "reduced pair")
 
 
 def are_contiguous(f: PreservingMap, g: PreservingMap, interval: Interval | None = None) -> bool:
@@ -390,16 +386,14 @@ def are_contiguously_equivalent(f: PreservingMap, g: PreservingMap) -> bool:
     )
 
 
-def is_homologically_trivial(obj, interval: Interval, n_max: int | None = None, field=GF2) -> bool:
+def is_homologically_trivial(obj, interval: Interval, field=GF2) -> bool:
     """All reduced groups vanish (sets); all relative groups vanish (pairs)."""
     if isinstance(obj, RelativeFilteredPair) and obj.sub.vertices:
-        if n_max is None:
-            n_max = _default_degree(obj)
-        return all(homology(obj, q, interval, field).dim == 0 for q in range(n_max + 1))
+        return all(homology(obj, q, interval, field).dim == 0
+                   for q in range(_default_degree(obj) + 1))
     x = obj.total if isinstance(obj, RelativeFilteredPair) else obj
-    if n_max is None:
-        n_max = max(x.dimension, 0) + 1
-    return all(reduced_homology(x, q, interval, field).dim == 0 for q in range(n_max + 1))
+    return all(reduced_homology(x, q, interval, field).dim == 0
+               for q in range(max(x.dimension, 0) + 2))
 
 
 def deformation_retract_check(pair: RelativeFilteredPair, subpair: RelativeFilteredPair,

@@ -89,10 +89,10 @@ def skeletal_chain_group(pair: RelativeFilteredPair, q: int, interval: Interval,
     expected = Matrix.from_columns(
         field,
         [
-            tuple(field.one if bsk == gen else field.zero for bsk in group.space.basis)
+            tuple(field.one if bsk == gen else field.zero for bsk in group.simplices)
             for gen in generators
         ],
-        group.space.dim,
+        len(group.simplices),
     )
     if group.reps != expected:
         raise OracleMismatch("chain group representatives are not the generator simplices")

@@ -144,8 +144,8 @@ class TestInducedMaps:
         group = homology(pair, 0, iv, GF3)
         assert group.dim == 1
         shifted = group.reps + Matrix.from_columns(
-            GF3, [group.boundaries.basis.column(0)], group.space.dim)
-        regauged = HomologyGroup(pair, 0, iv, GF3, group.space, group.cycles,
+            GF3, [group.boundaries.basis.column(0)], len(group.simplices))
+        regauged = HomologyGroup(pair, 0, iv, GF3, group.simplices, group.cycles,
                                  group.boundaries, shifted.scale(2))
         f = identity_map(pair)
         from persax.linalg import chain_map_matrix

@@ -1,5 +1,6 @@
 """File formats, round trips, and the command-line interface."""
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -143,6 +144,29 @@ class TestMapFiles:
             "domain: dom.txt\ncodomain: cod.txt\na -> p\n")
         with pytest.raises(ParseError):
             parse_map(tmp_path / "map.txt")
+
+    @pytest.fixture()
+    def ends(self, tmp_path):
+        (tmp_path / "dom.txt").write_text("0 a\n0 b\n")
+        (tmp_path / "cod.txt").write_text("0 p\n0 q\n")
+        return "domain: dom.txt\ncodomain: cod.txt\n"
+
+    def test_repeated_identical_arrow_is_accepted(self, tmp_path, ends):
+        (tmp_path / "map.txt").write_text(ends + "a -> p\nb -> q\na -> p\n")
+        assert parse_map(tmp_path / "map.txt").vertex_map == {"a": "p", "b": "q"}
+
+    def test_second_image_for_a_vertex_is_rejected_at_its_line(self, tmp_path, ends):
+        (tmp_path / "map.txt").write_text(ends + "a -> p\nb -> q\na -> q\n")
+        with pytest.raises(ParseError, match=r"map\.txt:5: conflicting images for 'a'") as exc:
+            parse_map(tmp_path / "map.txt")
+        assert exc.value.line_no == 5
+
+    @pytest.mark.parametrize("head", ["domain", "codomain"])
+    def test_second_endpoint_line_is_rejected_at_its_line(self, tmp_path, ends, head):
+        (tmp_path / "map.txt").write_text(ends + f"a -> p\n{head}: cod.txt\nb -> q\n")
+        with pytest.raises(ParseError, match=rf"map\.txt:4: second {head}: line") as exc:
+            parse_map(tmp_path / "map.txt")
+        assert exc.value.line_no == 4
 
 
 COVER_TEXT = """\
@@ -323,3 +347,10 @@ class TestCli:
                          "--format", "records")
         assert first.stdout == second.stdout
         assert first.stdout.count("\naxiom\t") + first.stdout.startswith("axiom\t") > 0
+
+    def test_verify_axioms_fuzz_100_seed_7_records_digest(self, capsys):
+        assert cli.main(["verify-axioms", "--fuzz", "100", "--seed", "7",
+                         "--format", "records"]) == 1
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4e7dbfd16196a9456b4ac0dab36be66ab6c3c921395843bdcf809b478e5bc800")

@@ -288,14 +288,12 @@ class TestChainMaps:
 def test_chain_space_excludes_absorbed_simplices():
     x = validate({("a",): 0, ("b",): 0}, {"a", "b"})
     a = validate({("a",): 0}, {"a"})
-    cs = chain_space(pair_of(x, a), 0, fin(0))
-    assert cs.basis == (("b",),)
+    assert chain_space(pair_of(x, a), 0, fin(0)) == (("b",),)
 
 
 def test_chain_space_is_deterministically_ordered():
     pair = filled_triangle()
-    cs = chain_space(pair, 1, fin(1))
-    assert cs.basis == (("a", "b"), ("a", "c"), ("b", "c"))
+    assert chain_space(pair, 1, fin(1)) == (("a", "b"), ("a", "c"), ("b", "c"))
 
 
 def _dump_matrix(m):
