@@ -66,7 +66,6 @@ from .linalg import (
 from .homology import (
     BettiGrid,
     ClassNotInTarget,
-    CoefficientGroup,
     DirectSumGroup,
     HomologyGroup,
     LinearMap,

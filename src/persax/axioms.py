@@ -61,10 +61,6 @@ class AxiomReport:
     details: tuple[tuple[str, str], ...] = ()
     witness: object = None
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict != FAIL
-
 
 def _need(bundle, *keys):
     missing = [k for k in keys if k not in bundle or bundle[k] is None]

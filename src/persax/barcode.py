@@ -21,7 +21,7 @@ from .filtration import (
     Interval,
     RelativeFilteredPair,
     Simplex,
-    absolute,
+    _as_pair,
     critical_values,
     simplex,
 )
@@ -132,8 +132,7 @@ def cone_off_subset(pair: RelativeFilteredPair) -> FilteredSet:
 
 def pair_barcode(pair_or_set, field=GF2) -> tuple[Bar, ...]:
     """Bars whose interval counts equal the pair's interval homology dims."""
-    pair = pair_or_set if isinstance(pair_or_set, RelativeFilteredPair) else absolute(pair_or_set)
-    return reduced_barcode(cone_off_subset(pair), field)
+    return reduced_barcode(cone_off_subset(_as_pair(pair_or_set)), field)
 
 
 def bars_alive(bars, degree: int, interval: Interval) -> int:

@@ -5,7 +5,8 @@ value, or the sentinel ``INF`` for "never present".  Sublevel sets are
 simplicial complexes nested along the value axis; everything downstream is
 computed from these complexes.  A value is the tuple ``(is_inf, Fraction)``
 and an interval the tuple ``(lo, hi)``, so tuple order is value order, and
-sublevel membership is exact and never subject to rounding.
+sublevel membership is exact and never subject to rounding.  A relative pair
+is the validated tuple ``(total, sub)``.
 
 Storage is sparse: only finitely-valued simplices are kept, and the stored
 support must be downward closed (every face of a stored simplex is stored)
@@ -210,16 +211,18 @@ def validate(raw: Mapping, vertices: Iterable[str]) -> FilteredSet:
 EMPTY_SET = FilteredSet((), {})
 
 
-class RelativeFilteredPair:
+class RelativeFilteredPair(tuple):
     """A filtered set together with a filtered subset whose values dominate.
 
-    The subset's sublevel complexes are then subcomplexes of the total's.
-    The empty subset gives the absolute case.
+    The pair is the tuple ``(total, sub)``, so equality, hash and
+    immutability come from ``tuple``.  The subset's sublevel complexes are
+    then subcomplexes of the total's.  The empty subset gives the absolute
+    case.
     """
 
-    __slots__ = ("total", "sub", "_hash")
+    __slots__ = ()
 
-    def __init__(self, total: FilteredSet, sub: FilteredSet):
+    def __new__(cls, total: FilteredSet, sub: FilteredSet):
         if not sub.vertices <= total.vertices:
             raise UnknownVertex("subset vertices must lie in the total vertex set")
         for sk, val in sub.entries:
@@ -227,22 +230,10 @@ class RelativeFilteredPair:
                 raise FiltrationError(
                     f"subset value {val} for {sk} is below the total value {total.value(sk)}"
                 )
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "sub", sub)
-        object.__setattr__(self, "_hash", hash((total, sub)))
+        return tuple.__new__(cls, (total, sub))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RelativeFilteredPair is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RelativeFilteredPair)
-            and self.total == other.total
-            and self.sub == other.sub
-        )
-
-    def __hash__(self):
-        return self._hash
+    total = property(itemgetter(0))
+    sub = property(itemgetter(1))
 
     def __repr__(self):
         return f"RelativeFilteredPair({self.total!r}, {self.sub!r})"
@@ -255,6 +246,11 @@ def absolute(x: FilteredSet) -> RelativeFilteredPair:
 
 def pair_of(total: FilteredSet, sub: FilteredSet | None = None) -> RelativeFilteredPair:
     return RelativeFilteredPair(total, EMPTY_SET if sub is None else sub)
+
+
+def _as_pair(obj) -> RelativeFilteredPair:
+    """A pair as it is; a filtered set as the absolute pair."""
+    return obj if isinstance(obj, RelativeFilteredPair) else absolute(obj)
 
 
 class Interval(tuple):

@@ -56,10 +56,9 @@ def parse_filtration_text(text: str, source: str = "<string>") -> FilteredSet:
             raise ParseError(source, line_no, "repeated vertex in simplex")
         vertices.update(verts)
         key = tuple(sorted(verts))
-        if value.is_finite:
-            if key in values and values[key] != value:
-                raise ParseError(source, line_no, f"conflicting values for {key}")
-            values[key] = value
+        # inf lines stay in the table too, so a finite value cannot override one
+        if values.setdefault(key, value) != value:
+            raise ParseError(source, line_no, f"conflicting values for {key}")
     try:
         return FilteredSet(vertices, values)
     except FiltrationError as exc:

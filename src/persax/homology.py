@@ -3,8 +3,10 @@
 For an interval [e, e'], the group in degree n is the image of the level-e
 cycles inside the level-e' chains, modulo the level-e' boundaries meeting
 that image.  Groups carry explicit representative cycles; maps between groups
-are matrices over those representatives.  Everything is exact over the chosen
-coefficient field and fully deterministic.
+are matrices over those representatives.  A group holds only what was
+computed; the pair, degree, interval and field it was computed for stay with
+the caller.  Everything is exact over the chosen coefficient field and fully
+deterministic.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .filtration import (
     Interval,
     PreservingMap,
     RelativeFilteredPair,
+    _as_pair,
     absolute,
     critical_values,
     fin,
@@ -52,10 +55,6 @@ class VertexNotPresent(ValueError):
     pass
 
 
-def _as_pair(obj) -> RelativeFilteredPair:
-    return obj if isinstance(obj, RelativeFilteredPair) else absolute(obj)
-
-
 @lru_cache(maxsize=None)
 def _cycles(pair: RelativeFilteredPair, n: int, eps: FiltValue, fld) -> Subspace:
     return kernel(boundary_matrix(pair, n, eps, fld))
@@ -78,10 +77,6 @@ class HomologyGroup:
     chosen basis, when the classes lie in the group's span.
     """
 
-    pair: RelativeFilteredPair
-    degree: int
-    interval: Interval
-    field: object
     simplices: tuple
     cycles: Subspace
     boundaries: Subspace
@@ -97,9 +92,6 @@ class HomologyGroup:
         if coords is None:
             raise ClassNotInTarget("chain's class lies outside the group")
         return coords
-
-    def describe(self) -> str:
-        return f"H_{self.degree}{self.interval} dim {self.dim}"
 
 
 @dataclass(frozen=True)
@@ -138,24 +130,20 @@ class DirectSumGroup:
     def dim(self) -> int:
         return sum(p.dim for p in self.parts)
 
-    def describe(self) -> str:
-        return " (+) ".join(p.describe() for p in self.parts)
-
 
 @lru_cache(maxsize=None)
 def _homology_cached(pair: RelativeFilteredPair, n: int, interval: Interval, fld) -> HomologyGroup:
     simplices = chain_space(pair, n, interval.hi)
     if n < 0:
         empty = Subspace.zero(fld, len(simplices))
-        return HomologyGroup(pair, n, interval, fld, simplices, empty, empty,
-                             Matrix.zero(fld, len(simplices), 0))
+        return HomologyGroup(simplices, empty, empty, Matrix.zero(fld, len(simplices), 0))
     # inclusion_matrix times the lower-endpoint cycles, as the row selection it is
     lower = chain_space(pair, n, interval.lo)
     persisted = image(_move_rows(_cycles(pair, n, interval.lo, fld).basis, lower, simplices))
     bnd = _boundaries(pair, n, interval.hi, fld)
     dying = persisted.intersect(bnd)
     reps = persisted.complement_in(dying)
-    return HomologyGroup(pair, n, interval, fld, simplices, persisted, bnd, reps)
+    return HomologyGroup(simplices, persisted, bnd, reps)
 
 
 def homology(pair_or_set, n: int, interval: Interval, field=GF2) -> HomologyGroup:
@@ -233,8 +221,7 @@ def reduced_homology(x: FilteredSet, n: int, interval: Interval, field=GF2) -> H
     aug = induced_map(constant_map_to_point(x), 0, interval, field)
     ker = kernel(aug.matrix)
     reps = group.reps * ker.basis
-    return HomologyGroup(group.pair, n, interval, field, group.simplices,
-                         group.cycles, group.boundaries, reps)
+    return HomologyGroup(group.simplices, group.cycles, group.boundaries, reps)
 
 
 def point_class(g, x_vertex: str, x: FilteredSet, interval: Interval, field=GF2) -> tuple:
@@ -265,35 +252,20 @@ def h0_decomposition(x: FilteredSet, x_vertex: str, interval: Interval, field=GF
     return (reduced.dim, 1)
 
 
-@dataclass(frozen=True)
-class CoefficientGroup:
-    """The theory's value on a one-point set born at ``birth``."""
-
-    interval: Interval
-    birth: FiltValue
-    field: object
-    group: HomologyGroup
-
-    @property
-    def dim(self) -> int:
-        return self.group.dim
-
-
-def coefficient_group(interval: Interval, alpha, field=GF2) -> CoefficientGroup:
+def coefficient_group(interval: Interval, alpha, field=GF2) -> HomologyGroup:
+    """The theory's value on a one-point set born at ``alpha``."""
     alpha = fin(alpha)
     group = homology(absolute(point(alpha)), 0, interval, field)
     expected = 1 if interval.lo >= alpha else 0
     if group.dim != expected:
         raise AssertionError("one-point group has unexpected dimension")
-    return CoefficientGroup(interval, alpha, field, group)
+    return group
 
 
 @dataclass(frozen=True)
 class BettiGrid:
     """Interval homology dimensions over all critical-value endpoint pairs."""
 
-    pair: RelativeFilteredPair
-    degree: int
     values: tuple[FiltValue, ...]
     entries: tuple[tuple[int | None, ...], ...]  # entries[i][j], None below diagonal
 
@@ -314,4 +286,4 @@ def betti_grid(pair_or_set, n: int, field=GF2) -> BettiGrid:
         for j in range(i, len(vals)):
             row[j] = homology(pair, n, Interval(lo, vals[j]), field).dim
         rows.append(tuple(row))
-    return BettiGrid(pair, n, vals, tuple(rows))
+    return BettiGrid(vals, tuple(rows))

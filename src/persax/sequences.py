@@ -19,6 +19,7 @@ from .filtration import (
     Interval,
     PreservingMap,
     RelativeFilteredPair,
+    _as_pair,
     absolute,
     complex_at,
     compose,
@@ -97,7 +98,6 @@ class NodeCheck:
 
 @dataclass(frozen=True)
 class ExactnessReport:
-    description: str
     checks: tuple[NodeCheck, ...]
 
     @property
@@ -135,7 +135,7 @@ def check_exact(seq: ExactSequence) -> ExactnessReport:
             witness = ("kernel_not_in_image", ker.basis.column(bad))
             ok = False
         checks.append(NodeCheck(i, im.dim, ker.dim, ok, witness))
-    return ExactnessReport(seq.description, tuple(checks))
+    return ExactnessReport(tuple(checks))
 
 
 def _default_degree(pair: RelativeFilteredPair) -> int:
@@ -388,10 +388,11 @@ def are_contiguously_equivalent(f: PreservingMap, g: PreservingMap) -> bool:
 
 def is_homologically_trivial(obj, interval: Interval, field=GF2) -> bool:
     """All reduced groups vanish (sets); all relative groups vanish (pairs)."""
-    if isinstance(obj, RelativeFilteredPair) and obj.sub.vertices:
-        return all(homology(obj, q, interval, field).dim == 0
-                   for q in range(_default_degree(obj) + 1))
-    x = obj.total if isinstance(obj, RelativeFilteredPair) else obj
+    pair = _as_pair(obj)
+    if pair.sub.vertices:
+        return all(homology(pair, q, interval, field).dim == 0
+                   for q in range(_default_degree(pair) + 1))
+    x = pair.total
     return all(reduced_homology(x, q, interval, field).dim == 0
                for q in range(max(x.dimension, 0) + 2))
 

@@ -13,17 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .filtration import (
     Interval,
+    PreservingMap,
     RelativeFilteredPair,
     Simplex,
     UnknownVertex,
     absolute,
     closed_star,
     inclusion,
-    simplex,
     skeleton,
     standard_boundary,
     standard_simplex,
@@ -44,12 +44,28 @@ class OracleMismatch(RuntimeError):
     """The two homology constructions disagree; something is broken."""
 
 
+class _Skeleton(NamedTuple):
+    """The degree-q skeleton pair and the interval-independent inclusions on it."""
+
+    pair: RelativeFilteredPair
+    to_direct: PreservingMap  # (q-skeleton, subset) into the original pair
+    to_chains: PreservingMap  # (q-skeleton, subset) into the skeleton pair
+    quotient: PreservingMap  # the absolute q-skeleton onto the skeleton pair
+
+
 @lru_cache(maxsize=None)
-def skeletal_pair(pair: RelativeFilteredPair, q: int) -> RelativeFilteredPair:
-    """The pair (q-skeleton merged with subset, (q-1)-skeleton merged with subset)."""
+def _skeleton(pair: RelativeFilteredPair, q: int) -> _Skeleton:
     total = union(skeleton(pair.total, max(q, -1)), pair.sub)
     sub = union(skeleton(pair.total, max(q - 1, -1)), pair.sub)
-    return RelativeFilteredPair(total, sub)
+    skel = RelativeFilteredPair(total, sub)
+    mid = RelativeFilteredPair(total, pair.sub)
+    return _Skeleton(skel, inclusion(mid, pair), inclusion(mid, skel),
+                     inclusion(absolute(total), skel))
+
+
+def skeletal_pair(pair: RelativeFilteredPair, q: int) -> RelativeFilteredPair:
+    """The pair (q-skeleton merged with subset, (q-1)-skeleton merged with subset)."""
+    return _skeleton(pair, q).pair
 
 
 @dataclass(frozen=True)
@@ -62,10 +78,6 @@ class SkeletalChainGroup:
     canonical representatives must be exactly the generator unit vectors.
     """
 
-    pair: RelativeFilteredPair
-    degree: int
-    interval: Interval
-    field: object
     generators: tuple[Simplex, ...]
     group: HomologyGroup
 
@@ -79,7 +91,7 @@ def skeletal_chain_group(pair: RelativeFilteredPair, q: int, interval: Interval,
                          field=GF2) -> SkeletalChainGroup:
     if q < 0 or q > len(pair.total.vertices):
         group = homology(pair, -1, interval, field)
-        return SkeletalChainGroup(pair, q, interval, field, (), group)
+        return SkeletalChainGroup((), group)
     generators = tuple(
         sk
         for sk, val in pair.total.entries
@@ -96,7 +108,7 @@ def skeletal_chain_group(pair: RelativeFilteredPair, q: int, interval: Interval,
     )
     if group.reps != expected:
         raise OracleMismatch("chain group representatives are not the generator simplices")
-    return SkeletalChainGroup(pair, q, interval, field, generators, group)
+    return SkeletalChainGroup(generators, group)
 
 
 def generator(g, vertices: Sequence[str], pair: RelativeFilteredPair, interval: Interval,
@@ -142,9 +154,7 @@ def skeletal_boundary(pair: RelativeFilteredPair, q: int, interval: Interval,
     if q < 1 or source.dim == 0:
         return Matrix.zero(field, target.dim, source.dim)
     alpha = connecting(skeletal_pair(pair, q), q, interval, field)
-    lower_total = skeletal_pair(pair, q).sub
-    quot = inclusion(absolute(lower_total), skeletal_pair(pair, q - 1))
-    jmat = induced_map(quot, q - 1, interval, field)
+    jmat = induced_map(_skeleton(pair, q - 1).quotient, q - 1, interval, field)
     return jmat.matrix * alpha.matrix
 
 
@@ -152,11 +162,6 @@ def skeletal_boundary(pair: RelativeFilteredPair, q: int, interval: Interval,
 class SkeletalHomology:
     """Homology of the skeletal chain complex in one degree."""
 
-    pair: RelativeFilteredPair
-    degree: int
-    interval: Interval
-    field: object
-    chain_group: SkeletalChainGroup
     cycles: Subspace
     boundaries: Subspace
     reps: Matrix  # generator-coordinate columns spanning the homology
@@ -177,17 +182,15 @@ class SkeletalHomology:
 def skeletal_homology(pair: RelativeFilteredPair, q: int, interval: Interval,
                       field=GF2) -> SkeletalHomology:
     """Kernel of the boundary modulo its image, over generator coordinates."""
-    chains = skeletal_chain_group(pair, q, interval, field)
     if q < 0:
         empty = Subspace.zero(field, 0)
-        return SkeletalHomology(pair, q, interval, field, chains, empty, empty,
-                                Matrix.zero(field, 0, 0))
+        return SkeletalHomology(empty, empty, Matrix.zero(field, 0, 0))
     cycles = kernel(skeletal_boundary(pair, q, interval, field))
     bounds = image(skeletal_boundary(pair, q + 1, interval, field))
     if not cycles.contains_subspace(bounds):
         raise OracleMismatch("boundary image is not made of cycles")
     reps = cycles.complement_in(bounds)
-    return SkeletalHomology(pair, q, interval, field, chains, cycles, bounds, reps)
+    return SkeletalHomology(cycles, bounds, reps)
 
 
 def direct_to_skeletal(pair: RelativeFilteredPair, q: int, interval: Interval,
@@ -203,9 +206,9 @@ def direct_to_skeletal(pair: RelativeFilteredPair, q: int, interval: Interval,
     skel = skeletal_homology(pair, q, interval, field)
     if q < 0:
         return LinearMap(direct, skel, Matrix.zero(field, 0, 0), "iso")
-    mid = RelativeFilteredPair(skeletal_pair(pair, q).total, pair.sub)
-    to_direct = induced_map(inclusion(mid, pair), q, interval, field)
-    to_chains = induced_map(inclusion(mid, skeletal_pair(pair, q)), q, interval, field)
+    maps = _skeleton(pair, q)
+    to_direct = induced_map(maps.to_direct, q, interval, field)
+    to_chains = induced_map(maps.to_chains, q, interval, field)
     lifts = to_direct.matrix.solve_matrix(Matrix.identity(field, direct.dim))
     if lifts is None:
         raise OracleMismatch("skeleton inclusion fails to reach a direct class")

@@ -15,6 +15,7 @@ from persax import (
     MissingFace,
     MonotonicityViolation,
     NotFiltrationPreserving,
+    RelativeFilteredPair,
     SubNotMappedIntoSub,
     UnknownVertex,
     absolute,
@@ -37,6 +38,7 @@ from persax import (
     validate,
     validate_map,
 )
+from persax.formats import canonical_text, serialize_pair
 
 TRIANGLE_RIM = {
     ("a",): 0, ("b",): 0, ("c",): 0,
@@ -128,6 +130,47 @@ class TestInterval:
             iv.lo = fin(1)
         with pytest.raises(AttributeError):
             iv.other = 0
+
+
+class TestRelativeFilteredPair:
+    def test_equal_pairs_are_equal_and_hash_equal(self):
+        sub = validate({("a",): 1}, {"a"})
+        built = [pair_of(triangle_rim(), sub),
+                 RelativeFilteredPair(triangle_rim(), validate({("a",): "1"}, {"a"}))]
+        assert built[0] is not built[1] and built[0].total is not built[1].total
+        assert built[0] == built[1]
+        assert hash(built[0]) == hash(built[1])
+        assert built[0] != pair_of(triangle_rim())
+        assert built[0].total == triangle_rim() and built[0].sub == sub
+
+    def test_immutable(self):
+        pair = pair_of(triangle_rim())
+        with pytest.raises(AttributeError):
+            pair.total = triangle_rim()
+        with pytest.raises(AttributeError):
+            pair.sub = triangle_rim()
+        with pytest.raises(AttributeError):
+            pair.other = 0
+
+    def test_repr(self):
+        assert repr(pair_of(triangle_rim())) == (
+            "RelativeFilteredPair(FilteredSet(3 vertices, 6 simplices), "
+            "FilteredSet(0 vertices, 0 simplices))"
+        )
+
+    def test_constructor_rejects_escaping_or_early_subsets(self):
+        with pytest.raises(UnknownVertex, match="^subset vertices must lie in the total vertex set$"):
+            RelativeFilteredPair(triangle_rim(), validate({("z",): 0}, {"z"}))
+        early = validate({("a",): 0, ("b",): 0, ("a", "b"): 0}, {"a", "b"})
+        with pytest.raises(FiltrationError) as info:
+            RelativeFilteredPair(triangle_rim(), early)
+        assert type(info.value) is FiltrationError
+        assert str(info.value) == "subset value 0 for ('a', 'b') is below the total value 1"
+
+    def test_canonical_text_is_the_pair_file(self):
+        pair = pair_of(triangle_rim(), validate({("a",): 1}, {"a"}))
+        assert canonical_text(pair) == serialize_pair(pair)
+        assert canonical_text(pair).startswith("[X]\n")
 
 
 class TestValidate:

@@ -76,7 +76,7 @@ class TestHomologyExamples:
         group = homology(TRIANGLE_RIM, 1, Interval(1, 2), GF3)
         from persax import boundary_matrix
 
-        d = boundary_matrix(group.pair, 1, fin(2), GF3)
+        d = boundary_matrix(absolute(TRIANGLE_RIM), 1, fin(2), GF3)
         for j in range(group.dim):
             rep = group.reps.column(j)
             assert all(v == 0 for v in d.apply(rep))
@@ -145,8 +145,8 @@ class TestInducedMaps:
         assert group.dim == 1
         shifted = group.reps + Matrix.from_columns(
             GF3, [group.boundaries.basis.column(0)], len(group.simplices))
-        regauged = HomologyGroup(pair, 0, iv, GF3, group.simplices, group.cycles,
-                                 group.boundaries, shifted.scale(2))
+        regauged = HomologyGroup(group.simplices, group.cycles, group.boundaries,
+                                 shifted.scale(2))
         f = identity_map(pair)
         from persax.linalg import chain_map_matrix
 

@@ -50,6 +50,19 @@ class TestParsing:
         assert fs.support == (("a",),)
         assert "b" in fs.vertices
 
+    def test_finite_and_inf_for_one_simplex_rejected_at_the_later_line(self):
+        for text, line in (("0 a\n0 b\n1 a b\ninf a b\n", 4),
+                           ("0 a\n0 b\ninf b a\n1 a b\n", 4),
+                           ("inf a\n# note\n0 a\n", 3)):
+            with pytest.raises(ParseError, match="conflicting values") as info:
+                parse_filtration_text(text, source="f.txt")
+            assert info.value.line_no == line
+            assert str(info.value).startswith(f"f.txt:{line}: ")
+
+    def test_repeated_inf_line_accepted(self):
+        fs = parse_filtration_text("0 a\n0 b\ninf a b\ninf b a\n")
+        assert fs.support == (("a",), ("b",))
+
     def test_pair_sections(self):
         pair = parse_pair_text(PAIR_TEXT)
         assert pair.sub.value(("a", "b")) == fin(1)

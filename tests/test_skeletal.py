@@ -339,6 +339,38 @@ class TestComparisonIsomorphism:
         with pytest.raises(OracleMismatch):
             direct_to_skeletal(pair, 0, iv)
 
+    def test_inclusions_are_validated_once_per_skeleton_pair(self, monkeypatch):
+        # the inclusions between skeleton pairs do not depend on the interval,
+        # so covering more intervals must not validate more maps
+        from persax import filtration, skeletal
+
+        x = validate({("a",): 0, ("b",): 0, ("c",): 1,
+                      ("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 2}, {"a", "b", "c"})
+        pair = pair_of(x, validate({("a",): 0}, {"a"}))
+        real = filtration.validate_map
+
+        def count_validations(intervals):
+            for value in vars(skeletal).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+            calls = []
+            monkeypatch.setattr(filtration, "validate_map",
+                                lambda *args: calls.append(args) or real(*args))
+            for iv in intervals:
+                for q in range(0, x.dimension + 2):
+                    try:
+                        direct_to_skeletal(pair, q, iv, GF3)
+                    except OracleMismatch:
+                        pass  # interior deaths break the comparison, not its inputs
+            monkeypatch.setattr(filtration, "validate_map", real)
+            return len(calls)
+
+        intervals = critical_intervals(pair)
+        assert len(intervals) == 6
+        once = count_validations(intervals[:1])
+        assert once > 0
+        assert count_validations(intervals) == once
+
 
 class TestIncidence:
     def test_degree_one_sends_edge_class_to_vertex_class(self):
