@@ -1,8 +1,15 @@
-"""Classical one-pass column reduction producing birth/death bars.
+"""Classical column reduction producing birth/death bars.
 
 This is an independent computation path: one global boundary matrix over the
-whole filtration, reduced left to right, instead of per-interval subspace
-arithmetic.  Interval homology dimensions are then bar counts.
+whole filtration instead of per-interval subspace arithmetic, and none of the
+``linalg`` kernels.  Simplices are ordered by the rank of their value, then
+dimension, then vertices.  The matrix is reduced degree by degree from the
+top, each degree left to right, with clearing: a simplex that is the low of a
+column one degree up pairs with that column and its own column is never
+built (Chen & Kerber, "Persistent homology computation with a twist", 2011).
+Over GF(2) a column is an int bitset reduced by XOR.  Interval homology
+dimensions are then bar counts, which ``bars_alive`` reads off the sorted
+barcode by bisection.
 
 Relative pairs reduce to the absolute case by coning the subset off: a fresh
 apex enters at the global minimum value, the cone over each subset simplex
@@ -12,6 +19,7 @@ complex match the pair's interval homology in every degree.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .filtration import (
@@ -36,69 +44,95 @@ class Bar(NamedTuple):
     death: FiltValue  # INF when the class never dies
 
 
-def _filtration_order(x: FilteredSet) -> list[tuple[Simplex, FiltValue]]:
-    return sorted(x.entries, key=lambda item: (item[1], len(item[0]), item[0]))
+def _reduce(faces: list[int], pivots: dict, field):
+    """Reduce one boundary column against the pivot columns of its degree.
+
+    ``faces`` are the row indices of the column's faces in omitted-position
+    order.  A column that keeps a low is stored in ``pivots`` under that low,
+    which is returned; a column that vanishes returns None.  Over GF(2) a
+    column is an int bitset reduced by XOR; over any other field it is a
+    {row: entry} dict.
+    """
+    if field == GF2:
+        col = 0
+        for r in faces:
+            col ^= 1 << r
+        while col:
+            low = col.bit_length() - 1
+            other = pivots.get(low)
+            if other is None:
+                pivots[low] = col
+                return low
+            col ^= other
+        return None
+    col = {}
+    sign = field.one
+    for r in faces:
+        col[r] = sign
+        sign = field.neg(sign)
+    while col:
+        low = max(col)
+        other = pivots.get(low)
+        if other is None:
+            pivots[low] = col
+            return low
+        factor = field.mul(col[low], field.inv(other[low]))
+        for r, val in other.items():
+            merged = field.sub(col.get(r, field.zero), field.mul(factor, val))
+            if merged == field.zero:
+                col.pop(r, None)
+            else:
+                col[r] = merged
+    return None
 
 
 def barcode(x: FilteredSet, field=GF2) -> tuple[Bar, ...]:
     """Bars of an absolute filtered set; zero-length bars are dropped."""
-    ordered = _filtration_order(x)
-    index = {sk: i for i, (sk, _) in enumerate(ordered)}
-    columns: list[dict[int, object]] = []
-    for sk, _ in ordered:
-        col: dict[int, object] = {}
-        if len(sk) > 1:
-            sign = field.one
-            for i in range(len(sk)):
-                face = sk[:i] + sk[i + 1 :]
-                col[index[face]] = sign
-                sign = field.neg(sign)
-        columns.append(col)
+    values = critical_values(x)
+    rank = {v: r for r, v in enumerate(values)}
+    never = len(values)  # the rank of INF
+    # per degree, (rank, simplex) in filtration order; rows are positions here
+    top = x.dimension
+    by_degree: list[list[tuple[int, Simplex]]] = [[] for _ in range(top + 1)]
+    for r, size, sk in sorted((rank[v], len(sk), sk) for sk, v in x.entries):
+        by_degree[size - 1].append((r, sk))
+    row = {sk: i for cells in by_degree for i, (_, sk) in enumerate(cells)}
 
-    low_owner: dict[int, int] = {}
-    pairs: list[tuple[int, int]] = []
-    for j, col in enumerate(columns):
-        while col:
-            low = max(col)
-            owner = low_owner.get(low)
-            if owner is None:
-                low_owner[low] = j
-                pairs.append((low, j))
-                break
-            factor = field.mul(col[low], field.inv(columns[owner][low]))
-            for r, val in columns[owner].items():
-                merged = field.sub(col.get(r, field.zero), field.mul(factor, val))
-                if merged == field.zero:
-                    col.pop(r, None)
-                else:
-                    col[r] = merged
-
-    bars = []
-    killed = set()
-    for i, j in pairs:
-        killed.add(j)
-        killed.add(i)
-        birth = ordered[i][1]
-        death = ordered[j][1]
-        if birth != death:
-            bars.append(Bar(len(ordered[i][0]) - 1, birth, death))
-    for j, (sk, val) in enumerate(ordered):
-        if j not in killed and not columns[j]:
-            bars.append(Bar(len(sk) - 1, val, INF))
-    return tuple(sorted(bars))
+    bars: list[tuple[int, int, int]] = []  # (degree, birth rank, death rank)
+    cleared: dict[int, int] = {}  # row of degree q -> rank of the column it pairs with
+    for q in range(top, -1, -1):
+        cells = by_degree[q]
+        pivots: dict = {}
+        lows: dict[int, int] = {}
+        for j, (r, sk) in enumerate(cells):
+            death = cleared.get(j)
+            if death is not None:
+                if death != r:
+                    bars.append((q, r, death))
+                continue
+            low = None
+            if q:
+                faces = [row[sk[:i] + sk[i + 1 :]] for i in range(q + 1)]
+                low = _reduce(faces, pivots, field)
+            if low is None:
+                bars.append((q, r, never))
+            else:
+                lows[low] = r
+        cleared = lows
+    values += (INF,)
+    return tuple(Bar(q, values[b], values[d]) for q, b, d in sorted(bars))
 
 
 def reduced_barcode(x: FilteredSet, field=GF2) -> tuple[Bar, ...]:
     """Bars of the reduced theory: one never-dying degree-0 bar removed.
 
     The removed bar is born at the global minimum value, where the very first
-    vertex founds the oldest component.
+    vertex founds the oldest component; the sorted barcode starts there.
     """
     bars = list(barcode(x, field))
-    vals = critical_values(x)
-    if not vals:
-        return tuple(bars)
-    oldest = Bar(0, vals[0], INF)
+    if not bars:
+        return ()
+    oldest = Bar(0, bars[0].birth, INF)
     if oldest not in bars:
         raise AssertionError("no essential component bar at the global minimum")
     bars.remove(oldest)
@@ -136,6 +170,19 @@ def pair_barcode(pair_or_set, field=GF2) -> tuple[Bar, ...]:
 
 
 def bars_alive(bars, degree: int, interval: Interval) -> int:
-    """Number of bars of one degree containing the whole interval."""
+    """Number of bars of one degree containing the whole interval.
+
+    ``bars`` is the sorted tuple that ``barcode``, ``reduced_barcode`` or
+    ``pair_barcode`` returns.  Bisection finds the degree's bars born by the
+    lower endpoint, then, within each birth, those dying after the upper one.
+    """
     lo, hi = interval
-    return sum(1 for b in bars if b.degree == degree and b.birth <= lo and hi < b.death)
+    i = bisect_left(bars, (degree,))
+    born = bisect_right(bars, (degree, lo, INF), i)
+    alive = 0
+    while i < born:
+        birth = bars[i].birth
+        end = bisect_right(bars, (degree, birth, INF), i, born)
+        alive += end - bisect_right(bars, (degree, birth, hi), i, end)
+        i = end
+    return alive

@@ -62,6 +62,9 @@ class FiltValue(tuple):
             raise TypeError("finite part must be a Fraction or None")
         return tuple.__new__(cls, (finite is None, finite))
 
+    def __reduce__(self):
+        return type(self), (self.finite,)
+
     finite = property(itemgetter(1))
 
     @property
@@ -172,6 +175,9 @@ class FilteredSet:
     def __setattr__(self, name, value):
         raise AttributeError("FilteredSet is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.vertices, self._lookup)
+
     def value(self, sigma) -> FiltValue:
         """Filtration value of a simplex; INF when unsupported."""
         return self._lookup.get(simplex(sigma), INF)
@@ -232,6 +238,9 @@ class RelativeFilteredPair(tuple):
                 )
         return tuple.__new__(cls, (total, sub))
 
+    def __reduce__(self):
+        return type(self), (self.total, self.sub)
+
     total = property(itemgetter(0))
     sub = property(itemgetter(1))
 
@@ -265,6 +274,9 @@ class Interval(tuple):
         if lo > hi:
             raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
         return tuple.__new__(cls, (lo, hi))
+
+    def __reduce__(self):
+        return type(self), (self.lo, self.hi)
 
     lo = property(itemgetter(0))
     hi = property(itemgetter(1))
@@ -394,6 +406,9 @@ class PreservingMap:
 
     def __setattr__(self, name, value):
         raise AttributeError("PreservingMap is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.domain, self.codomain, self.vertex_map)
 
     def __eq__(self, other):
         return (

@@ -89,7 +89,7 @@ class SkeletalChainGroup:
 @lru_cache(maxsize=None)
 def skeletal_chain_group(pair: RelativeFilteredPair, q: int, interval: Interval,
                          field=GF2) -> SkeletalChainGroup:
-    if q < 0 or q > len(pair.total.vertices):
+    if q < 0 or q > pair.total.dimension:
         group = homology(pair, -1, interval, field)
         return SkeletalChainGroup((), group)
     generators = tuple(

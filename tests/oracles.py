@@ -1,14 +1,16 @@
 """Independent brute-force oracles used to freeze expected values.
 
-Everything here works over GF(2) with chains represented as frozensets of
+The interval oracle works over GF(2) with chains represented as frozensets of
 simplices (addition = symmetric difference) and subgroups enumerated
-exhaustively.  Nothing imports the package's linear algebra, so agreement
-with the main path is a genuine cross-check.
+exhaustively.  The reference barcode is the textbook column reduction, over
+GF(p) or the rationals.  Nothing imports the package, so agreement with the
+main path is a genuine cross-check.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 
 INF = None  # absent simplex
@@ -97,3 +99,78 @@ def brute_pair_dim(pair, n: int, interval) -> int:
         values_of(pair.total), values_of(pair.sub), n,
         interval.lo.finite, interval.hi.finite,
     )
+
+
+def reference_bars(values: dict, p: int | None = None) -> list:
+    """Bars of a plain {simplex: Fraction} table by the textbook reduction.
+
+    One boundary column per simplex, in (value, dimension, simplex) order,
+    each reduced left to right against every earlier column: no clearing, no
+    skipped column.  Arithmetic is mod p, or over the rationals when p is
+    None.  Bars are sorted (degree, birth, death) triples; zero-length bars
+    are dropped and death None means the class never dies.
+    """
+    order = sorted(values, key=lambda sk: (values[sk], len(sk), sk))
+    index = {sk: i for i, sk in enumerate(order)}
+
+    def unit(x):
+        return x % p if p else Fraction(x)
+
+    def inverse(x):
+        return pow(x, -1, p) if p else 1 / x
+
+    columns = []
+    for sk in order:
+        col = {}
+        for i in range(len(sk) if len(sk) > 1 else 0):
+            col[index[sk[:i] + sk[i + 1 :]]] = unit((-1) ** i)
+        columns.append(col)
+    lows = {}
+    for j, col in enumerate(columns):
+        while col:
+            low = max(col)
+            if low not in lows:
+                lows[low] = j
+                break
+            other = columns[lows[low]]
+            factor = col[low] * inverse(other[low])
+            for r, val in other.items():
+                merged = unit(col.get(r, 0) - factor * val)
+                if merged:
+                    col[r] = merged
+                else:
+                    col.pop(r, None)
+    bars = [
+        (len(order[i]) - 1, values[order[i]], values[order[j]])
+        for i, j in lows.items()
+        if values[order[i]] != values[order[j]]
+    ]
+    bars += [
+        (len(sk) - 1, values[sk], None)
+        for j, sk in enumerate(order)
+        if not columns[j] and j not in lows
+    ]
+    return sorted(bars, key=lambda b: (b[0], b[1], b[2] is None, b[2] or 0))
+
+
+def reference_pair_bars(total: dict, sub: dict, p: int | None = None) -> list:
+    """Bars of a pair: the subset coned off by a fresh apex, reduced.
+
+    The apex enters at the least total value, the cone over each subset
+    simplex at that simplex's subset value, and one never-dying degree-0 bar
+    at the least value is removed.
+    """
+    if not total:
+        return []
+    vertices = {v for sk in total for v in sk}
+    apex = "apex"
+    while apex in vertices:
+        apex += "_"
+    start = min(total.values())
+    table = dict(total)
+    table[(apex,)] = start
+    for sk, val in sub.items():
+        table[tuple(sorted(sk + (apex,)))] = val
+    bars = reference_bars(table, p)
+    bars.remove((0, start, None))
+    return bars

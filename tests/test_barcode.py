@@ -1,0 +1,123 @@
+"""The bars path against an independent reduction, a pinned dump and naive counts."""
+
+import ast
+import hashlib
+import random
+from fractions import Fraction
+from pathlib import Path
+
+from persax import (
+    GF2,
+    GF3,
+    INF,
+    QQ,
+    Interval,
+    bars_alive,
+    barcode,
+    critical_values,
+    fin,
+    linalg,
+    pair_barcode,
+    pair_of,
+)
+from persax.fuzz import random_filtration, random_pair, random_subset_of
+
+from .oracles import reference_bars, reference_pair_bars, values_of
+
+BARCODE_SOURCE = Path(__file__).resolve().parent.parent / "src" / "persax" / "barcode.py"
+FIELDS = ((GF2, 2), (GF3, 3), (QQ, None))
+
+
+def _instances(count, seed):
+    """Seeded fuzz pairs: small default ones, then every third on a larger pool."""
+    master = random.Random(seed)
+    pool = ("a", "b", "c", "d", "e", "f", "g")
+    for i in range(count):
+        rng = random.Random(master.getrandbits(64))
+        if i % 3:
+            yield random_pair(rng)
+        else:
+            x = random_filtration(rng, pool=pool, max_simplices=40, max_span=5)
+            yield pair_of(x, random_subset_of(rng, x))
+
+
+def _plain(bars):
+    return [(b.degree, b.birth.finite, None if b.death == INF else b.death.finite)
+            for b in bars]
+
+
+class TestAgainstReferenceReduction:
+    def test_bars_match_the_reduction_without_clearing(self):
+        essential = finite = 0
+        for pair in _instances(210, 401):
+            total, sub = values_of(pair.total), values_of(pair.sub)
+            for field, p in FIELDS:
+                absolute = _plain(barcode(pair.total, field))
+                relative = _plain(pair_barcode(pair, field))
+                assert absolute == reference_bars(total, p)
+                assert relative == reference_pair_bars(total, sub, p)
+                essential += sum(d is None for _, _, d in absolute + relative)
+                finite += sum(d is not None for _, _, d in absolute + relative)
+        assert essential > 500 and finite > 200
+
+
+class TestPinnedBarcodes:
+    # sha256 of the dump below, recorded from the left-to-right reduction
+    DIGEST = "a82577dcf1b6c0cdea54f35be993711fac0925c0a4ca8e9279f6d2285e64ea38"
+
+    def test_barcode_dump_matches_the_pinned_digest(self):
+        lines = []
+        for i, pair in enumerate(_instances(120, 503)):
+            field = (GF2, GF3)[i % 2]
+            lines.append(f"{i} abs {barcode(pair.total, field)}")
+            lines.append(f"{i} pair {pair_barcode(pair, field)}")
+        text = "\n".join(lines)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
+
+
+def _naive_alive(bars, degree, lo, hi):
+    return sum(1 for b in bars if b.degree == degree and b.birth <= lo and hi < b.death)
+
+
+class TestBarsAlive:
+    def test_counts_match_a_naive_scan(self):
+        intervals_with_lo_below_hi = infinite_hits = 0
+        for pair in _instances(90, 607):
+            vals = critical_values(pair)
+            # critical values, points between and around them
+            probes = sorted(set(vals) | {fin(Fraction(-1)), fin(Fraction(5))}
+                            | {fin((a.finite + b.finite) / 2) for a, b in zip(vals, vals[1:])})
+            for bars in (barcode(pair.total), pair_barcode(pair, GF3)):
+                for n in range(pair.total.dimension + 2):
+                    for i, lo in enumerate(probes):
+                        for hi in probes[i:]:
+                            expect = _naive_alive(bars, n, lo, hi)
+                            assert bars_alive(bars, n, Interval(lo, hi)) == expect
+                            intervals_with_lo_below_hi += lo < hi and expect > 0
+                            infinite_hits += any(b.death == INF and b.degree == n
+                                                 and b.birth <= lo for b in bars)
+        assert intervals_with_lo_below_hi > 500 and infinite_hits > 500
+
+    def test_degree_outside_the_barcode_counts_nothing(self):
+        pair = next(iter(_instances(1, 607)))
+        bars = pair_barcode(pair)
+        iv = Interval(0, 2)
+        assert bars_alive(bars, -1, iv) == 0
+        assert bars_alive(bars, pair.total.dimension + 5, iv) == 0
+        assert bars_alive((), 0, iv) == 0
+
+
+def test_bars_path_imports_only_field_objects_from_linalg():
+    # the bars path is an oracle for the linalg kernels, so it must not use them
+    tree = ast.parse(BARCODE_SOURCE.read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert "linalg" not in [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            assert all("linalg" not in alias.name for alias in node.names)
+    assert imported
+    for name in imported:
+        assert isinstance(getattr(linalg, name), (linalg.GF, type(linalg.QQ))), name

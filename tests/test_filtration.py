@@ -1,6 +1,8 @@
 """Filtered sets, pairs, maps, and the combinatorial constructions."""
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from persax import (
     INF,
+    Bar,
     FiltrationError,
     FiltValue,
     Interval,
@@ -171,6 +174,31 @@ class TestRelativeFilteredPair:
         pair = pair_of(triangle_rim(), validate({("a",): 1}, {"a"}))
         assert canonical_text(pair) == serialize_pair(pair)
         assert canonical_text(pair).startswith("[X]\n")
+
+
+class TestCopyAndPickle:
+    """Copies and pickles rebuild through the validating constructors."""
+
+    @staticmethod
+    def _objects():
+        sub = validate({("a",): 1}, {"a"})
+        pair = pair_of(triangle_rim(), sub)
+        return [fin("1/2"), INF, Interval(0, "3/2"), triangle_rim(), pair,
+                pair_of(triangle_rim()), identity_map(pair), Bar(1, fin(1), INF),
+                (Interval(1, 1), Bar(0, fin(0), fin("1/3")))]
+
+    @pytest.mark.parametrize("how", ["copy", "deepcopy"] + [
+        f"pickle{protocol}" for protocol in range(pickle.HIGHEST_PROTOCOL + 1)])
+    def test_round_trip_is_equal(self, how):
+        for obj in self._objects():
+            if how == "copy":
+                back = copy.copy(obj)
+            elif how == "deepcopy":
+                back = copy.deepcopy(obj)
+            else:
+                back = pickle.loads(pickle.dumps(obj, protocol=int(how[6:])))
+            assert type(back) is type(obj)
+            assert back == obj and hash(back) == hash(obj)
 
 
 class TestValidate:

@@ -66,6 +66,18 @@ class TestChainGroups:
         for q in range(0, 3):
             assert skeletal_chain_group(pair, q, Interval(0, 1)).dim == 0
 
+    def test_degrees_above_the_top_simplex_build_no_skeleton(self):
+        from persax.skeletal import _skeleton
+
+        # a solid triangle and a lone vertex: dimension 2 on four vertices
+        values = {sk: 0 for sk in standard_simplex(2, 0, ("p", "q", "r")).support}
+        pair = pair_of(validate({**values, ("s",): 0}, {"p", "q", "r", "s"}))
+        built = _skeleton.cache_info().currsize
+        for q in (3, 4, 5):
+            cg = skeletal_chain_group(pair, q, Interval(0, 1), GF3)
+            assert cg.generators == () and cg.group.dim == 0
+        assert _skeleton.cache_info().currsize == built
+
     def test_generator_count_matches_group_dimension(self):
         master = random.Random(101)
         for _ in range(10):
@@ -96,6 +108,9 @@ class TestGenerators:
         solid = absolute(standard_simplex(2, 0, ("a", "b", "c")))
         assert generator(1, ("a", "a", "b"), solid, Interval(0, 1), GF3) == (0,)
         assert generator(1, ("a", "a"), solid, Interval(0, 1), GF3) == (0, 0, 0)
+        # four entries name a degree above the solid triangle, which has no chains there
+        assert generator(1, ("a", "a", "b", "c"), solid, Interval(0, 1), GF3) == ()
+        assert generator(1, ("c", "b", "a", "a", "b"), solid, Interval(0, 1), GF2) == ()
 
     def test_sequence_inside_subset_gives_zero(self):
         sub = validate({("a",): 0, ("b",): 0, ("a", "b"): 0}, {"a", "b"})
