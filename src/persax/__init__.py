@@ -22,7 +22,6 @@ from .filtration import (
     RelativeFilteredPair,
     SubNotMappedIntoSub,
     UnknownVertex,
-    absolute,
     closed_star,
     complex_at,
     compose,
@@ -41,7 +40,6 @@ from .filtration import (
     standard_boundary,
     standard_simplex,
     union,
-    validate,
     validate_map,
 )
 from .linalg import (

@@ -15,7 +15,6 @@ from .filtration import (
     FilteredSet,
     Interval,
     RelativeFilteredPair,
-    absolute,
     compose,
     critical_values,
     identity_map,
@@ -146,7 +145,7 @@ def _dimension_check(field, **bundle) -> AxiomReport:
     intervals = bundle.get("intervals")
     if not intervals:
         raise MalformedInstance("dimension check needs intervals")
-    pt = absolute(point(alpha))
+    pt = pair_of(point(alpha))
     for interval in intervals:
         for n in range(0, 3):
             want = 1 if n == 0 and interval.lo >= pt.total.value(("p",)) else 0
@@ -190,7 +189,7 @@ def _simplex_dimension_check(field, **bundle) -> AxiomReport:
         raise MalformedInstance("simplex dimension check needs intervals")
     q_max = bundle.get("q_max", 4)
     for q in range(0, q_max + 1):
-        solid = absolute(standard_simplex(q, alpha))
+        solid = pair_of(standard_simplex(q, alpha))
         birth = solid.total.value(sorted(solid.total.vertices)[:1])
         for interval in intervals:
             for k in range(0, q + 2):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -148,16 +147,16 @@ class FilteredSet:
 
     def __init__(self, vertices: Iterable[str], values: Mapping):
         verts = frozenset(vertices)
-        table: dict[Simplex, FiltValue] = {}
+        given: dict[Simplex, FiltValue] = {}
         for key, raw in values.items():
             sk = simplex(key)
             val = fin(raw)
             if not set(sk) <= verts:
                 raise UnknownVertex(f"simplex {sk} uses vertices outside {sorted(verts)}")
-            if sk in table and table[sk] != val:
+            # INF entries take part in the conflict check, so key order never decides it
+            if given.setdefault(sk, val) != val:
                 raise FiltrationError(f"conflicting values for simplex {sk}")
-            if val.is_finite:
-                table[sk] = val
+        table = {sk: val for sk, val in given.items() if val.is_finite}
         for sk, val in table.items():
             if len(sk) == 1:
                 continue
@@ -169,7 +168,7 @@ class FilteredSet:
                     raise MonotonicityViolation(f"face {fc} at {fval} exceeds {sk} at {val}")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "entries", tuple(sorted(table.items())))
-        object.__setattr__(self, "_lookup", dict(table))
+        object.__setattr__(self, "_lookup", table)
         object.__setattr__(self, "_hash", hash((verts, self.entries)))
 
     def __setattr__(self, name, value):
@@ -203,15 +202,6 @@ class FilteredSet:
 
     def __repr__(self):
         return f"FilteredSet({len(self.vertices)} vertices, {len(self.entries)} simplices)"
-
-
-def validate(raw: Mapping, vertices: Iterable[str]) -> FilteredSet:
-    """Build a FilteredSet, rejecting non-monotone or non-closed input.
-
-    Faces required by downward closure must be listed explicitly; they are
-    never filled in silently.
-    """
-    return FilteredSet(vertices, raw)
 
 
 EMPTY_SET = FilteredSet((), {})
@@ -248,18 +238,14 @@ class RelativeFilteredPair(tuple):
         return f"RelativeFilteredPair({self.total!r}, {self.sub!r})"
 
 
-def absolute(x: FilteredSet) -> RelativeFilteredPair:
-    """Wrap a filtered set as a pair with empty subset."""
-    return RelativeFilteredPair(x, EMPTY_SET)
-
-
 def pair_of(total: FilteredSet, sub: FilteredSet | None = None) -> RelativeFilteredPair:
+    """The pair (total, sub); without a subset, the absolute pair (total, empty)."""
     return RelativeFilteredPair(total, EMPTY_SET if sub is None else sub)
 
 
 def _as_pair(obj) -> RelativeFilteredPair:
     """A pair as it is; a filtered set as the absolute pair."""
-    return obj if isinstance(obj, RelativeFilteredPair) else absolute(obj)
+    return obj if isinstance(obj, RelativeFilteredPair) else pair_of(obj)
 
 
 class Interval(tuple):
@@ -288,7 +274,6 @@ class Interval(tuple):
         return f"[{self.lo},{self.hi}]"
 
 
-@lru_cache(maxsize=None)
 def complex_at(x: FilteredSet, eps: FiltValue) -> frozenset[Simplex]:
     """Sublevel complex at eps: all supported simplices with value <= eps."""
     return frozenset(sk for sk, val in x.entries if val <= eps)
@@ -431,7 +416,7 @@ class PreservingMap:
     def restrict_to_sub(self) -> "PreservingMap":
         """The induced map between the subsets, as absolute pairs."""
         vm = {v: self.vertex_map[v] for v in self.domain.sub.vertices}
-        return validate_map(vm, absolute(self.domain.sub), absolute(self.codomain.sub))
+        return validate_map(vm, pair_of(self.domain.sub), pair_of(self.codomain.sub))
 
 
 def validate_map(
@@ -560,8 +545,8 @@ def cylinder(x: FilteredSet, order: Iterable[str] | None = None):
             values[key] = val
 
     cyl = FilteredSet(x.vertices | set(prime.values()), values)
-    x_abs = absolute(x)
-    cyl_abs = absolute(cyl)
+    x_abs = pair_of(x)
+    cyl_abs = pair_of(cyl)
     h0 = validate_map({v: v for v in x.vertices}, x_abs, cyl_abs)
     h1 = validate_map({v: prime[v] for v in x.vertices}, x_abs, cyl_abs)
     back = {v: v for v in x.vertices}

@@ -22,7 +22,6 @@ from .filtration import (
     PreservingMap,
     RelativeFilteredPair,
     _as_pair,
-    absolute,
     critical_values,
     fin,
     pair_of,
@@ -178,12 +177,12 @@ def connecting(pair: RelativeFilteredPair, n: int, interval: Interval, field=GF2
     if n < 1:
         raise ValueError("the connecting map needs degree >= 1")
     source = homology(pair, n, interval, field)
-    target = homology(absolute(pair.sub), n - 1, interval, field)
-    x_abs = absolute(pair.total)
+    target = homology(pair_of(pair.sub), n - 1, interval, field)
+    x_abs = pair_of(pair.total)
     lift = _move_rows(source.reps, source.simplices, chain_space(x_abs, n, interval.hi))
     dchains = boundary_matrix(x_abs, n, interval.hi, field) * lift
     lower = chain_space(x_abs, n - 1, interval.hi)
-    sub_simplices = chain_space(absolute(pair.sub), n - 1, interval.hi)
+    sub_simplices = chain_space(pair_of(pair.sub), n - 1, interval.hi)
     sub_basis = set(sub_simplices)
     if not sub_basis <= set(lower):
         raise AssertionError("subset simplex missing from the ambient complex")
@@ -208,14 +207,14 @@ def constant_map_to_point(x: FilteredSet) -> PreservingMap:
     alpha = _min_value(x)
     if alpha is None:
         raise ValueError("an empty filtered set has no constant map")
-    return validate_map({v: "p" for v in x.vertices}, absolute(x), absolute(point(alpha)))
+    return validate_map({v: "p" for v in x.vertices}, pair_of(x), pair_of(point(alpha)))
 
 
 def reduced_homology(x: FilteredSet, n: int, interval: Interval, field=GF2) -> HomologyGroup:
     """Kernel of the collapse onto a minimum-value point; equals homology for n > 0."""
     if _min_value(x) is None:
         return zero_group(field, interval)
-    group = homology(absolute(x), n, interval, field)
+    group = homology(pair_of(x), n, interval, field)
     if n != 0:
         return group
     aug = induced_map(constant_map_to_point(x), 0, interval, field)
@@ -229,7 +228,7 @@ def point_class(g, x_vertex: str, x: FilteredSet, interval: Interval, field=GF2)
     alpha = x.value((x_vertex,))
     if alpha > interval.lo:
         raise VertexNotPresent(f"vertex {x_vertex!r} is born after {interval.lo}")
-    f = validate_map({"p": x_vertex}, absolute(point(alpha)), absolute(x))
+    f = validate_map({"p": x_vertex}, pair_of(point(alpha)), pair_of(x))
     pushed = induced_map(f, 0, interval, field)
     return pushed.matrix.apply((field.coerce(g),))
 
@@ -240,7 +239,7 @@ def h0_decomposition(x: FilteredSet, x_vertex: str, interval: Interval, field=GF
     Returns (reduced dimension, 1) after checking the two spans are
     independent and fill the group.
     """
-    group = homology(absolute(x), 0, interval, field)
+    group = homology(pair_of(x), 0, interval, field)
     reduced = reduced_homology(x, 0, interval, field)
     pc = point_class(1, x_vertex, x, interval, field)
     line = image(Matrix.from_columns(field, [pc], group.dim))
@@ -255,7 +254,7 @@ def h0_decomposition(x: FilteredSet, x_vertex: str, interval: Interval, field=GF
 def coefficient_group(interval: Interval, alpha, field=GF2) -> HomologyGroup:
     """The theory's value on a one-point set born at ``alpha``."""
     alpha = fin(alpha)
-    group = homology(absolute(point(alpha)), 0, interval, field)
+    group = homology(pair_of(point(alpha)), 0, interval, field)
     expected = 1 if interval.lo >= alpha else 0
     if group.dim != expected:
         raise AssertionError("one-point group has unexpected dimension")

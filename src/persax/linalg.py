@@ -30,7 +30,6 @@ from .filtration import (
     PreservingMap,
     RelativeFilteredPair,
     Simplex,
-    complex_at,
     simplex,
 )
 
@@ -601,16 +600,17 @@ def coords_in_quotient(vec: Sequence, u: Subspace, v: Subspace) -> tuple:
 
 @lru_cache(maxsize=None)
 def chain_space(pair: RelativeFilteredPair, n: int, eps: FiltValue) -> tuple[Simplex, ...]:
-    """Ordered simplex basis of the relative chains of a pair at one level.
+    """Ordered simplex basis of the relative chains of a pair at one finite level.
 
     The basis lists the degree-n simplices present in the total sublevel
-    complex but absent from the subset's, in canonical simplex order.
+    complex but absent from the subset's, in the total's entry order, which
+    is canonical simplex order.
     """
     if n < 0:
         return ()
-    total = complex_at(pair.total, eps)
-    sub = complex_at(pair.sub, eps)
-    return tuple(sorted(sk for sk in total if len(sk) == n + 1 and sk not in sub))
+    sub = pair.sub
+    return tuple(sk for sk, val in pair.total.entries
+                 if len(sk) == n + 1 and val <= eps and sub.value(sk) > eps)
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ triviality, deformation retracts, proper covers, and direct-sum splittings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .filtration import (
     FilteredSet,
@@ -20,7 +20,6 @@ from .filtration import (
     PreservingMap,
     RelativeFilteredPair,
     _as_pair,
-    absolute,
     complex_at,
     compose,
     critical_values,
@@ -163,9 +162,9 @@ def _long_sequence(top: int, interval: Interval, field, triangle, delta, kind: s
     return ExactSequence(tuple(nodes), arrows, labels, f"{kind} sequence over {interval}")
 
 
-def _inclusion_triangle(a, b, c, interval: Interval, field):
-    """The triangle H(a) -> H(b) -> H(c) induced by the inclusions, as i_n and j_n."""
-    inc_i = inclusion(a, b)
+def _inclusion_triangle(inc_i: PreservingMap, c, interval: Interval, field):
+    """The triangle H(a) -> H(b) -> H(c) of inc_i: a -> b and b into c, as i_n and j_n."""
+    a, b = inc_i.domain, inc_i.codomain
     inc_j = inclusion(b, c)
 
     def triangle(n):
@@ -182,7 +181,8 @@ def les_pair(pair: RelativeFilteredPair, interval: Interval, field=GF2) -> Exact
     It starts one degree above the top simplex of the total set, where every
     group is zero, and runs down to the zero cap after degree 0.
     """
-    triangle = _inclusion_triangle(absolute(pair.sub), absolute(pair.total), pair, interval, field)
+    triangle = _inclusion_triangle(inclusion(pair_of(pair.sub), pair_of(pair.total)), pair,
+                                   interval, field)
     return _long_sequence(_default_degree(pair), interval, field, triangle,
                           lambda n: (connecting(pair, n, interval, field), f"d_{n}"), "pair")
 
@@ -197,14 +197,12 @@ def _require_filtered_subset(sub: FilteredSet, ambient: FilteredSet, what: str):
 
 def les_triple(x: FilteredSet, a: FilteredSet, b: FilteredSet, interval: Interval,
                field=GF2) -> ExactSequence:
-    """The homology sequence of nested filtered sets x >= a >= b."""
-    _require_filtered_subset(a, x, "middle set")
-    _require_filtered_subset(b, a, "inner set")
+    """The homology sequence of nested filtered sets x >= a >= b; its pairs reject others."""
     xa = pair_of(x, a)
     xb = pair_of(x, b)
     ab = pair_of(a, b)
-    triangle = _inclusion_triangle(ab, xb, xa, interval, field)
-    inc_quot = inclusion(absolute(a), ab)
+    triangle = _inclusion_triangle(inclusion(ab, xb), xa, interval, field)
+    inc_quot = inclusion(pair_of(a), ab)
 
     def delta(n):
         bnd = induced_map(inc_quot, n - 1, interval, field).compose(connecting(xa, n, interval, field))
@@ -213,23 +211,41 @@ def les_triple(x: FilteredSet, a: FilteredSet, b: FilteredSet, interval: Interva
     return _long_sequence(_default_degree(xa), interval, field, triangle, delta, "triple")
 
 
+class _Cover(NamedTuple):
+    """A cover's union and intersection and its two cross inclusions."""
+
+    union: FilteredSet
+    meet: FilteredSet
+    k1: PreservingMap  # (x1, meet) into (union, x2)
+    k2: PreservingMap  # (x2, meet) into (union, x1)
+
+
+def _cover(x1: FilteredSet, x2: FilteredSet) -> _Cover:
+    u = union(x1, x2)
+    meet = intersection(x1, x2)
+    return _Cover(u, meet, inclusion(pair_of(x1, meet), pair_of(u, x2)),
+                  inclusion(pair_of(x2, meet), pair_of(u, x1)))
+
+
+def _is_proper(cover: _Cover, x: FilteredSet, interval: Interval, field) -> bool:
+    """Both cross inclusions induce isomorphisms up to degree dim(x) + 1."""
+    for n in range(0, max(x.dimension, 0) + 2):
+        for k in (cover.k1, cover.k2):
+            if not induced_map(k, n, interval, field).is_isomorphism():
+                return False
+    return True
+
+
 def is_proper_triad(x: FilteredSet, x1: FilteredSet, x2: FilteredSet, interval: Interval,
                     field=GF2) -> bool:
     """True when both cross inclusions of the cover induce isomorphisms.
 
-    Checked in every degree up to the ambient dimension plus one.
+    Checked in every degree up to the ambient dimension plus one, on the one
+    cover record that mayer_vietoris and triad_sequence read as well.
     """
     _require_filtered_subset(x1, x, "first cover set")
     _require_filtered_subset(x2, x, "second cover set")
-    u = union(x1, x2)
-    meet = intersection(x1, x2)
-    k1 = inclusion(pair_of(x1, meet), pair_of(u, x2))
-    k2 = inclusion(pair_of(x2, meet), pair_of(u, x1))
-    for n in range(0, max(x.dimension, 0) + 2):
-        for k in (k1, k2):
-            if not induced_map(k, n, interval, field).is_isomorphism():
-                return False
-    return True
+    return _is_proper(_cover(x1, x2), x, interval, field)
 
 
 def mayer_vietoris(x1: FilteredSet, x2: FilteredSet, interval: Interval,
@@ -237,25 +253,25 @@ def mayer_vietoris(x1: FilteredSet, x2: FilteredSet, interval: Interval,
     """The Mayer-Vietoris sequence of two filtered sets.
 
     Nodes run intersection -> sum of the parts -> union, stitched by the
-    boundary operator of the cover; the cover must pass is_proper_triad.
+    boundary operator of the cover; the cover must pass is_proper_triad,
+    which reads the same cover record.
     """
-    u = union(x1, x2)
-    meet = intersection(x1, x2)
-    if not is_proper_triad(u, x1, x2, interval, field):
+    cover = _cover(x1, x2)
+    u, meet = cover.union, cover.meet
+    if not _is_proper(cover, u, interval, field):
         raise NotProperTriad("cover inclusions do not induce isomorphisms")
-    meet_abs = absolute(meet)
-    inc1 = inclusion(meet_abs, absolute(x1))
-    inc2 = inclusion(meet_abs, absolute(x2))
-    j1 = inclusion(absolute(x1), absolute(u))
-    j2 = inclusion(absolute(x2), absolute(u))
-    l1 = inclusion(absolute(u), pair_of(u, x2))
-    k1 = inclusion(pair_of(x1, meet), pair_of(u, x2))
+    meet_abs = pair_of(meet)
+    inc1 = inclusion(meet_abs, pair_of(x1))
+    inc2 = inclusion(meet_abs, pair_of(x2))
+    j1 = inclusion(pair_of(x1), pair_of(u))
+    j2 = inclusion(pair_of(x2), pair_of(u))
+    l1 = inclusion(pair_of(u), pair_of(u, x2))
 
     def triangle(n):
         h_meet = homology(meet_abs, n, interval, field)
-        summed = DirectSumGroup((homology(absolute(x1), n, interval, field),
-                                 homology(absolute(x2), n, interval, field)))
-        h_union = homology(absolute(u), n, interval, field)
+        summed = DirectSumGroup((homology(pair_of(x1), n, interval, field),
+                                 homology(pair_of(x2), n, interval, field)))
+        h_union = homology(pair_of(u), n, interval, field)
         split = LinearMap(h_meet, summed, vstack(induced_map(inc1, n, interval, field).matrix,
                                                  -induced_map(inc2, n, interval, field).matrix),
                           f"(i,-i)_{n}")
@@ -265,13 +281,13 @@ def mayer_vietoris(x1: FilteredSet, x2: FilteredSet, interval: Interval,
         return [h_meet, summed, h_union], [(split, split.label), (merge, merge.label)]
 
     def delta(n):
-        k1n = induced_map(k1, n, interval, field)
+        k1n = induced_map(cover.k1, n, interval, field)
         bnd = (
-            connecting(pair_of(x1, meet), n, interval, field)
+            connecting(cover.k1.domain, n, interval, field)
             .compose(k1n.inverse())
             .compose(induced_map(l1, n, interval, field))
         )
-        bnd = LinearMap(homology(absolute(u), n, interval, field),
+        bnd = LinearMap(homology(pair_of(u), n, interval, field),
                         homology(meet_abs, n - 1, interval, field), bnd.matrix, f"D_{n}")
         return bnd, bnd.label
 
@@ -281,23 +297,22 @@ def mayer_vietoris(x1: FilteredSet, x2: FilteredSet, interval: Interval,
 
 def triad_sequence(x: FilteredSet, x1: FilteredSet, x2: FilteredSet, interval: Interval,
                    field=GF2) -> ExactSequence:
-    """The homology sequence of a proper cover inside an ambient set."""
+    """The homology sequence of a proper cover inside x; properness reads the same cover record."""
     _require_filtered_subset(x1, x, "first cover set")
     _require_filtered_subset(x2, x, "second cover set")
-    if not is_proper_triad(x, x1, x2, interval, field):
+    cover = _cover(x1, x2)
+    if not _is_proper(cover, x, interval, field):
         raise NotProperTriad("cover inclusions do not induce isomorphisms")
-    u = union(x1, x2)
-    meet = intersection(x1, x2)
-    side = pair_of(x1, meet)
-    rel_x2 = pair_of(x, x2)
+    u = cover.union
     rel_u = pair_of(x, u)
-    triangle = _inclusion_triangle(side, rel_x2, rel_u, interval, field)
-    l2 = inclusion(absolute(u), pair_of(u, x2))
-    k1 = inclusion(side, pair_of(u, x2))
+    # inside the union itself, (x1, meet) -> (x, x2) is the cross inclusion k1
+    inc_i = cover.k1 if x == u else inclusion(cover.k1.domain, pair_of(x, x2))
+    triangle = _inclusion_triangle(inc_i, rel_u, interval, field)
+    l2 = inclusion(pair_of(u), pair_of(u, x2))
 
     def delta(q):
         bnd = (
-            induced_map(k1, q - 1, interval, field)
+            induced_map(cover.k1, q - 1, interval, field)
             .inverse()
             .compose(induced_map(l2, q - 1, interval, field))
             .compose(connecting(rel_u, q, interval, field))
@@ -326,7 +341,8 @@ def reduced_les_pair(pair: RelativeFilteredPair, interval: Interval,
     Meaningful when the subset is present at the lower endpoint; away from
     the tail the nodes agree with the unreduced sequence.
     """
-    unreduced = _inclusion_triangle(absolute(pair.sub), absolute(pair.total), pair, interval, field)
+    unreduced = _inclusion_triangle(inclusion(pair_of(pair.sub), pair_of(pair.total)), pair,
+                                    interval, field)
 
     def triangle(n):
         groups, arrows = unreduced(n)

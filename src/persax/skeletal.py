@@ -21,9 +21,9 @@ from .filtration import (
     RelativeFilteredPair,
     Simplex,
     UnknownVertex,
-    absolute,
     closed_star,
     inclusion,
+    pair_of,
     skeleton,
     standard_boundary,
     standard_simplex,
@@ -60,7 +60,7 @@ def _skeleton(pair: RelativeFilteredPair, q: int) -> _Skeleton:
     skel = RelativeFilteredPair(total, sub)
     mid = RelativeFilteredPair(total, pair.sub)
     return _Skeleton(skel, inclusion(mid, pair), inclusion(mid, skel),
-                     inclusion(absolute(total), skel))
+                     inclusion(pair_of(total), skel))
 
 
 def skeletal_pair(pair: RelativeFilteredPair, q: int) -> RelativeFilteredPair:
@@ -247,7 +247,7 @@ def incidence_iso(q: int, alpha, interval: Interval, field=GF2,
     dst = RelativeFilteredPair(face, face_sphere)
 
     bnd = connecting(src, q, interval, field)
-    into_mid = induced_map(inclusion(absolute(sphere), mid), q - 1, interval, field)
+    into_mid = induced_map(inclusion(pair_of(sphere), mid), q - 1, interval, field)
     from_face = induced_map(inclusion(dst, mid), q - 1, interval, field)
     matrix = from_face.matrix.inverse() * into_mid.matrix * bnd.matrix
     return LinearMap(bnd.source, from_face.source, matrix, "incidence")

@@ -18,11 +18,11 @@ from fractions import Fraction
 from persax import (
     GF2,
     GF3,
+    FilteredSet,
     Interval,
     LinearMap,
     Matrix,
     NotFiltrationPreserving,
-    absolute,
     are_contiguous,
     check_exact,
     critical_intervals,
@@ -47,7 +47,6 @@ from persax import (
     standard_boundary,
     standard_simplex,
     union,
-    validate,
     validate_map,
     verify_axiom,
 )
@@ -86,7 +85,7 @@ def test_criterion_1_dimension_axiom():
     for alpha in (Fraction(0), Fraction(1), Fraction(5, 2)):
         lows = [alpha - 1, alpha - Fraction(1, 2), alpha, alpha + 1, alpha + 2]
         grid = [Interval(lo, hi) for lo in lows for hi in lows if lo <= hi]
-        pt = absolute(point(alpha))
+        pt = pair_of(point(alpha))
         for iv in grid:
             for n in range(0, 3):
                 want = 1 if n == 0 and iv.lo >= fin(alpha) else 0
@@ -106,7 +105,7 @@ def test_criterion_2_simplex_tables():
                      Interval(alpha, alpha), Interval(alpha, alpha + 1),
                      Interval(alpha + 1, alpha + 2)]
         for q in range(0, 5):
-            solid = absolute(standard_simplex(q, alpha))
+            solid = pair_of(standard_simplex(q, alpha))
             rel = pair_of(standard_simplex(q, alpha), standard_boundary(q, alpha))
             for iv in intervals:
                 born = iv.lo >= a
@@ -250,7 +249,7 @@ def test_criterion_7_skeletal_identities():
     start = time.time()
     dd_bad = formula_bad = ses_bad = lema5_bad = unique_bad = checks = 0
     for pair in _corpus(60, seed=11):
-        x_abs, a_abs = absolute(pair.total), absolute(pair.sub)
+        x_abs, a_abs = pair_of(pair.total), pair_of(pair.sub)
         for iv in critical_intervals(pair):
             for q in range(0, pair.total.dimension + 2):
                 checks += 1
@@ -303,8 +302,8 @@ def test_criterion_7_skeletal_identities():
 def test_criterion_8_negative_controls():
     ok = True
     # corrupted sequence fails with a re-checkable witness
-    rim = validate({("a",): 0, ("b",): 0, ("c",): 0, ("a", "b"): 1,
-                    ("a", "c"): 1, ("b", "c"): 1}, {"a", "b", "c"})
+    rim = FilteredSet({"a", "b", "c"}, {("a",): 0, ("b",): 0, ("c",): 0, ("a", "b"): 1,
+                                        ("a", "c"): 1, ("b", "c"): 1})
     seq = les_pair(pair_of(rim), Interval(1, 2))
     idx = seq.labels.index("j_1")
     zeroed = LinearMap(seq.arrows[idx].source, seq.arrows[idx].target,
@@ -322,7 +321,7 @@ def test_criterion_8_negative_controls():
         pass
     # non-preserving map rejected
     try:
-        validate_map({"p": "q"}, absolute(point(0, "p")), absolute(point(2, "q")))
+        validate_map({"p": "q"}, pair_of(point(0, "p")), pair_of(point(2, "q")))
         ok = False
     except NotFiltrationPreserving:
         pass

@@ -6,23 +6,22 @@ import pytest
 
 from persax import (
     GF3,
+    FilteredSet,
     Interval,
     MalformedInstance,
-    absolute,
     fin,
     pair_of,
     standard_boundary,
     standard_simplex,
-    validate,
     validate_map,
     verify_axiom,
 )
 from persax.axioms import FAIL, PASS, VACUOUS, fuzz_axiom_reports
 
 
-TRIANGLE_RIM = validate(
-    {("a",): 0, ("b",): 0, ("c",): 0, ("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1},
+TRIANGLE_RIM = FilteredSet(
     {"a", "b", "c"},
+    {("a",): 0, ("b",): 0, ("c",): 0, ("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1},
 )
 
 
@@ -67,8 +66,8 @@ def test_excision_and_s1_agree_verdict_for_verdict():
 def test_contiguity_axiom_vacuous_for_noncontiguous_maps():
     edge = standard_simplex(1, 0, ("x", "y"))
     rim = standard_boundary(2, 0, ("a", "b", "c"))
-    f = validate_map({"x": "a", "y": "b"}, absolute(edge), absolute(rim))
-    g = validate_map({"x": "a", "y": "c"}, absolute(edge), absolute(rim))
+    f = validate_map({"x": "a", "y": "b"}, pair_of(edge), pair_of(rim))
+    g = validate_map({"x": "a", "y": "c"}, pair_of(edge), pair_of(rim))
     rep = verify_axiom("A5", f=f, g=g, interval=Interval(0, 1))
     assert rep.verdict == VACUOUS
 
@@ -76,8 +75,8 @@ def test_contiguity_axiom_vacuous_for_noncontiguous_maps():
 def test_contiguity_axiom_passes_for_contiguous_maps():
     edge = standard_simplex(1, 0, ("x", "y"))
     solid = standard_simplex(2, 0, ("a", "b", "c"))
-    f = validate_map({"x": "a", "y": "b"}, absolute(edge), absolute(solid))
-    g = validate_map({"x": "a", "y": "c"}, absolute(edge), absolute(solid))
+    f = validate_map({"x": "a", "y": "b"}, pair_of(edge), pair_of(solid))
+    g = validate_map({"x": "a", "y": "c"}, pair_of(edge), pair_of(solid))
     rep = verify_axiom("A5", f=f, g=g, interval=Interval(0, 1))
     assert rep.verdict == PASS
 
@@ -89,16 +88,16 @@ def test_simplex_dimension_axiom_through_degree_four():
 
 
 def test_exactness_axiom_passes_on_degenerate_interval():
-    x = validate({("a",): 0, ("b",): 0, ("a", "b"): 1}, {"a", "b"})
-    a = validate({("a",): 0, ("b",): 0}, {"a", "b"})
+    x = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0, ("a", "b"): 1})
+    a = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0})
     rep = verify_axiom("A4", pair=pair_of(x, a), interval=Interval(1, 1))
     assert rep.verdict == PASS
 
 
 def test_exactness_axiom_reports_the_pinned_counterexample():
     # the interval construction is not exact here; the report must say so
-    x = validate({("a",): 0, ("b",): 0, ("a", "b"): 1}, {"a", "b"})
-    a = validate({("a",): 0, ("b",): 0}, {"a", "b"})
+    x = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0, ("a", "b"): 1})
+    a = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0})
     rep = verify_axiom("A4", pair=pair_of(x, a), interval=Interval(0, 1))
     assert rep.verdict == FAIL
     assert rep.witness is not None
@@ -106,10 +105,10 @@ def test_exactness_axiom_reports_the_pinned_counterexample():
 
 def test_composition_and_naturality_on_concrete_maps():
     x = TRIANGLE_RIM
-    rot = validate_map({"a": "b", "b": "c", "c": "a"}, absolute(x), absolute(x))
-    swap = validate_map({"a": "b", "b": "a", "c": "c"}, absolute(x), absolute(x))
+    rot = validate_map({"a": "b", "b": "c", "c": "a"}, pair_of(x), pair_of(x))
+    swap = validate_map({"a": "b", "b": "a", "c": "c"}, pair_of(x), pair_of(x))
     assert verify_axiom("A2", f=rot, g=swap, interval=Interval(1, 2), field=GF3).verdict == PASS
-    a = validate({("a",): 0, ("b",): 0, ("a", "b"): 1}, {"a", "b"})
+    a = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0, ("a", "b"): 1})
     incl = validate_map({v: v for v in x.vertices}, pair_of(x), pair_of(x, a))
     assert verify_axiom("A3", f=incl, interval=Interval(1, 2), field=GF3).verdict == PASS
 

@@ -4,6 +4,7 @@
 renames one of its targets would break the traced benchmark, not a test.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -41,3 +42,32 @@ def test_every_miss_counter_reads_a_cache():
 
 def test_verify_axiom_is_wrapped_by_name():
     assert callable(importlib.import_module("persax.axioms").verify_axiom)
+
+
+OP = TRACER.with_name("op.py")
+
+
+def _px_chains(tree: ast.AST) -> set[str]:
+    """Every attribute chain read off the name ``px``, like ``px.formats.parse_pair``."""
+    chains = set()
+    for node in ast.walk(tree):
+        parts, base = [], node
+        while isinstance(base, ast.Attribute):
+            parts.append(base.attr)
+            base = base.value
+        if parts and isinstance(base, ast.Name) and base.id == "px":
+            chains.add(".".join(["px", *reversed(parts)]))
+    return chains
+
+
+def test_every_name_the_benchmark_reads_off_persax_resolves():
+    import persax
+    import persax.cli  # as op.py's own import does
+
+    chains = _px_chains(ast.parse(OP.read_text(), str(OP)))
+    assert {"px.pair_of", "px.formats.parse_pair", "px.cli.main"} <= chains
+    for chain in sorted(chains):
+        obj = persax
+        for attr in chain.split(".")[1:]:
+            assert hasattr(obj, attr), chain
+            obj = getattr(obj, attr)

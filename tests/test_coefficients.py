@@ -14,6 +14,7 @@ from persax import (
     GF2,
     GF3,
     QQ,
+    FilteredSet,
     Interval,
     NotRepresentableAtLowerEndpoint,
     check_exact,
@@ -24,7 +25,6 @@ from persax import (
     pair_of,
     standard_boundary,
     standard_simplex,
-    validate,
 )
 from persax.fuzz import random_pair
 
@@ -32,9 +32,9 @@ from persax.fuzz import random_pair
 def test_field_choice_does_not_change_dimensions_here():
     # small complexes built from simplices have field-independent dimensions
     fields = (GF2, GF3, GF(5), GF(97), QQ)
-    rim = validate(
-        {("a",): 0, ("b",): 0, ("c",): 0, ("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1},
+    rim = FilteredSet(
         {"a", "b", "c"},
+        {("a",): 0, ("b",): 0, ("c",): 0, ("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1},
     )
     objects = [
         pair_of(rim),

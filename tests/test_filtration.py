@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from persax import (
     INF,
     Bar,
+    FilteredSet,
     FiltrationError,
     FiltValue,
     Interval,
@@ -21,7 +22,6 @@ from persax import (
     RelativeFilteredPair,
     SubNotMappedIntoSub,
     UnknownVertex,
-    absolute,
     closed_star,
     complex_at,
     compose,
@@ -38,7 +38,6 @@ from persax import (
     standard_boundary,
     standard_simplex,
     union,
-    validate,
     validate_map,
 )
 from persax.formats import canonical_text, serialize_pair
@@ -50,7 +49,7 @@ TRIANGLE_RIM = {
 
 
 def triangle_rim():
-    return validate(TRIANGLE_RIM, {"a", "b", "c"})
+    return FilteredSet({"a", "b", "c"}, TRIANGLE_RIM)
 
 
 class TestFiltValue:
@@ -137,9 +136,9 @@ class TestInterval:
 
 class TestRelativeFilteredPair:
     def test_equal_pairs_are_equal_and_hash_equal(self):
-        sub = validate({("a",): 1}, {"a"})
+        sub = FilteredSet({"a"}, {("a",): 1})
         built = [pair_of(triangle_rim(), sub),
-                 RelativeFilteredPair(triangle_rim(), validate({("a",): "1"}, {"a"}))]
+                 RelativeFilteredPair(triangle_rim(), FilteredSet({"a"}, {("a",): "1"}))]
         assert built[0] is not built[1] and built[0].total is not built[1].total
         assert built[0] == built[1]
         assert hash(built[0]) == hash(built[1])
@@ -163,15 +162,15 @@ class TestRelativeFilteredPair:
 
     def test_constructor_rejects_escaping_or_early_subsets(self):
         with pytest.raises(UnknownVertex, match="^subset vertices must lie in the total vertex set$"):
-            RelativeFilteredPair(triangle_rim(), validate({("z",): 0}, {"z"}))
-        early = validate({("a",): 0, ("b",): 0, ("a", "b"): 0}, {"a", "b"})
+            RelativeFilteredPair(triangle_rim(), FilteredSet({"z"}, {("z",): 0}))
+        early = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0, ("a", "b"): 0})
         with pytest.raises(FiltrationError) as info:
             RelativeFilteredPair(triangle_rim(), early)
         assert type(info.value) is FiltrationError
         assert str(info.value) == "subset value 0 for ('a', 'b') is below the total value 1"
 
     def test_canonical_text_is_the_pair_file(self):
-        pair = pair_of(triangle_rim(), validate({("a",): 1}, {"a"}))
+        pair = pair_of(triangle_rim(), FilteredSet({"a"}, {("a",): 1}))
         assert canonical_text(pair) == serialize_pair(pair)
         assert canonical_text(pair).startswith("[X]\n")
 
@@ -181,7 +180,7 @@ class TestCopyAndPickle:
 
     @staticmethod
     def _objects():
-        sub = validate({("a",): 1}, {"a"})
+        sub = FilteredSet({"a"}, {("a",): 1})
         pair = pair_of(triangle_rim(), sub)
         return [fin("1/2"), INF, Interval(0, "3/2"), triangle_rim(), pair,
                 pair_of(triangle_rim()), identity_map(pair), Bar(1, fin(1), INF),
@@ -203,31 +202,43 @@ class TestCopyAndPickle:
 
 class TestValidate:
     def test_monotone_input_accepted(self):
-        fs = validate({("a",): 0, ("b",): 0, ("a", "b"): 1}, {"a", "b"})
+        fs = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0, ("a", "b"): 1})
         assert fs.value(("a", "b")) == fin(1)
 
     def test_face_value_above_coface_rejected(self):
         with pytest.raises(MonotonicityViolation):
-            validate({("a",): 2, ("b",): 0, ("a", "b"): 1}, {"a", "b"})
+            FilteredSet({"a", "b"}, {("a",): 2, ("b",): 0, ("a", "b"): 1})
 
     def test_missing_face_rejected_not_filled(self):
         with pytest.raises(MissingFace):
-            validate({("a", "b"): 1, ("b",): 0}, {"a", "b"})
+            FilteredSet({"a", "b"}, {("a", "b"): 1, ("b",): 0})
 
     def test_unknown_vertex_rejected(self):
         with pytest.raises(UnknownVertex):
-            validate({("z",): 0}, {"a"})
+            FilteredSet({"a"}, {("z",): 0})
 
     def test_inf_entries_treated_as_absent(self):
-        fs = validate({("a",): 0, ("a", "b"): "inf", ("b",): "inf"}, {"a", "b"})
+        fs = FilteredSet({"a", "b"}, {("a",): 0, ("a", "b"): "inf", ("b",): "inf"})
         assert fs.support == (("a",),)
 
+    @pytest.mark.parametrize("tail", [
+        {("b", "a"): "inf", ("a", "b"): 1},
+        {("a", "b"): 1, ("b", "a"): "inf"},
+    ], ids=["inf-first", "inf-last"])
+    def test_inf_conflict_rejected_in_either_key_order(self, tail):
+        with pytest.raises(FiltrationError, match=r"conflicting values for simplex \('a', 'b'\)"):
+            FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0, **tail})
+
+    def test_repeated_identical_inf_accepted(self):
+        fs = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0, ("a", "b"): "inf", ("b", "a"): "inf"})
+        assert fs.support == (("a",), ("b",))
+
     def test_pair_requires_dominating_subset_values(self):
-        x = validate({("a",): 0}, {"a"})
-        low = validate({("a",): 0}, {"a"})
+        x = FilteredSet({"a"}, {("a",): 0})
+        low = FilteredSet({"a"}, {("a",): 0})
         assert pair_of(x, low).sub is low
         with pytest.raises(FiltrationError):
-            pair_of(validate({("a",): 1}, {"a"}), low)
+            pair_of(FilteredSet({"a"}, {("a",): 1}), low)
 
 
 def _brute_force_valid(raw: dict) -> bool:
@@ -258,7 +269,7 @@ def raw_tables(draw):
 def test_validate_agrees_with_brute_force(case):
     verts, raw = case
     try:
-        validate(raw, verts)
+        FilteredSet(verts, raw)
         accepted = True
     except FiltrationError:
         accepted = False
@@ -286,27 +297,27 @@ class TestComplexAt:
 
 class TestUnionIntersection:
     def test_shared_simplex_takes_min_and_max(self):
-        x = validate({("a",): 0, ("b",): 0, ("a", "b"): 1}, {"a", "b"})
-        y = validate({("a",): 0, ("b",): 0, ("a", "b"): 2}, {"a", "b"})
+        x = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0, ("a", "b"): 1})
+        y = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0, ("a", "b"): 2})
         assert union(x, y).value(("a", "b")) == fin(1)
         assert intersection(x, y).value(("a", "b")) == fin(2)
 
     def test_one_sided_simplex_keeps_its_value(self):
-        x = validate({("a",): 3}, {"a"})
-        y = validate({("b",): 1}, {"b"})
+        x = FilteredSet({"a"}, {("a",): 3})
+        y = FilteredSet({"b"}, {("b",): 1})
         u = union(x, y)
         assert u.value(("a",)) == fin(3)
         assert u.value(("b",)) == fin(1)
 
     def test_spanning_simplex_stays_absent(self):
-        x = validate({("a",): 0}, {"a"})
-        y = validate({("b",): 0}, {"b"})
+        x = FilteredSet({"a"}, {("a",): 0})
+        y = FilteredSet({"b"}, {("b",): 0})
         assert union(x, y).value(("a", "b")) == INF
 
     def test_sublevels_match_set_operations(self):
         x = triangle_rim()
-        y = validate({("b",): 0, ("c",): 0, ("d",): 0, ("b", "c"): "1/2",
-                      ("b", "d"): 2, ("c", "d"): 2}, {"b", "c", "d"})
+        y = FilteredSet({"b", "c", "d"}, {("b",): 0, ("c",): 0, ("d",): 0, ("b", "c"): "1/2",
+                                          ("b", "d"): 2, ("c", "d"): 2})
         for eps in critical_values(union(x, y)):
             got = complex_at(union(x, y), eps)
             assert got == complex_at(x, eps) | complex_at(y, eps)
@@ -359,7 +370,7 @@ class TestCylinder:
         assert cyl.value(("a", "a'")) == fin("1/2")
 
     def test_edge_produces_both_prisms(self):
-        x = validate({("a",): 1, ("b",): 1, ("a", "b"): 1}, {"a", "b"})
+        x = FilteredSet({"a", "b"}, {("a",): 1, ("b",): 1, ("a", "b"): 1})
         cyl, *_ = cylinder(x, order=("a", "b"))
         assert cyl.value(("a", "a'", "b")) == fin(1)
         assert cyl.value(("a'", "b", "b'")) == fin(1)
@@ -403,27 +414,27 @@ class TestValidateMap:
 
     def test_constant_map_to_early_point(self):
         x = triangle_rim()
-        target = absolute(point(0))
-        validate_map({v: "p" for v in x.vertices}, absolute(x), target)
+        target = pair_of(point(0))
+        validate_map({v: "p" for v in x.vertices}, pair_of(x), target)
 
     def test_late_target_rejected(self):
         x = point(0, "a")
         y = point(2, "b")
         with pytest.raises(NotFiltrationPreserving):
-            validate_map({"a": "b"}, absolute(x), absolute(y))
+            validate_map({"a": "b"}, pair_of(x), pair_of(y))
 
     def test_subset_must_land_in_subset(self):
-        x = validate({("a",): 0, ("b",): 0}, {"a", "b"})
-        a = validate({("a",): 0}, {"a"})
+        x = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0})
+        a = FilteredSet({"a"}, {("a",): 0})
         dom = pair_of(x, a)
-        cod = pair_of(x, validate({("b",): 0}, {"b"}))
+        cod = pair_of(x, FilteredSet({"b"}, {("b",): 0}))
         with pytest.raises(SubNotMappedIntoSub):
             validate_map({"a": "a", "b": "b"}, dom, cod)
 
     def test_composition_associates_with_vertex_maps(self):
         x = triangle_rim()
-        f = validate_map({v: "p" for v in x.vertices}, absolute(x), absolute(point(0)))
-        g = identity_map(absolute(x))
+        f = validate_map({v: "p" for v in x.vertices}, pair_of(x), pair_of(point(0)))
+        g = identity_map(pair_of(x))
         assert compose(f, g).vertex_map == f.vertex_map
 
 
@@ -439,8 +450,8 @@ class TestCriticalValues:
         assert len(critical_intervals(triangle_rim())) == 3
 
     def test_pair_pools_both_filtrations(self):
-        x = validate({("a",): 0}, {"a"})
-        a = validate({("a",): 2}, {"a"})
+        x = FilteredSet({"a"}, {("a",): 0})
+        a = FilteredSet({"a"}, {("a",): 2})
         assert critical_values(pair_of(x, a)) == (fin(0), fin(2))
 
 

@@ -8,10 +8,10 @@ import pytest
 from persax import (
     GF2,
     GF3,
+    FilteredSet,
     Interval,
     Matrix,
     VertexNotPresent,
-    absolute,
     bars_alive,
     betti_grid,
     boundary_matrix,
@@ -36,16 +36,15 @@ from persax import (
     reduced_homology,
     standard_boundary,
     standard_simplex,
-    validate,
     validate_map,
 )
 from persax.fuzz import random_pair
 
 from .oracles import brute_pair_dim
 
-TRIANGLE_RIM = validate(
-    {("a",): 0, ("b",): 0, ("c",): 0, ("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1},
+TRIANGLE_RIM = FilteredSet(
     {"a", "b", "c"},
+    {("a",): 0, ("b",): 0, ("c",): 0, ("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1},
 )
 
 
@@ -76,7 +75,7 @@ class TestHomologyExamples:
         group = homology(TRIANGLE_RIM, 1, Interval(1, 2), GF3)
         from persax import boundary_matrix
 
-        d = boundary_matrix(absolute(TRIANGLE_RIM), 1, fin(2), GF3)
+        d = boundary_matrix(pair_of(TRIANGLE_RIM), 1, fin(2), GF3)
         for j in range(group.dim):
             rep = group.reps.column(j)
             assert all(v == 0 for v in d.apply(rep))
@@ -117,16 +116,16 @@ class TestInducedMaps:
         solid = standard_simplex(2, 0)
         iv = Interval(0, 1)
         assert is_star_shaped(solid, "v0", iv)
-        vertex = validate({("v0",): 0}, {"v0"})
-        inc = inclusion(absolute(vertex), absolute(solid))
+        vertex = FilteredSet({"v0"}, {("v0",): 0})
+        inc = inclusion(pair_of(vertex), pair_of(solid))
         for n in range(3):
             lm = induced_map(inc, n, iv)
             assert lm.is_isomorphism()
 
     def test_functoriality_on_concrete_composable_maps(self):
         x = TRIANGLE_RIM
-        rot = validate_map({"a": "b", "b": "c", "c": "a"}, absolute(x), absolute(x))
-        swap = validate_map({"a": "b", "b": "a", "c": "c"}, absolute(x), absolute(x))
+        rot = validate_map({"a": "b", "b": "c", "c": "a"}, pair_of(x), pair_of(x))
+        swap = validate_map({"a": "b", "b": "a", "c": "c"}, pair_of(x), pair_of(x))
         for fld in (GF2, GF3):
             for n in (0, 1):
                 lhs = induced_map(compose(rot, swap), n, Interval(1, 2), fld)
@@ -167,7 +166,7 @@ class TestConnecting:
 
     def test_star_shaped_subset_kills_the_connecting_map(self):
         x = standard_simplex(2, 0)
-        a = validate({("v0",): 0, ("v1",): 0, ("v0", "v1"): 0}, {"v0", "v1"})
+        a = FilteredSet({"v0", "v1"}, {("v0",): 0, ("v1",): 0, ("v0", "v1"): 0})
         pair = pair_of(x, a)
         iv = Interval(0, 1)
         assert is_star_shaped(a, "v0", iv)
@@ -214,7 +213,7 @@ class TestPointClasses:
         assert point_class(0, "a", TRIANGLE_RIM, Interval(0, 1)) == (0,)
 
     def test_late_vertex_rejected(self):
-        x = validate({("a",): 0, ("b",): 2}, {"a", "b"})
+        x = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 2})
         with pytest.raises(VertexNotPresent):
             point_class(1, "b", x, Interval(0, 1))
 
@@ -227,7 +226,7 @@ class TestPointClasses:
         assert image(joint).dim == 2
 
     def test_h0_splits_off_the_vertex_line(self):
-        three = validate({("a",): 0, ("b",): 0, ("c",): 0}, {"a", "b", "c"})
+        three = FilteredSet({"a", "b", "c"}, {("a",): 0, ("b",): 0, ("c",): 0})
         assert h0_decomposition(three, "a", Interval(0, 1)) == (2, 1)
         assert h0_decomposition(point(0), "p", Interval(0, 1)) == (0, 1)
         one_component = standard_simplex(2, 0)
@@ -356,8 +355,8 @@ class TestBarcode:
         assert len(deg0) == 3
 
     def test_pair_barcode_handles_growing_subset(self):
-        x = validate({("a",): 0, ("b",): 0}, {"a", "b"})
-        a = validate({("a",): 1, ("b",): 1}, {"a", "b"})
+        x = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0})
+        a = FilteredSet({"a", "b"}, {("a",): 1, ("b",): 1})
         pair = pair_of(x, a)
         bars = pair_barcode(pair)
         for iv in critical_intervals(pair):

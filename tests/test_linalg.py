@@ -14,16 +14,18 @@ from persax import (
     GF3,
     QQ,
     DimensionMismatch,
+    FilteredSet,
     Interval,
     Matrix,
     Subspace,
     SubspaceNotContained,
-    absolute,
     boundary_matrix,
     chain_map_matrix,
     chain_space,
+    complex_at,
     coords_in_quotient,
     critical_intervals,
+    critical_values,
     fin,
     image,
     inclusion_matrix,
@@ -32,7 +34,6 @@ from persax import (
     preimage,
     quotient_dim,
     standard_simplex,
-    validate,
     validate_map,
 )
 from persax.fuzz import random_pair
@@ -205,7 +206,7 @@ TRIANGLE = {
 
 
 def filled_triangle():
-    return pair_of(validate(TRIANGLE, {"a", "b", "c"}))
+    return pair_of(FilteredSet({"a", "b", "c"}, TRIANGLE))
 
 
 class TestChainMatrices:
@@ -243,8 +244,8 @@ class TestChainMatrices:
             assert left == right
 
     def test_inclusion_absorbs_into_growing_subset(self):
-        x = validate({("a",): 0, ("b",): 0}, {"a", "b"})
-        a = validate({("a",): 1}, {"a"})
+        x = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0})
+        a = FilteredSet({"a"}, {("a",): 1})
         pair = pair_of(x, a)
         m = inclusion_matrix(pair, 0, Interval(0, 1), GF2)
         # source basis (a, b); a is absorbed by level 1, b persists
@@ -266,34 +267,50 @@ class TestChainMaps:
         assert m.is_identity()
 
     def test_collapsed_edge_maps_to_zero(self):
-        x = validate({("a",): 0, ("b",): 0, ("a", "b"): 0}, {"a", "b"})
-        f = validate_map({"a": "p", "b": "p"}, absolute(x), absolute(standard_simplex(0, 0, ("p",))))
+        x = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0, ("a", "b"): 0})
+        f = validate_map({"a": "p", "b": "p"}, pair_of(x), pair_of(standard_simplex(0, 0, ("p",))))
         assert chain_map_matrix(f, 1, fin(0), GF2).is_zero()
 
     def test_vertex_swap_carries_permutation_sign(self):
-        x = validate({("a",): 0, ("b",): 0, ("a", "b"): 0}, {"a", "b"})
-        f = validate_map({"a": "b", "b": "a"}, absolute(x), absolute(x))
+        x = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0, ("a", "b"): 0})
+        f = validate_map({"a": "b", "b": "a"}, pair_of(x), pair_of(x))
         assert chain_map_matrix(f, 1, fin(0), GF2) == Matrix(GF2, [[1]])
         assert chain_map_matrix(f, 1, fin(0), GF3) == Matrix(GF3, [[2]])
 
     def test_chain_maps_commute_with_boundaries(self):
-        x = validate(TRIANGLE, {"a", "b", "c"})
-        f = validate_map({"a": "b", "b": "c", "c": "a"}, absolute(x), absolute(x))
+        x = FilteredSet({"a", "b", "c"}, TRIANGLE)
+        f = validate_map({"a": "b", "b": "c", "c": "a"}, pair_of(x), pair_of(x))
         for n in (1, 2):
-            left = chain_map_matrix(f, n - 1, fin(2), GF3) * boundary_matrix(absolute(x), n, fin(2), GF3)
-            right = boundary_matrix(absolute(x), n, fin(2), GF3) * chain_map_matrix(f, n, fin(2), GF3)
+            left = chain_map_matrix(f, n - 1, fin(2), GF3) * boundary_matrix(pair_of(x), n, fin(2), GF3)
+            right = boundary_matrix(pair_of(x), n, fin(2), GF3) * chain_map_matrix(f, n, fin(2), GF3)
             assert left == right
 
 
 def test_chain_space_excludes_absorbed_simplices():
-    x = validate({("a",): 0, ("b",): 0}, {"a", "b"})
-    a = validate({("a",): 0}, {"a"})
+    x = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0})
+    a = FilteredSet({"a"}, {("a",): 0})
     assert chain_space(pair_of(x, a), 0, fin(0)) == (("b",),)
 
 
 def test_chain_space_is_deterministically_ordered():
     pair = filled_triangle()
     assert chain_space(pair, 1, fin(1)) == (("a", "b"), ("a", "c"), ("b", "c"))
+
+
+def _chain_space_by_complexes(pair, n, eps):
+    """The basis by definition: sorted degree-n simplices of the total's
+    sublevel complex at eps that the subset's sublevel complex lacks."""
+    total, sub = complex_at(pair.total, eps), complex_at(pair.sub, eps)
+    return tuple(sorted(sk for sk in total if len(sk) == n + 1 and sk not in sub))
+
+
+def test_chain_space_matches_the_sublevel_complex_definition():
+    master = random.Random(37)
+    for _ in range(120):
+        pair = random_pair(random.Random(master.getrandbits(64)))
+        for eps in critical_values(pair):
+            for n in range(-1, pair.total.dimension + 2):
+                assert chain_space(pair, n, eps) == _chain_space_by_complexes(pair, n, eps)
 
 
 def _dump_matrix(m):

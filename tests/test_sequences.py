@@ -16,11 +16,11 @@ import pytest
 from persax import (
     GF2,
     GF3,
+    FilteredSet,
     Interval,
     LinearMap,
     Matrix,
     NotARetraction,
-    absolute,
     are_contiguous,
     are_contiguously_equivalent,
     check_exact,
@@ -43,15 +43,14 @@ from persax import (
     standard_simplex,
     triad_sequence,
     union,
-    validate,
     validate_map,
 )
 from persax.fuzz import random_cover, random_pair, random_triple
 from persax.sequences import HypothesisViolated
 
-TRIANGLE_RIM = validate(
-    {("a",): 0, ("b",): 0, ("c",): 0, ("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1},
+TRIANGLE_RIM = FilteredSet(
     {"a", "b", "c"},
+    {("a",): 0, ("b",): 0, ("c",): 0, ("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1},
 )
 
 
@@ -94,8 +93,8 @@ class TestLesPair:
     def test_pinned_nonexactness_of_the_interval_construction(self):
         # two vertices at 0, edge at 1, subset = the two vertices: the class
         # [a]-[b] of the subset dies inside [0,1] with no early witness
-        x = validate({("a",): 0, ("b",): 0, ("a", "b"): 1}, {"a", "b"})
-        a = validate({("a",): 0, ("b",): 0}, {"a", "b"})
+        x = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0, ("a", "b"): 1})
+        a = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0})
         report = check_exact(les_pair(pair_of(x, a), Interval(0, 1)))
         assert not report.ok
         kinds = {c.witness[0] for c in report.failures()}
@@ -143,7 +142,7 @@ class TestCheckExact:
 
 class TestLesTriple:
     def test_empty_inner_set_reduces_to_pair_sequence(self):
-        x, a = TRIANGLE_RIM, validate({("a",): 0, ("b",): 0}, {"a", "b"})
+        x, a = TRIANGLE_RIM, FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0})
         from persax import skeleton
 
         b = skeleton(point(0, "a"), -1)  # empty support, vertex inside a
@@ -154,7 +153,7 @@ class TestLesTriple:
 
     def test_full_middle_set_turns_inclusions_into_isos(self):
         x = TRIANGLE_RIM
-        b = validate({("a",): 0, ("b",): 0}, {"a", "b"})
+        b = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0})
         seq = les_triple(x, x, b, Interval(1, 2))
         assert check_exact(seq).ok
         for label, arrow in zip(seq.labels, seq.arrows):
@@ -180,12 +179,26 @@ class TestLesTriple:
                 assert check_exact(les_triple(x, a, b, Interval(c, c))).ok
 
 
+    @pytest.mark.parametrize("a, b", [
+        # the middle set has a vertex outside x, or enters before x
+        (FilteredSet({"a", "z"}, {("a",): 0, ("z",): 0}), FilteredSet({"a"}, {("a",): 0})),
+        (FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0, ("a", "b"): 0}),
+         FilteredSet({"a"}, {("a",): 0})),
+        # the inner set has a vertex outside a, or enters before a
+        (FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0}), FilteredSet({"c"}, {("c",): 0})),
+        (FilteredSet({"a", "b"}, {("a",): 1, ("b",): 1}), FilteredSet({"a"}, {("a",): 0})),
+    ], ids=["a-vertex-escapes", "a-enters-early", "b-vertex-escapes", "b-enters-early"])
+    def test_sets_that_are_not_nested_are_rejected(self, a, b):
+        with pytest.raises(ValueError):
+            les_triple(TRIANGLE_RIM, a, b, Interval(1, 2))
+
+
 class TestMayerVietoris:
     def test_circle_from_two_arcs(self):
-        x1 = validate({("a",): 0, ("b",): 0, ("c",): 0, ("a", "b"): 0, ("b", "c"): 0},
-                      {"a", "b", "c"})
-        x2 = validate({("a",): 0, ("c",): 0, ("d",): 0, ("a", "d"): 0, ("c", "d"): 0},
-                      {"a", "c", "d"})
+        x1 = FilteredSet({"a", "b", "c"},
+                         {("a",): 0, ("b",): 0, ("c",): 0, ("a", "b"): 0, ("b", "c"): 0})
+        x2 = FilteredSet({"a", "c", "d"},
+                         {("a",): 0, ("c",): 0, ("d",): 0, ("a", "d"): 0, ("c", "d"): 0})
         iv = Interval(0, 1)
         seq = mayer_vietoris(x1, x2, iv, field=GF3)
         assert check_exact(seq).ok
@@ -214,10 +227,10 @@ class TestMayerVietoris:
 
     def test_pinned_nonexactness_with_two_late_paths(self):
         # both covers kill [a]-[b]; the witness square is born too late
-        x1 = validate({("a",): 0, ("b",): 0, ("c",): 0, ("a", "c"): 0, ("b", "c"): 0},
-                      {"a", "b", "c"})
-        x2 = validate({("a",): 0, ("b",): 0, ("d",): 0, ("a", "d"): 1, ("b", "d"): 1},
-                      {"a", "b", "d"})
+        x1 = FilteredSet({"a", "b", "c"},
+                         {("a",): 0, ("b",): 0, ("c",): 0, ("a", "c"): 0, ("b", "c"): 0})
+        x2 = FilteredSet({"a", "b", "d"},
+                         {("a",): 0, ("b",): 0, ("d",): 0, ("a", "d"): 1, ("b", "d"): 1})
         report = check_exact(mayer_vietoris(x1, x2, Interval(0, 1)))
         assert not report.ok
         assert {c.witness[0] for c in report.failures()} == {"kernel_not_in_image"}
@@ -255,7 +268,7 @@ class TestProperTriads:
                     assert direct_sum_check([x1, x2], meet, q, iv).ok
 
     def test_nested_cover_reduces_to_triple(self):
-        x2 = validate({("a",): 0, ("b",): 0}, {"a", "b"})
+        x2 = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0})
         x1 = TRIANGLE_RIM
         iv = Interval(1, 2)
         assert is_proper_triad(TRIANGLE_RIM, x1, x2, iv)
@@ -279,6 +292,66 @@ class TestProperTriads:
         assert d_q.is_invertible()
 
 
+class TestCoverPlumbing:
+    """Each sequence of a cover builds its union, intersection and maps once."""
+
+    @staticmethod
+    def _proper_covers(count):
+        master = random.Random(53)
+        while count:
+            x1, x2 = random_cover(random.Random(master.getrandbits(64)))
+            if x1.vertices <= x2.vertices or x2.vertices <= x1.vertices:
+                continue  # nested parts make two of the maps one map
+            u = union(x1, x2)
+            iv = (critical_intervals(u) or (Interval(0, 0),))[-1]
+            if is_proper_triad(u, x1, x2, iv):
+                count -= 1
+                yield x1, x2, u, iv
+
+    @staticmethod
+    def _built_during(monkeypatch, build):
+        from persax import filtration, sequences
+
+        calls = {"union": 0, "intersection": 0}
+        maps = []
+
+        def counted(name):
+            original = getattr(sequences, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        original_map = filtration.validate_map
+
+        def counted_map(vertex_map, domain, codomain):
+            maps.append((domain, codomain))
+            return original_map(vertex_map, domain, codomain)
+
+        with monkeypatch.context() as patch:
+            for name in calls:
+                patch.setattr(sequences, name, counted(name))
+            patch.setattr(filtration, "validate_map", counted_map)
+            build()
+        return calls, maps
+
+    def test_mayer_vietoris_builds_each_cover_map_once(self, monkeypatch):
+        for x1, x2, _, iv in self._proper_covers(6):
+            calls, maps = self._built_during(monkeypatch, lambda: mayer_vietoris(x1, x2, iv))
+            assert calls == {"union": 1, "intersection": 1}
+            assert len(maps) == len(set(maps)) == 7
+
+    @pytest.mark.parametrize("extra, built", [(False, 4), (True, 5)],
+                             ids=["in-the-union", "in-a-larger-set"])
+    def test_triad_sequence_builds_each_cover_map_once(self, monkeypatch, extra, built):
+        for x1, x2, u, iv in self._proper_covers(6):
+            x = union(u, point(0, "zz")) if extra else u
+            calls, maps = self._built_during(monkeypatch, lambda: triad_sequence(x, x1, x2, iv))
+            assert calls == {"union": 1, "intersection": 1}
+            assert len(maps) == len(set(maps)) == built
+
+
 class TestContiguity:
     def test_equal_maps_are_contiguous(self):
         pair = pair_of(TRIANGLE_RIM)
@@ -289,11 +362,11 @@ class TestContiguity:
         edge = standard_simplex(1, 0, ("x", "y"))
         solid = standard_simplex(2, 0, ("a", "b", "c"))
         rim = standard_boundary(2, 0, ("a", "b", "c"))
-        f = validate_map({"x": "a", "y": "b"}, absolute(edge), absolute(solid))
-        g = validate_map({"x": "a", "y": "c"}, absolute(edge), absolute(solid))
+        f = validate_map({"x": "a", "y": "b"}, pair_of(edge), pair_of(solid))
+        g = validate_map({"x": "a", "y": "c"}, pair_of(edge), pair_of(solid))
         assert are_contiguous(f, g, Interval(0, 1))
-        f2 = validate_map({"x": "a", "y": "b"}, absolute(edge), absolute(rim))
-        g2 = validate_map({"x": "a", "y": "c"}, absolute(edge), absolute(rim))
+        f2 = validate_map({"x": "a", "y": "b"}, pair_of(edge), pair_of(rim))
+        g2 = validate_map({"x": "a", "y": "c"}, pair_of(edge), pair_of(rim))
         assert not are_contiguous(f2, g2, Interval(0, 1))
 
     def test_matches_exhaustive_coface_search(self):
@@ -352,15 +425,15 @@ class TestContiguousEquivalence:
         solid = standard_simplex(2, 0)
         pt = point(0)
         collapse = validate_map({v: "p" for v in solid.vertices},
-                                absolute(solid), absolute(pt))
-        include = validate_map({"p": "v0"}, absolute(pt), absolute(solid))
+                                pair_of(solid), pair_of(pt))
+        include = validate_map({"p": "v0"}, pair_of(pt), pair_of(solid))
         assert are_contiguously_equivalent(collapse, include)
 
     def test_two_points_are_not_equivalent_to_one(self):
         two = standard_boundary(1, 0, ("a", "b"))
         pt = point(0)
-        collapse = validate_map({"a": "p", "b": "p"}, absolute(two), absolute(pt))
-        include = validate_map({"p": "a"}, absolute(pt), absolute(two))
+        collapse = validate_map({"a": "p", "b": "p"}, pair_of(two), pair_of(pt))
+        include = validate_map({"p": "a"}, pair_of(pt), pair_of(two))
         assert not are_contiguously_equivalent(collapse, include)
 
 
@@ -374,7 +447,7 @@ class TestHomologicalTriviality:
 
     def test_pair_of_trivial_sets_is_trivial(self):
         solid = standard_simplex(2, 0)
-        edge = validate({("v0",): 0, ("v1",): 0, ("v0", "v1"): 0}, {"v0", "v1"})
+        edge = FilteredSet({"v0", "v1"}, {("v0",): 0, ("v1",): 0, ("v0", "v1"): 0})
         assert is_homologically_trivial(solid, Interval(0, 1))
         assert is_homologically_trivial(edge, Interval(0, 1))
         assert is_homologically_trivial(pair_of(solid, edge), Interval(0, 1))
@@ -383,7 +456,7 @@ class TestHomologicalTriviality:
 class TestDeformationRetract:
     def test_collapse_of_an_edge_onto_a_vertex(self):
         edge = standard_simplex(1, 0, ("a", "b"))
-        vertex = validate({("a",): 0}, {"a"})
+        vertex = FilteredSet({"a"}, {("a",): 0})
         pair, sub = pair_of(edge), pair_of(vertex)
         assert deformation_retract_check(pair, sub, {"a": "a", "b": "a"})
 
@@ -393,7 +466,7 @@ class TestDeformationRetract:
 
     def test_two_components_cannot_retract_to_one(self):
         two = standard_boundary(1, 0, ("a", "b"))
-        vertex = validate({("a",): 0}, {"a"})
+        vertex = FilteredSet({"a"}, {("a",): 0})
         assert not deformation_retract_check(pair_of(two), pair_of(vertex),
                                              {"a": "a", "b": "a"})
 
@@ -405,7 +478,7 @@ class TestDeformationRetract:
 
     def test_true_retracts_induce_sequence_isomorphisms(self):
         edge = standard_simplex(1, 0, ("a", "b"))
-        vertex = validate({("a",): 0}, {"a"})
+        vertex = FilteredSet({"a"}, {("a",): 0})
         pair, sub = pair_of(edge), pair_of(vertex)
         assert deformation_retract_check(pair, sub, {"a": "a", "b": "a"})
         from persax import induced_map
@@ -448,10 +521,10 @@ class TestDirectSum:
             q = max(pair.total.dimension, 1)
             sp = skeletal_pair(pair, q)
             tops = [
-                validate({face: pair.total.value(face)
-                          for k in range(1, len(sk) + 1)
-                          for face in __import__("itertools").combinations(sk, k)},
-                         set(sk))
+                FilteredSet(set(sk),
+                            {face: pair.total.value(face)
+                             for k in range(1, len(sk) + 1)
+                             for face in __import__("itertools").combinations(sk, k)})
                 for sk, val in pair.total.entries if len(sk) == q + 1
             ]
             if not tops:
@@ -495,7 +568,7 @@ class TestTripleTrivialityEquivalences:
 class TestReducedSequence:
     def test_differs_from_unreduced_only_at_the_tail(self):
         x = TRIANGLE_RIM
-        a = validate({("a",): 0, ("b",): 0, ("a", "b"): 1}, {"a", "b"})
+        a = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0, ("a", "b"): 1})
         pair = pair_of(x, a)
         iv = Interval(1, 2)
         full = les_pair(pair, iv)
@@ -507,7 +580,7 @@ class TestReducedSequence:
 
     def test_reduced_sequence_is_exact_when_subset_is_present(self):
         x = TRIANGLE_RIM
-        a = validate({("a",): 0, ("b",): 0, ("a", "b"): 1}, {"a", "b"})
+        a = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0, ("a", "b"): 1})
         for iv in (Interval(0, 0), Interval(1, 1), Interval(1, 2), Interval(0, 1)):
             assert check_exact(reduced_les_pair(pair_of(x, a), iv)).ok
 
@@ -515,17 +588,17 @@ class TestReducedSequence:
 class TestStarShapedLemmas:
     def test_vertex_inclusion_into_star_shaped_set_is_iso(self):
         # a filled cone with apex z; star shaped at every level in [1, 2]
-        apex_cone = validate(
+        apex_cone = FilteredSet(
+            {"a", "b", "z"},
             {("a",): 0, ("b",): 0, ("z",): 0,
              ("a", "z"): 1, ("b", "z"): 1, ("a", "b"): 1, ("a", "b", "z"): 1},
-            {"a", "b", "z"},
         )
         from persax import is_star_shaped
 
         iv = Interval(1, 2)
         assert is_star_shaped(apex_cone, "z", iv)
-        vertex = validate({("z",): 0}, {"z"})
-        inc = inclusion(absolute(vertex), absolute(apex_cone))
+        vertex = FilteredSet({"z"}, {("z",): 0})
+        inc = inclusion(pair_of(vertex), pair_of(apex_cone))
         from persax import induced_map
 
         for n in range(3):
@@ -534,7 +607,7 @@ class TestStarShapedLemmas:
     def test_star_shaped_subset_splits_dimensions(self):
         # single-birth instance: connecting vanishes and dims add
         solid = standard_simplex(2, 0)
-        a = validate({("v0",): 0, ("v1",): 0, ("v0", "v1"): 0}, {"v0", "v1"})
+        a = FilteredSet({"v0", "v1"}, {("v0",): 0, ("v1",): 0, ("v0", "v1"): 0})
         pair = pair_of(solid, a)
         iv = Interval(0, 1)
         from persax import connecting

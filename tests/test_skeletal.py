@@ -14,11 +14,11 @@ import pytest
 from persax import (
     GF2,
     GF3,
+    FilteredSet,
     Interval,
     Matrix,
     OracleMismatch,
     UnknownVertex,
-    absolute,
     critical_intervals,
     critical_values,
     homology,
@@ -35,20 +35,19 @@ from persax import (
     skeletal_pair,
     standard_boundary,
     standard_simplex,
-    validate,
     validate_map,
 )
 from persax.skeletal import direct_to_skeletal, generator, incidence_iso
 from persax.fuzz import random_pair
 
-RIM_AT_ZERO = validate(
-    {("a",): 0, ("b",): 0, ("c",): 0, ("a", "b"): 0, ("a", "c"): 0, ("b", "c"): 0},
+RIM_AT_ZERO = FilteredSet(
     {"a", "b", "c"},
+    {("a",): 0, ("b",): 0, ("c",): 0, ("a", "b"): 0, ("a", "c"): 0, ("b", "c"): 0},
 )
 
-TRIANGLE_RIM = validate(
-    {("a",): 0, ("b",): 0, ("c",): 0, ("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1},
+TRIANGLE_RIM = FilteredSet(
     {"a", "b", "c"},
+    {("a",): 0, ("b",): 0, ("c",): 0, ("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1},
 )
 
 
@@ -71,7 +70,7 @@ class TestChainGroups:
 
         # a solid triangle and a lone vertex: dimension 2 on four vertices
         values = {sk: 0 for sk in standard_simplex(2, 0, ("p", "q", "r")).support}
-        pair = pair_of(validate({**values, ("s",): 0}, {"p", "q", "r", "s"}))
+        pair = pair_of(FilteredSet({"p", "q", "r", "s"}, {**values, ("s",): 0}))
         built = _skeleton.cache_info().currsize
         for q in (3, 4, 5):
             cg = skeletal_chain_group(pair, q, Interval(0, 1), GF3)
@@ -99,13 +98,13 @@ class TestGenerators:
         iv = Interval(0, 1)
         assert generator(1, ("b", "a"), pair, iv, GF3) == (2, 0, 0)
         assert generator(1, ("b", "a"), pair, iv, GF2) == (1, 0, 0)
-        solid = absolute(standard_simplex(2, 0, ("a", "b", "c")))
+        solid = pair_of(standard_simplex(2, 0, ("a", "b", "c")))
         assert generator(1, ("a", "b", "c"), solid, iv, GF3) == (1,)
         assert generator(1, ("b", "c", "a"), solid, iv, GF3) == (1,)  # even
         assert generator(1, ("b", "a", "c"), solid, iv, GF3) == (2,)  # odd
 
     def test_repeated_vertex_gives_zero(self):
-        solid = absolute(standard_simplex(2, 0, ("a", "b", "c")))
+        solid = pair_of(standard_simplex(2, 0, ("a", "b", "c")))
         assert generator(1, ("a", "a", "b"), solid, Interval(0, 1), GF3) == (0,)
         assert generator(1, ("a", "a"), solid, Interval(0, 1), GF3) == (0, 0, 0)
         # four entries name a degree above the solid triangle, which has no chains there
@@ -113,7 +112,7 @@ class TestGenerators:
         assert generator(1, ("c", "b", "a", "a", "b"), solid, Interval(0, 1), GF2) == ()
 
     def test_sequence_inside_subset_gives_zero(self):
-        sub = validate({("a",): 0, ("b",): 0, ("a", "b"): 0}, {"a", "b"})
+        sub = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0, ("a", "b"): 0})
         pair = pair_of(RIM_AT_ZERO, sub)
         vec = generator(1, ("a", "b"), pair, Interval(0, 1), GF3)
         assert all(v == 0 for v in vec)
@@ -174,19 +173,19 @@ class TestSkeletalBoundary:
         solid = standard_simplex(2, 0, ("a", "b", "c"))
         target = standard_simplex(2, 0, ("x", "y", "z"))
         f = validate_map({"a": "y", "b": "x", "c": "z"},
-                         absolute(solid), absolute(target))
+                         pair_of(solid), pair_of(target))
         iv = Interval(0, 1)
         for q in (1, 2):
-            dom_q = skeletal_chain_group(absolute(solid), q, iv, GF3).group
+            dom_q = skeletal_chain_group(pair_of(solid), q, iv, GF3).group
             # chain maps between the skeleton pairs, in generator coordinates
             fq = induced_map(
-                validate_map(f.vertex_map, skeletal_pair(absolute(solid), q),
-                             skeletal_pair(absolute(target), q)), q, iv, GF3)
+                validate_map(f.vertex_map, skeletal_pair(pair_of(solid), q),
+                             skeletal_pair(pair_of(target), q)), q, iv, GF3)
             fq1 = induced_map(
-                validate_map(f.vertex_map, skeletal_pair(absolute(solid), q - 1),
-                             skeletal_pair(absolute(target), q - 1)), q - 1, iv, GF3)
-            left = fq1.matrix * skeletal_boundary(absolute(solid), q, iv, GF3)
-            right = skeletal_boundary(absolute(target), q, iv, GF3) * fq.matrix
+                validate_map(f.vertex_map, skeletal_pair(pair_of(solid), q - 1),
+                             skeletal_pair(pair_of(target), q - 1)), q - 1, iv, GF3)
+            left = fq1.matrix * skeletal_boundary(pair_of(solid), q, iv, GF3)
+            right = skeletal_boundary(pair_of(target), q, iv, GF3) * fq.matrix
             assert left == right
 
     def test_chain_map_formula_on_generators(self):
@@ -196,13 +195,13 @@ class TestSkeletalBoundary:
         iv = Interval(0, 1)
         for q in (1, 2):
             fq = induced_map(
-                validate_map(vm, skeletal_pair(absolute(solid), q),
-                             skeletal_pair(absolute(target), q)), q, iv, GF3)
-            cg = skeletal_chain_group(absolute(solid), q, iv, GF3)
+                validate_map(vm, skeletal_pair(pair_of(solid), q),
+                             skeletal_pair(pair_of(target), q)), q, iv, GF3)
+            cg = skeletal_chain_group(pair_of(solid), q, iv, GF3)
             for j, sk in enumerate(cg.generators):
                 pushed = fq.matrix.column(j)
                 direct = generator(1, tuple(vm[v] for v in sk),
-                                   absolute(target), iv, GF3)
+                                   pair_of(target), iv, GF3)
                 assert pushed == direct
 
 
@@ -234,8 +233,8 @@ class TestPreimageGroups:
             for c in critical_values(pair):
                 iv = Interval(c, c)
                 for q in range(0, pair.total.dimension + 1):
-                    x_abs = absolute(pair.total)
-                    a_abs = absolute(pair.sub)
+                    x_abs = pair_of(pair.total)
+                    a_abs = pair_of(pair.sub)
                     jq = induced_map(
                         inclusion(skeletal_pair(x_abs, q), skeletal_pair(pair, q)),
                         q, iv, GF2)
@@ -262,7 +261,7 @@ class TestShortExactSequenceOfChains:
             for c in critical_values(pair):
                 iv = Interval(c, c)
                 for q in range(0, pair.total.dimension + 1):
-                    x_abs, a_abs = absolute(pair.total), absolute(pair.sub)
+                    x_abs, a_abs = pair_of(pair.total), pair_of(pair.sub)
                     iq = induced_map(
                         inclusion(skeletal_pair(a_abs, q), skeletal_pair(x_abs, q)),
                         q, iv, GF2)
@@ -276,11 +275,11 @@ class TestShortExactSequenceOfChains:
     def test_pinned_mixed_absorption_failure(self):
         # a simplex present at eps but absorbed inside the interval lies in
         # ker(j) without being an image from the subset's chains
-        x = validate({("a",): 0}, {"a"})
-        a = validate({("a",): 1}, {"a"})
+        x = FilteredSet({"a"}, {("a",): 0})
+        a = FilteredSet({"a"}, {("a",): 1})
         pair = pair_of(x, a)
         iv = Interval(0, 1)
-        x_abs, a_abs = absolute(x), absolute(a)
+        x_abs, a_abs = pair_of(x), pair_of(a)
         iq = induced_map(inclusion(skeletal_pair(a_abs, 0), skeletal_pair(x_abs, 0)),
                          0, iv, GF2)
         jq = induced_map(inclusion(skeletal_pair(x_abs, 0), skeletal_pair(pair, 0)),
@@ -346,7 +345,7 @@ class TestComparisonIsomorphism:
         assert count > 50
 
     def test_pinned_interior_death_breaks_the_comparison(self):
-        x = validate({("a",): 0, ("b",): 0, ("a", "b"): 1}, {"a", "b"})
+        x = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0, ("a", "b"): 1})
         pair = pair_of(x)
         iv = Interval(0, 1)
         assert homology(pair, 0, iv).dim == 1
@@ -359,9 +358,9 @@ class TestComparisonIsomorphism:
         # so covering more intervals must not validate more maps
         from persax import filtration, skeletal
 
-        x = validate({("a",): 0, ("b",): 0, ("c",): 1,
-                      ("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 2}, {"a", "b", "c"})
-        pair = pair_of(x, validate({("a",): 0}, {"a"}))
+        x = FilteredSet({"a", "b", "c"}, {("a",): 0, ("b",): 0, ("c",): 1,
+                                          ("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 2})
+        pair = pair_of(x, FilteredSet({"a"}, {("a",): 0}))
         real = filtration.validate_map
 
         def count_validations(intervals):
