@@ -40,7 +40,6 @@ from .filtration import (
     standard_boundary,
     standard_simplex,
     union,
-    validate_map,
 )
 from .linalg import (
     GF,

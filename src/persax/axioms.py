@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .filtration import (
     FilteredSet,
     Interval,
+    PreservingMap,
     RelativeFilteredPair,
     compose,
     critical_values,
@@ -25,7 +26,6 @@ from .filtration import (
     standard_boundary,
     standard_simplex,
     union,
-    validate_map,
 )
 from .formats import instance_tag
 from .fuzz import (
@@ -219,8 +219,8 @@ def _boundary_target_maps(rng):
     target = pair_of(standard_boundary(4, 0, tuple(f"t{i}" for i in range(5))))
     verts = sorted(target.total.vertices)
     f, g = (
-        validate_map({v: rng.choice(verts) for v in sorted(domain.total.vertices)},
-                     domain, target)
+        PreservingMap(domain, target,
+                      {v: rng.choice(verts) for v in sorted(domain.total.vertices)})
         for _ in range(2)
     )
     return f, g

@@ -93,7 +93,7 @@ def _cmd_sequence(args, field) -> int:
         x1, x2 = parse_cover(args.pair)
         seq = mayer_vietoris(x1, x2, interval, field=field)
     elif args.triad:
-        sections = parse_sections(args.pair, ("X1", "X2"), "cover")
+        sections = parse_sections(args.pair, "cover")
         x1, x2 = sections["X1"], sections["X2"]
         ambient = sections["X"] if "X" in sections else union(x1, x2)
         seq = triad_sequence(ambient, x1, x2, interval, field=field)

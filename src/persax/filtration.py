@@ -19,6 +19,7 @@ import itertools
 import sys
 from fractions import Fraction
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 
@@ -369,9 +370,11 @@ def point(alpha, name: str = "p") -> FilteredSet:
 class PreservingMap:
     """A vertex map between pairs that never delays a simplex.
 
-    Images of supported simplices (duplicates collapsed) must carry values at
-    most those of their sources, in the total sets and in the subsets alike;
-    subset vertices must land in the codomain subset.
+    Every domain vertex, and no other, has an image among the codomain
+    vertices; subset vertices land in the codomain subset.  Images of
+    supported simplices (duplicates collapsed) carry values at most those of
+    their sources, in the total sets and in the subsets alike.  The checked
+    ``vertex_map`` is a read-only view.
     """
 
     __slots__ = ("domain", "codomain", "vertex_map", "_items", "_hash")
@@ -383,9 +386,30 @@ class PreservingMap:
         vertex_map: Mapping[str, str],
     ):
         vm = dict(vertex_map)
+        for v in domain.total.vertices:
+            if v not in vm:
+                raise UnknownVertex(f"vertex {v!r} has no image")
+            if vm[v] not in codomain.total.vertices:
+                raise UnknownVertex(f"image {vm[v]!r} is not a codomain vertex")
+        for v in domain.sub.vertices:
+            if vm[v] not in codomain.sub.vertices:
+                raise SubNotMappedIntoSub(f"subset vertex {v!r} maps outside the codomain subset")
+        object.__setattr__(self, "vertex_map", MappingProxyType(vm))  # apply reads it
+        for sk, val in domain.total.entries:
+            image = self.apply(sk)
+            if codomain.total.value(image) > val:
+                raise NotFiltrationPreserving(f"simplex {sk} at {val} maps to {image} born later")
+        for sk, val in domain.sub.entries:
+            image = self.apply(sk)
+            if codomain.sub.value(image) > val:
+                raise NotFiltrationPreserving(
+                    f"subset simplex {sk} at {val} maps to {image} born later in the codomain subset"
+                )
+        extra = vm.keys() - domain.total.vertices
+        if extra:
+            raise UnknownVertex(f"vertex {min(extra)!r} is not a domain vertex")
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "vertex_map", vm)
         object.__setattr__(self, "_items", tuple(sorted(vm.items())))
         object.__setattr__(self, "_hash", hash((domain, codomain, self._items)))
 
@@ -393,7 +417,7 @@ class PreservingMap:
         raise AttributeError("PreservingMap is immutable")
 
     def __reduce__(self):
-        return type(self), (self.domain, self.codomain, self.vertex_map)
+        return type(self), (self.domain, self.codomain, dict(self.vertex_map))
 
     def __eq__(self, other):
         return (
@@ -416,44 +440,16 @@ class PreservingMap:
     def restrict_to_sub(self) -> "PreservingMap":
         """The induced map between the subsets, as absolute pairs."""
         vm = {v: self.vertex_map[v] for v in self.domain.sub.vertices}
-        return validate_map(vm, pair_of(self.domain.sub), pair_of(self.codomain.sub))
-
-
-def validate_map(
-    vertex_map: Mapping[str, str],
-    domain: RelativeFilteredPair,
-    codomain: RelativeFilteredPair,
-) -> PreservingMap:
-    """Check a vertex map and package it as a PreservingMap."""
-    vm = dict(vertex_map)
-    for v in domain.total.vertices:
-        if v not in vm:
-            raise UnknownVertex(f"vertex {v!r} has no image")
-        if vm[v] not in codomain.total.vertices:
-            raise UnknownVertex(f"image {vm[v]!r} is not a codomain vertex")
-    for v in domain.sub.vertices:
-        if vm[v] not in codomain.sub.vertices:
-            raise SubNotMappedIntoSub(f"subset vertex {v!r} maps outside the codomain subset")
-    for sk, val in domain.total.entries:
-        image = simplex(set(vm[v] for v in sk))
-        if codomain.total.value(image) > val:
-            raise NotFiltrationPreserving(f"simplex {sk} at {val} maps to {image} born later")
-    for sk, val in domain.sub.entries:
-        image = simplex(set(vm[v] for v in sk))
-        if codomain.sub.value(image) > val:
-            raise NotFiltrationPreserving(
-                f"subset simplex {sk} at {val} maps to {image} born later in the codomain subset"
-            )
-    return PreservingMap(domain, codomain, vm)
+        return PreservingMap(pair_of(self.domain.sub), pair_of(self.codomain.sub), vm)
 
 
 def identity_map(pair: RelativeFilteredPair) -> PreservingMap:
-    return validate_map({v: v for v in pair.total.vertices}, pair, pair)
+    return inclusion(pair, pair)
 
 
 def inclusion(domain: RelativeFilteredPair, codomain: RelativeFilteredPair) -> PreservingMap:
     """The identity vertex map viewed as a map of pairs."""
-    return validate_map({v: v for v in domain.total.vertices}, domain, codomain)
+    return PreservingMap(domain, codomain, {v: v for v in domain.total.vertices})
 
 
 def compose(f: PreservingMap, g: PreservingMap) -> PreservingMap:
@@ -461,7 +457,7 @@ def compose(f: PreservingMap, g: PreservingMap) -> PreservingMap:
     if g.codomain != f.domain:
         raise ValueError("maps are not composable")
     vm = {v: f.vertex_map[w] for v, w in g.vertex_map.items()}
-    return validate_map(vm, g.domain, f.codomain)
+    return PreservingMap(g.domain, f.codomain, vm)
 
 
 def critical_values(obj) -> tuple[FiltValue, ...]:
@@ -547,9 +543,9 @@ def cylinder(x: FilteredSet, order: Iterable[str] | None = None):
     cyl = FilteredSet(x.vertices | set(prime.values()), values)
     x_abs = pair_of(x)
     cyl_abs = pair_of(cyl)
-    h0 = validate_map({v: v for v in x.vertices}, x_abs, cyl_abs)
-    h1 = validate_map({v: prime[v] for v in x.vertices}, x_abs, cyl_abs)
+    h0 = PreservingMap(x_abs, cyl_abs, {v: v for v in x.vertices})
+    h1 = PreservingMap(x_abs, cyl_abs, prime)
     back = {v: v for v in x.vertices}
     back.update({prime[v]: v for v in x.vertices})
-    k = validate_map(back, cyl_abs, x_abs)
+    k = PreservingMap(cyl_abs, x_abs, back)
     return cyl, h0, h1, k

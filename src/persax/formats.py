@@ -13,16 +13,15 @@ from __future__ import annotations
 
 import hashlib
 from pathlib import Path
+from typing import Iterable
 
 from .filtration import (
-    EMPTY_SET,
     FiltrationError,
     FilteredSet,
     PreservingMap,
     RelativeFilteredPair,
     fin,
     pair_of,
-    validate_map,
 )
 
 
@@ -37,10 +36,11 @@ def _strip(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
 
-def parse_filtration_text(text: str, source: str = "<string>") -> FilteredSet:
+def _parse_lines(numbered: Iterable[tuple[int, str]], source: str) -> FilteredSet:
+    """A filtered set from ``(file line number, line)`` pairs."""
     values = {}
     vertices = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in numbered:
         line = _strip(raw)
         if not line:
             continue
@@ -65,38 +65,56 @@ def parse_filtration_text(text: str, source: str = "<string>") -> FilteredSet:
         raise ParseError(source, 0, str(exc)) from exc
 
 
-def _split_sections(text: str, source: str) -> dict[str, list[str]]:
-    sections: dict[str, list[str]] = {}
-    current = None
+def parse_filtration_text(text: str, source: str = "<string>") -> FilteredSet:
+    return _parse_lines(enumerate(text.splitlines(), start=1), source)
+
+
+# the sections each kind of multi-part file takes: (required, optional)
+_SECTIONS = {
+    "pair": (("X",), ("A",)),
+    "triple": (("X", "A", "B"), ()),
+    "cover": (("X1", "X2"), ("X",)),
+}
+
+
+def _split_sections(text: str, source: str, kind: str) -> dict[str, tuple[int, list[str]]]:
+    """Each section's first file line and lines; every header is the kind's, once."""
+    required, optional = _SECTIONS[kind]
+    sections: dict[str, tuple[int, list[str]]] = {}
+    lines = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
-        if not line:
-            continue
         if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            sections.setdefault(current, [])
-            continue
-        if current is None:
+            name = line[1:-1].strip()
+            if name not in required + optional:
+                raise ParseError(source, line_no, f"a {kind} file has no [{name}] section")
+            if name in sections:
+                raise ParseError(source, line_no, f"second [{name}] section")
+            lines = []
+            sections[name] = (line_no + 1, lines)
+        elif lines is not None:
+            lines.append(raw)
+        elif line:
             raise ParseError(source, line_no, "content before any [SECTION] header")
-        sections[current].append(raw)
     return sections
 
 
-def parse_sections_text(text: str, source: str = "<string>") -> dict[str, FilteredSet]:
-    return {
-        name: parse_filtration_text("\n".join(lines), f"{source}[{name}]")
-        for name, lines in _split_sections(text, source).items()
+def parse_sections_text(text: str, kind: str, source: str = "<string>") -> dict[str, FilteredSet]:
+    """Every section of a multi-part file, which must hold the kind's required ones."""
+    sections = {
+        name: _parse_lines(enumerate(lines, start=first), f"{source}[{name}]")
+        for name, (first, lines) in _split_sections(text, source, kind).items()
     }
+    for name in _SECTIONS[kind][0]:
+        if name not in sections:
+            raise ParseError(source, 0, f"a {kind} file needs an [{name}] section")
+    return sections
 
 
 def parse_pair_text(text: str, source: str = "<string>") -> RelativeFilteredPair:
-    sections = parse_sections_text(text, source)
-    if "X" not in sections:
-        raise ParseError(source, 0, "a pair file needs an [X] section")
-    total = sections["X"]
-    sub = sections.get("A", EMPTY_SET)
+    sections = parse_sections_text(text, "pair", source)
     try:
-        return pair_of(total, sub)
+        return pair_of(sections["X"], sections.get("A"))
     except FiltrationError as exc:
         raise ParseError(source, 0, str(exc)) from exc
 
@@ -121,23 +139,19 @@ def parse_any(path):
     return pair_of(parse_filtration_text(text, str(path)))
 
 
-def parse_sections(path, required: tuple[str, ...], kind: str) -> dict[str, FilteredSet]:
-    """Every section of a multi-part file, which must hold the ``required`` ones."""
+def parse_sections(path, kind: str) -> dict[str, FilteredSet]:
+    """Every section of a multi-part file of the given kind."""
     path = Path(path)
-    sections = parse_sections_text(path.read_text(), str(path))
-    for name in required:
-        if name not in sections:
-            raise ParseError(str(path), 0, f"a {kind} file needs an [{name}] section")
-    return sections
+    return parse_sections_text(path.read_text(), kind, str(path))
 
 
 def parse_triple(path) -> tuple[FilteredSet, FilteredSet, FilteredSet]:
-    sections = parse_sections(path, ("X", "A", "B"), "triple")
+    sections = parse_sections(path, "triple")
     return sections["X"], sections["A"], sections["B"]
 
 
 def parse_cover(path) -> tuple[FilteredSet, FilteredSet]:
-    sections = parse_sections(path, ("X1", "X2"), "cover")
+    sections = parse_sections(path, "cover")
     return sections["X1"], sections["X2"]
 
 
@@ -167,7 +181,7 @@ def parse_map(path) -> PreservingMap:
     if len(ends) != 2:
         raise ParseError(str(path), 0, "map files need domain: and codomain: lines")
     try:
-        return validate_map(arrows, ends["domain"], ends["codomain"])
+        return PreservingMap(ends["domain"], ends["codomain"], arrows)
     except FiltrationError as exc:
         raise ParseError(str(path), 0, str(exc)) from exc
 

@@ -12,12 +12,12 @@ from typing import Sequence
 
 from .filtration import (
     FilteredSet,
+    PreservingMap,
     RelativeFilteredPair,
     fin,
     inclusion,
     pair_of,
     standard_simplex,
-    validate_map,
 )
 
 DEFAULT_POOL = ("a", "b", "c", "d", "e")
@@ -152,7 +152,7 @@ def random_map_to_cone(rng: random.Random, domain: RelativeFilteredPair,
     for v in sorted(domain.total.vertices):
         choices = sub_verts if v in domain.sub.vertices else all_verts
         vm[v] = rng.choice(choices)
-    return validate_map(vm, domain, target)
+    return PreservingMap(domain, target, vm)
 
 
 def random_contiguous_pair(rng: random.Random):

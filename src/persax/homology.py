@@ -26,7 +26,6 @@ from .filtration import (
     fin,
     pair_of,
     point,
-    validate_map,
 )
 from .linalg import (
     GF2,
@@ -207,7 +206,7 @@ def constant_map_to_point(x: FilteredSet) -> PreservingMap:
     alpha = _min_value(x)
     if alpha is None:
         raise ValueError("an empty filtered set has no constant map")
-    return validate_map({v: "p" for v in x.vertices}, pair_of(x), pair_of(point(alpha)))
+    return PreservingMap(pair_of(x), pair_of(point(alpha)), {v: "p" for v in x.vertices})
 
 
 def reduced_homology(x: FilteredSet, n: int, interval: Interval, field=GF2) -> HomologyGroup:
@@ -228,7 +227,7 @@ def point_class(g, x_vertex: str, x: FilteredSet, interval: Interval, field=GF2)
     alpha = x.value((x_vertex,))
     if alpha > interval.lo:
         raise VertexNotPresent(f"vertex {x_vertex!r} is born after {interval.lo}")
-    f = validate_map({"p": x_vertex}, pair_of(point(alpha)), pair_of(x))
+    f = PreservingMap(pair_of(point(alpha)), pair_of(x), {"p": x_vertex})
     pushed = induced_map(f, 0, interval, field)
     return pushed.matrix.apply((field.coerce(g),))
 

@@ -642,14 +642,7 @@ def inclusion_matrix(pair: RelativeFilteredPair, n: int, interval: Interval, fie
     upper endpoint, in which case it maps to zero.
     """
     src = chain_space(pair, n, interval.lo)
-    dst = chain_space(pair, n, interval.hi)
-    index = {sk: i for i, sk in enumerate(dst)}
-    out = [[field.zero] * len(src) for _ in range(len(dst))]
-    for j, sk in enumerate(src):
-        r = index.get(sk)
-        if r is not None:
-            out[r][j] = field.one
-    return Matrix._trusted(field, tuple(map(tuple, out)), len(dst), len(src))
+    return _move_rows(Matrix.identity(field, len(src)), src, chain_space(pair, n, interval.hi))
 
 
 def _move_rows(m: Matrix, basis, new_basis) -> Matrix:

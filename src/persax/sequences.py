@@ -12,7 +12,7 @@ triviality, deformation retracts, proper covers, and direct-sum splittings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .filtration import (
     FilteredSet,
@@ -29,7 +29,6 @@ from .filtration import (
     pair_of,
     simplex,
     union,
-    validate_map,
 )
 from .homology import (
     DirectSumGroup,
@@ -414,20 +413,16 @@ def is_homologically_trivial(obj, interval: Interval, field=GF2) -> bool:
 
 
 def deformation_retract_check(pair: RelativeFilteredPair, subpair: RelativeFilteredPair,
-                              retraction) -> bool:
+                              retraction: Mapping[str, str]) -> bool:
     """Whether the retraction deforms the pair onto the subpair.
 
-    The retraction must fix the subpair pointwise; the check is contiguity of
+    The retraction is a vertex dict, built into a map from the pair to the
+    subpair.  It must fix the subpair pointwise; the check is contiguity of
     inclusion-after-retraction with the identity, at every critical value.
     """
     _require_filtered_subset(subpair.total, pair.total, "subpair total")
     _require_filtered_subset(subpair.sub, pair.sub, "subpair subset")
-    if isinstance(retraction, PreservingMap):
-        if retraction.domain != pair or retraction.codomain != subpair:
-            raise NotARetraction("retraction endpoints do not match the pairs")
-        r = retraction
-    else:
-        r = validate_map(retraction, pair, subpair)
+    r = PreservingMap(pair, subpair, retraction)
     for v in subpair.total.vertices:
         if r.vertex_map[v] != v:
             raise NotARetraction(f"vertex {v!r} moves under the retraction")

@@ -28,7 +28,6 @@ from .filtration import (
     standard_boundary,
     standard_simplex,
     union,
-    validate_map,
 )
 from .homology import (
     HomologyGroup,
@@ -130,9 +129,7 @@ def generator(g, vertices: Sequence[str], pair: RelativeFilteredPair, interval: 
     model = standard_simplex(q, alpha)
     model_pair = RelativeFilteredPair(model, standard_boundary(q, alpha))
     ordered = tuple(sorted(model.vertices))
-    f = validate_map(
-        dict(zip(ordered, vertices)), model_pair, skeletal_pair(pair, q)
-    )
+    f = PreservingMap(model_pair, skeletal_pair(pair, q), dict(zip(ordered, vertices)))
     pushed = induced_map(f, q, interval, field)
     source = pushed.source
     if source.dim == 0:

@@ -23,6 +23,7 @@ from persax import (
     LinearMap,
     Matrix,
     NotFiltrationPreserving,
+    PreservingMap,
     are_contiguous,
     check_exact,
     critical_intervals,
@@ -47,7 +48,6 @@ from persax import (
     standard_boundary,
     standard_simplex,
     union,
-    validate_map,
     verify_axiom,
 )
 from persax.axioms import PASS
@@ -321,7 +321,7 @@ def test_criterion_8_negative_controls():
         pass
     # non-preserving map rejected
     try:
-        validate_map({"p": "q"}, pair_of(point(0, "p")), pair_of(point(2, "q")))
+        PreservingMap(pair_of(point(0, "p")), pair_of(point(2, "q")), {"p": "q"})
         ok = False
     except NotFiltrationPreserving:
         pass

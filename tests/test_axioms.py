@@ -9,11 +9,11 @@ from persax import (
     FilteredSet,
     Interval,
     MalformedInstance,
+    PreservingMap,
     fin,
     pair_of,
     standard_boundary,
     standard_simplex,
-    validate_map,
     verify_axiom,
 )
 from persax.axioms import FAIL, PASS, VACUOUS, fuzz_axiom_reports
@@ -66,8 +66,8 @@ def test_excision_and_s1_agree_verdict_for_verdict():
 def test_contiguity_axiom_vacuous_for_noncontiguous_maps():
     edge = standard_simplex(1, 0, ("x", "y"))
     rim = standard_boundary(2, 0, ("a", "b", "c"))
-    f = validate_map({"x": "a", "y": "b"}, pair_of(edge), pair_of(rim))
-    g = validate_map({"x": "a", "y": "c"}, pair_of(edge), pair_of(rim))
+    f = PreservingMap(pair_of(edge), pair_of(rim), {"x": "a", "y": "b"})
+    g = PreservingMap(pair_of(edge), pair_of(rim), {"x": "a", "y": "c"})
     rep = verify_axiom("A5", f=f, g=g, interval=Interval(0, 1))
     assert rep.verdict == VACUOUS
 
@@ -75,8 +75,8 @@ def test_contiguity_axiom_vacuous_for_noncontiguous_maps():
 def test_contiguity_axiom_passes_for_contiguous_maps():
     edge = standard_simplex(1, 0, ("x", "y"))
     solid = standard_simplex(2, 0, ("a", "b", "c"))
-    f = validate_map({"x": "a", "y": "b"}, pair_of(edge), pair_of(solid))
-    g = validate_map({"x": "a", "y": "c"}, pair_of(edge), pair_of(solid))
+    f = PreservingMap(pair_of(edge), pair_of(solid), {"x": "a", "y": "b"})
+    g = PreservingMap(pair_of(edge), pair_of(solid), {"x": "a", "y": "c"})
     rep = verify_axiom("A5", f=f, g=g, interval=Interval(0, 1))
     assert rep.verdict == PASS
 
@@ -105,11 +105,11 @@ def test_exactness_axiom_reports_the_pinned_counterexample():
 
 def test_composition_and_naturality_on_concrete_maps():
     x = TRIANGLE_RIM
-    rot = validate_map({"a": "b", "b": "c", "c": "a"}, pair_of(x), pair_of(x))
-    swap = validate_map({"a": "b", "b": "a", "c": "c"}, pair_of(x), pair_of(x))
+    rot = PreservingMap(pair_of(x), pair_of(x), {"a": "b", "b": "c", "c": "a"})
+    swap = PreservingMap(pair_of(x), pair_of(x), {"a": "b", "b": "a", "c": "c"})
     assert verify_axiom("A2", f=rot, g=swap, interval=Interval(1, 2), field=GF3).verdict == PASS
     a = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0, ("a", "b"): 1})
-    incl = validate_map({v: v for v in x.vertices}, pair_of(x), pair_of(x, a))
+    incl = PreservingMap(pair_of(x), pair_of(x, a), {v: v for v in x.vertices})
     assert verify_axiom("A3", f=incl, interval=Interval(1, 2), field=GF3).verdict == PASS
 
 

@@ -19,6 +19,7 @@ from persax import (
     MissingFace,
     MonotonicityViolation,
     NotFiltrationPreserving,
+    PreservingMap,
     RelativeFilteredPair,
     SubNotMappedIntoSub,
     UnknownVertex,
@@ -38,7 +39,6 @@ from persax import (
     standard_boundary,
     standard_simplex,
     union,
-    validate_map,
 )
 from persax.formats import canonical_text, serialize_pair
 
@@ -415,13 +415,13 @@ class TestValidateMap:
     def test_constant_map_to_early_point(self):
         x = triangle_rim()
         target = pair_of(point(0))
-        validate_map({v: "p" for v in x.vertices}, pair_of(x), target)
+        PreservingMap(pair_of(x), target, {v: "p" for v in x.vertices})
 
     def test_late_target_rejected(self):
         x = point(0, "a")
         y = point(2, "b")
         with pytest.raises(NotFiltrationPreserving):
-            validate_map({"a": "b"}, pair_of(x), pair_of(y))
+            PreservingMap(pair_of(x), pair_of(y), {"a": "b"})
 
     def test_subset_must_land_in_subset(self):
         x = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0})
@@ -429,13 +429,45 @@ class TestValidateMap:
         dom = pair_of(x, a)
         cod = pair_of(x, FilteredSet({"b"}, {("b",): 0}))
         with pytest.raises(SubNotMappedIntoSub):
-            validate_map({"a": "a", "b": "b"}, dom, cod)
+            PreservingMap(dom, cod, {"a": "a", "b": "b"})
 
     def test_composition_associates_with_vertex_maps(self):
         x = triangle_rim()
-        f = validate_map({v: "p" for v in x.vertices}, pair_of(x), pair_of(point(0)))
+        f = PreservingMap(pair_of(x), pair_of(point(0)), {v: "p" for v in x.vertices})
         g = identity_map(pair_of(x))
         assert compose(f, g).vertex_map == f.vertex_map
+
+    # the edge a b at 0, alone and with the subset {a}; x y as a late edge,
+    # and as an early edge whose subset {x} comes late
+    EDGE = pair_of(standard_simplex(1, 0, ("a", "b")))
+    EDGE_A = pair_of(EDGE.total, point(0, "a"))
+    LATE = pair_of(FilteredSet({"x", "y"}, {("x",): 0, ("y",): 0, ("x", "y"): 5}))
+    LATE_X = pair_of(standard_simplex(1, 0, ("x", "y")), point(1, "x"))
+
+    @pytest.mark.parametrize("domain, codomain, vm, error, message", [
+        (EDGE, EDGE, {"a": "a"}, UnknownVertex, "vertex 'b' has no image"),
+        (EDGE, EDGE, {"a": "a", "b": "q"}, UnknownVertex, "image 'q' is not a codomain vertex"),
+        (EDGE_A, EDGE_A, {"a": "b", "b": "b"}, SubNotMappedIntoSub,
+         "subset vertex 'a' maps outside the codomain subset"),
+        (EDGE, LATE, {"a": "x", "b": "y"}, NotFiltrationPreserving,
+         "simplex ('a', 'b') at 0 maps to ('x', 'y') born later"),
+        (EDGE_A, LATE_X, {"a": "x", "b": "y"}, NotFiltrationPreserving,
+         "subset simplex ('a',) at 0 maps to ('x',) born later in the codomain subset"),
+        (EDGE, EDGE, {"a": "a", "b": "b", "zz": "q", "z": "a"}, UnknownVertex,
+         "vertex 'z' is not a domain vertex"),
+    ], ids=["missing-image", "image-outside", "sub-outside-sub", "born-later",
+            "born-later-in-sub", "extra-arrow"])
+    def test_invalid_maps_are_rejected_with_their_cause(self, domain, codomain, vm, error,
+                                                        message):
+        with pytest.raises(error) as info:
+            PreservingMap(domain, codomain, vm)
+        assert str(info.value) == message
+
+    def test_vertex_map_is_read_only(self):
+        f = identity_map(self.EDGE)
+        with pytest.raises(TypeError):
+            f.vertex_map["a"] = "b"
+        assert f.vertex_map == {"a": "a", "b": "b"}
 
 
 class TestCriticalValues:

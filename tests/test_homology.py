@@ -11,6 +11,7 @@ from persax import (
     FilteredSet,
     Interval,
     Matrix,
+    PreservingMap,
     VertexNotPresent,
     bars_alive,
     betti_grid,
@@ -36,7 +37,6 @@ from persax import (
     reduced_homology,
     standard_boundary,
     standard_simplex,
-    validate_map,
 )
 from persax.fuzz import random_pair
 
@@ -124,8 +124,8 @@ class TestInducedMaps:
 
     def test_functoriality_on_concrete_composable_maps(self):
         x = TRIANGLE_RIM
-        rot = validate_map({"a": "b", "b": "c", "c": "a"}, pair_of(x), pair_of(x))
-        swap = validate_map({"a": "b", "b": "a", "c": "c"}, pair_of(x), pair_of(x))
+        rot = PreservingMap(pair_of(x), pair_of(x), {"a": "b", "b": "c", "c": "a"})
+        swap = PreservingMap(pair_of(x), pair_of(x), {"a": "b", "b": "a", "c": "c"})
         for fld in (GF2, GF3):
             for n in (0, 1):
                 lhs = induced_map(compose(rot, swap), n, Interval(1, 2), fld)

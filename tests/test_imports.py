@@ -1,6 +1,8 @@
-"""Every name a persax module imports is used in that module.
+"""Every name a persax module imports is used in that module, and every
+private name a module defines is used somewhere in the package.
 
-The package ``__init__`` is exempt: its imports are the public re-exports.
+The package ``__init__`` is exempt from the first check: its imports are the
+public re-exports.
 """
 
 import ast
@@ -9,7 +11,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "persax"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -25,7 +28,7 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
     return names
 
 
-def used_names(tree: ast.Module) -> set[str]:
+def used_names(tree: ast.AST) -> set[str]:
     """Names read anywhere, including inside string annotations."""
     used = set()
     for node in ast.walk(tree):
@@ -50,3 +53,40 @@ def test_no_unused_imports(path):
     used = used_names(tree)
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def private_definitions(tree: ast.Module):
+    """Each private name a module binds at top level, with the statement that
+    binds it: functions, classes and assigned names, tuple targets included."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_no_unused_private_names():
+    """A private helper is read, imported or looked up outside the statement
+    that defines it, in its own module or another one."""
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    reads = []
+    for tree in trees.values():
+        for node in tree.body:
+            names = used_names(node)
+            names.update(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+            names.update(a.name for n in ast.walk(node) if isinstance(n, ast.ImportFrom)
+                         for a in n.names)
+            reads.append((node, names))
+    unused = [
+        f"{file}:{defined.lineno} {name}"
+        for file, tree in trees.items()
+        for name, defined in private_definitions(tree)
+        if not any(name in names for node, names in reads if node is not defined)
+    ]
+    assert not unused, f"private names nothing uses: {unused}"

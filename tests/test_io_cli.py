@@ -92,6 +92,21 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_filtration_text("0 a a\n")
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("[X]\n0 a\n0 b\n[a]\n0 a\n", 4, "a pair file has no [a] section"),
+        ("[X]\n0 a\n[A]\n0 a\n[X]\n0 b\n", 5, "second [X] section"),
+    ], ids=["misspelt-subset", "repeated-total"])
+    def test_unknown_or_repeated_section_rejected_at_its_line(self, text, line, message):
+        with pytest.raises(ParseError) as info:
+            parse_pair_text(text, source="p.txt")
+        assert str(info.value) == f"p.txt:{line}: {message}"
+
+    def test_error_inside_a_section_names_the_file_line(self):
+        text = "# two sections\n[X]\n0 a\n\nzz b\n[A]\n"
+        with pytest.raises(ParseError) as info:
+            parse_pair_text(text, source="ln2.txt")
+        assert str(info.value) == "ln2.txt[X]:5: bad value 'zz'"
+
 
 class TestRoundTrip:
     def test_serialize_parse_is_identity_on_fuzzed_objects(self):
@@ -149,6 +164,14 @@ class TestMapFiles:
             "domain: dom.txt\ncodomain: cod.txt\na -> p\nb -> p\n")
         f = parse_map(tmp_path / "map.txt")
         assert f.vertex_map == {"a": "p", "b": "p"}
+
+    def test_arrow_from_outside_the_domain_is_rejected(self, tmp_path, ends):
+        (tmp_path / "map.txt").write_text(ends + "a -> p\nb -> q\nz -> p\n")
+        with pytest.raises(ParseError, match=r"map\.txt:0: vertex 'z' is not a domain vertex"):
+            parse_map(tmp_path / "map.txt")
+        proc = run_cli("induced", "--map", str(tmp_path / "map.txt"),
+                       "--interval", "0,0", "--degree", "0")
+        assert (proc.stdout, proc.returncode) == ("", 2)
 
     def test_invalid_map_rejected(self, tmp_path):
         (tmp_path / "dom.txt").write_text("0 a\n")

@@ -12,6 +12,7 @@ from persax import (
     GF,
     GF2,
     GF3,
+    PreservingMap,
     QQ,
     DimensionMismatch,
     FilteredSet,
@@ -34,7 +35,6 @@ from persax import (
     preimage,
     quotient_dim,
     standard_simplex,
-    validate_map,
 )
 from persax.fuzz import random_pair
 
@@ -268,18 +268,18 @@ class TestChainMaps:
 
     def test_collapsed_edge_maps_to_zero(self):
         x = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0, ("a", "b"): 0})
-        f = validate_map({"a": "p", "b": "p"}, pair_of(x), pair_of(standard_simplex(0, 0, ("p",))))
+        f = PreservingMap(pair_of(x), pair_of(standard_simplex(0, 0, ("p",))), {"a": "p", "b": "p"})
         assert chain_map_matrix(f, 1, fin(0), GF2).is_zero()
 
     def test_vertex_swap_carries_permutation_sign(self):
         x = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0, ("a", "b"): 0})
-        f = validate_map({"a": "b", "b": "a"}, pair_of(x), pair_of(x))
+        f = PreservingMap(pair_of(x), pair_of(x), {"a": "b", "b": "a"})
         assert chain_map_matrix(f, 1, fin(0), GF2) == Matrix(GF2, [[1]])
         assert chain_map_matrix(f, 1, fin(0), GF3) == Matrix(GF3, [[2]])
 
     def test_chain_maps_commute_with_boundaries(self):
         x = FilteredSet({"a", "b", "c"}, TRIANGLE)
-        f = validate_map({"a": "b", "b": "c", "c": "a"}, pair_of(x), pair_of(x))
+        f = PreservingMap(pair_of(x), pair_of(x), {"a": "b", "b": "c", "c": "a"})
         for n in (1, 2):
             left = chain_map_matrix(f, n - 1, fin(2), GF3) * boundary_matrix(pair_of(x), n, fin(2), GF3)
             right = boundary_matrix(pair_of(x), n, fin(2), GF3) * chain_map_matrix(f, n, fin(2), GF3)

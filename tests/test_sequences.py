@@ -21,6 +21,7 @@ from persax import (
     LinearMap,
     Matrix,
     NotARetraction,
+    PreservingMap,
     are_contiguous,
     are_contiguously_equivalent,
     check_exact,
@@ -43,7 +44,6 @@ from persax import (
     standard_simplex,
     triad_sequence,
     union,
-    validate_map,
 )
 from persax.fuzz import random_cover, random_pair, random_triple
 from persax.sequences import HypothesisViolated
@@ -323,16 +323,16 @@ class TestCoverPlumbing:
                 return original(*args)
             return wrapper
 
-        original_map = filtration.validate_map
+        original_init = filtration.PreservingMap.__init__
 
-        def counted_map(vertex_map, domain, codomain):
+        def counted_init(self, domain, codomain, vertex_map):
             maps.append((domain, codomain))
-            return original_map(vertex_map, domain, codomain)
+            original_init(self, domain, codomain, vertex_map)
 
         with monkeypatch.context() as patch:
             for name in calls:
                 patch.setattr(sequences, name, counted(name))
-            patch.setattr(filtration, "validate_map", counted_map)
+            patch.setattr(filtration.PreservingMap, "__init__", counted_init)
             build()
         return calls, maps
 
@@ -362,11 +362,11 @@ class TestContiguity:
         edge = standard_simplex(1, 0, ("x", "y"))
         solid = standard_simplex(2, 0, ("a", "b", "c"))
         rim = standard_boundary(2, 0, ("a", "b", "c"))
-        f = validate_map({"x": "a", "y": "b"}, pair_of(edge), pair_of(solid))
-        g = validate_map({"x": "a", "y": "c"}, pair_of(edge), pair_of(solid))
+        f = PreservingMap(pair_of(edge), pair_of(solid), {"x": "a", "y": "b"})
+        g = PreservingMap(pair_of(edge), pair_of(solid), {"x": "a", "y": "c"})
         assert are_contiguous(f, g, Interval(0, 1))
-        f2 = validate_map({"x": "a", "y": "b"}, pair_of(edge), pair_of(rim))
-        g2 = validate_map({"x": "a", "y": "c"}, pair_of(edge), pair_of(rim))
+        f2 = PreservingMap(pair_of(edge), pair_of(rim), {"x": "a", "y": "b"})
+        g2 = PreservingMap(pair_of(edge), pair_of(rim), {"x": "a", "y": "c"})
         assert not are_contiguous(f2, g2, Interval(0, 1))
 
     def test_matches_exhaustive_coface_search(self):
@@ -424,16 +424,15 @@ class TestContiguousEquivalence:
     def test_simplex_and_point_are_equivalent(self):
         solid = standard_simplex(2, 0)
         pt = point(0)
-        collapse = validate_map({v: "p" for v in solid.vertices},
-                                pair_of(solid), pair_of(pt))
-        include = validate_map({"p": "v0"}, pair_of(pt), pair_of(solid))
+        collapse = PreservingMap(pair_of(solid), pair_of(pt), {v: "p" for v in solid.vertices})
+        include = PreservingMap(pair_of(pt), pair_of(solid), {"p": "v0"})
         assert are_contiguously_equivalent(collapse, include)
 
     def test_two_points_are_not_equivalent_to_one(self):
         two = standard_boundary(1, 0, ("a", "b"))
         pt = point(0)
-        collapse = validate_map({"a": "p", "b": "p"}, pair_of(two), pair_of(pt))
-        include = validate_map({"p": "a"}, pair_of(pt), pair_of(two))
+        collapse = PreservingMap(pair_of(two), pair_of(pt), {"a": "p", "b": "p"})
+        include = PreservingMap(pair_of(pt), pair_of(two), {"p": "a"})
         assert not are_contiguously_equivalent(collapse, include)
 
 

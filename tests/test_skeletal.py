@@ -18,6 +18,7 @@ from persax import (
     Interval,
     Matrix,
     OracleMismatch,
+    PreservingMap,
     UnknownVertex,
     critical_intervals,
     critical_values,
@@ -35,7 +36,6 @@ from persax import (
     skeletal_pair,
     standard_boundary,
     standard_simplex,
-    validate_map,
 )
 from persax.skeletal import direct_to_skeletal, generator, incidence_iso
 from persax.fuzz import random_pair
@@ -172,18 +172,17 @@ class TestSkeletalBoundary:
     def test_natural_under_chain_maps(self):
         solid = standard_simplex(2, 0, ("a", "b", "c"))
         target = standard_simplex(2, 0, ("x", "y", "z"))
-        f = validate_map({"a": "y", "b": "x", "c": "z"},
-                         pair_of(solid), pair_of(target))
+        f = PreservingMap(pair_of(solid), pair_of(target), {"a": "y", "b": "x", "c": "z"})
         iv = Interval(0, 1)
         for q in (1, 2):
             dom_q = skeletal_chain_group(pair_of(solid), q, iv, GF3).group
             # chain maps between the skeleton pairs, in generator coordinates
             fq = induced_map(
-                validate_map(f.vertex_map, skeletal_pair(pair_of(solid), q),
-                             skeletal_pair(pair_of(target), q)), q, iv, GF3)
+                PreservingMap(skeletal_pair(pair_of(solid), q),
+                              skeletal_pair(pair_of(target), q), f.vertex_map), q, iv, GF3)
             fq1 = induced_map(
-                validate_map(f.vertex_map, skeletal_pair(pair_of(solid), q - 1),
-                             skeletal_pair(pair_of(target), q - 1)), q - 1, iv, GF3)
+                PreservingMap(skeletal_pair(pair_of(solid), q - 1),
+                              skeletal_pair(pair_of(target), q - 1), f.vertex_map), q - 1, iv, GF3)
             left = fq1.matrix * skeletal_boundary(pair_of(solid), q, iv, GF3)
             right = skeletal_boundary(pair_of(target), q, iv, GF3) * fq.matrix
             assert left == right
@@ -195,8 +194,8 @@ class TestSkeletalBoundary:
         iv = Interval(0, 1)
         for q in (1, 2):
             fq = induced_map(
-                validate_map(vm, skeletal_pair(pair_of(solid), q),
-                             skeletal_pair(pair_of(target), q)), q, iv, GF3)
+                PreservingMap(skeletal_pair(pair_of(solid), q),
+                              skeletal_pair(pair_of(target), q), vm), q, iv, GF3)
             cg = skeletal_chain_group(pair_of(solid), q, iv, GF3)
             for j, sk in enumerate(cg.generators):
                 pushed = fq.matrix.column(j)
@@ -361,14 +360,14 @@ class TestComparisonIsomorphism:
         x = FilteredSet({"a", "b", "c"}, {("a",): 0, ("b",): 0, ("c",): 1,
                                           ("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 2})
         pair = pair_of(x, FilteredSet({"a"}, {("a",): 0}))
-        real = filtration.validate_map
+        real = filtration.PreservingMap.__init__
 
         def count_validations(intervals):
             for value in vars(skeletal).values():
                 if hasattr(value, "cache_clear"):
                     value.cache_clear()
             calls = []
-            monkeypatch.setattr(filtration, "validate_map",
+            monkeypatch.setattr(filtration.PreservingMap, "__init__",
                                 lambda *args: calls.append(args) or real(*args))
             for iv in intervals:
                 for q in range(0, x.dimension + 2):
@@ -376,7 +375,7 @@ class TestComparisonIsomorphism:
                         direct_to_skeletal(pair, q, iv, GF3)
                     except OracleMismatch:
                         pass  # interior deaths break the comparison, not its inputs
-            monkeypatch.setattr(filtration, "validate_map", real)
+            monkeypatch.setattr(filtration.PreservingMap, "__init__", real)
             return len(calls)
 
         intervals = critical_intervals(pair)
@@ -411,15 +410,15 @@ class TestIncidence:
         inc_src = incidence_iso(2, 0, iv, GF3, vertices=src_verts)
         inc_dst = incidence_iso(2, 0, iv, GF3, vertices=dst_verts)
         vm = dict(zip(src_verts, dst_verts))
-        top_map = validate_map(
-            vm,
+        top_map = PreservingMap(
             pair_of(standard_simplex(2, 0, src_verts), standard_boundary(2, 0, src_verts)),
             pair_of(standard_simplex(2, 0, dst_verts), standard_boundary(2, 0, dst_verts)),
+            vm,
         )
-        face_map = validate_map(
-            {k: vm[k] for k in src_verts[1:]},
+        face_map = PreservingMap(
             pair_of(standard_simplex(1, 0, src_verts[1:]), standard_boundary(1, 0, src_verts[1:])),
             pair_of(standard_simplex(1, 0, dst_verts[1:]), standard_boundary(1, 0, dst_verts[1:])),
+            {k: vm[k] for k in src_verts[1:]},
         )
         left = induced_map(face_map, 1, iv, GF3).matrix * inc_src.matrix
         right = inc_dst.matrix * induced_map(top_map, 2, iv, GF3).matrix
