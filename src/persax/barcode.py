@@ -151,7 +151,9 @@ def cone_off_subset(pair: RelativeFilteredPair) -> FilteredSet:
 
     Sublevel by sublevel, the result is the total complex with the subset's
     complex coned off (or plus a disjoint apex while the subset is empty),
-    whose reduced homology matches the pair's relative homology.
+    whose reduced homology matches the pair's relative homology.  Both parts
+    are validated and the subset's values dominate, so the cone is a valid
+    set by construction, and its values are exactly the pair's.
     """
     vals = critical_values(pair.total)
     if not vals:
@@ -161,7 +163,7 @@ def cone_off_subset(pair: RelativeFilteredPair) -> FilteredSet:
     values[(apex,)] = vals[0]
     for sk, val in pair.sub.entries:
         values[simplex(sk + (apex,))] = val
-    return FilteredSet(pair.total.vertices | {apex}, values)
+    return FilteredSet._trusted(pair.total.vertices | {apex}, values, critical_values(pair))
 
 
 def pair_barcode(pair_or_set, field=GF2) -> tuple[Bar, ...]:

@@ -132,6 +132,16 @@ def simplex(vertices: Iterable[str]) -> Simplex:
     return vs
 
 
+def _sorted_distinct(values: Iterable[FiltValue]) -> tuple[FiltValue, ...]:
+    """Sorted distinct values.
+
+    Shared value objects are deduplicated by identity before the set hashes
+    them, so a large table of parsed values costs one int hash per entry
+    rather than one ``Fraction`` hash.
+    """
+    return tuple(sorted(set({id(v): v for v in values}.values())))
+
+
 def facets(sigma: Simplex) -> list[Simplex]:
     """Codimension-1 faces, in the order of the omitted position."""
     return [sigma[:i] + sigma[i + 1 :] for i in range(len(sigma))]
@@ -141,10 +151,13 @@ class FilteredSet:
     """A finite vertex set with a monotone, downward-closed sparse filtration.
 
     Absent simplices are implicitly at INF.  Instances are immutable and
-    hashable; all operations on them are pure functions.
+    hashable; all operations on them are pure functions.  ``FilteredSet(...)``
+    is the one constructor that validates; sets derived from validated sets
+    are built by ``_trusted`` without checking again.  Each set keeps its
+    sorted distinct values, which ``critical_values`` reads.
     """
 
-    __slots__ = ("vertices", "entries", "_lookup", "_hash")
+    __slots__ = ("vertices", "entries", "_lookup", "_critical", "_hash")
 
     def __init__(self, vertices: Iterable[str], values: Mapping):
         verts = frozenset(vertices)
@@ -152,7 +165,7 @@ class FilteredSet:
         for key, raw in values.items():
             sk = simplex(key)
             val = fin(raw)
-            if not set(sk) <= verts:
+            if not verts.issuperset(sk):
                 raise UnknownVertex(f"simplex {sk} uses vertices outside {sorted(verts)}")
             # INF entries take part in the conflict check, so key order never decides it
             if given.setdefault(sk, val) != val:
@@ -167,10 +180,30 @@ class FilteredSet:
                     raise MissingFace(f"face {fc} of {sk} is absent from the support")
                 if fval > val:
                     raise MonotonicityViolation(f"face {fc} at {fval} exceeds {sk} at {val}")
+        self._fill(verts, table)
+
+    @classmethod
+    def _trusted(cls, vertices: frozenset[str], table: dict[Simplex, FiltValue],
+                 critical: tuple[FiltValue, ...] | None = None) -> "FilteredSet":
+        """A set from a table that is valid by construction; nothing is checked.
+
+        The caller guarantees what ``__init__`` checks: canonical keys over
+        ``vertices``, finite values, a downward-closed support and monotone
+        values.  ``critical`` is the table's sorted distinct values when the
+        caller knows them exactly; otherwise they are computed here.
+        """
+        self = object.__new__(cls)
+        self._fill(vertices, table, critical)
+        return self
+
+    def _fill(self, verts, table, critical=None) -> None:
+        if critical is None:
+            critical = _sorted_distinct(table.values())
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "entries", tuple(sorted(table.items())))
         object.__setattr__(self, "_lookup", table)
-        object.__setattr__(self, "_hash", hash((verts, self.entries)))
+        object.__setattr__(self, "_critical", critical)
+        object.__setattr__(self, "_hash", None)  # on first use: the bars path never hashes
 
     def __setattr__(self, name, value):
         raise AttributeError("FilteredSet is immutable")
@@ -179,7 +212,15 @@ class FilteredSet:
         return type(self), (self.vertices, self._lookup)
 
     def value(self, sigma) -> FiltValue:
-        """Filtration value of a simplex; INF when unsupported."""
+        """Filtration value of a simplex; INF when unsupported.
+
+        A stored key is found as given; any other key is canonicalised first,
+        so a reordered simplex finds its value and a malformed one raises.
+        """
+        if isinstance(sigma, tuple):
+            val = self._lookup.get(sigma)
+            if val is not None:
+                return val
         return self._lookup.get(simplex(sigma), INF)
 
     @property
@@ -199,6 +240,8 @@ class FilteredSet:
         )
 
     def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.vertices, self.entries)))
         return self._hash
 
     def __repr__(self):
@@ -292,7 +335,7 @@ def union(x: FilteredSet, y: FilteredSet) -> FilteredSet:
             prev = values.get(sk)
             if prev is None or val < prev:
                 values[sk] = val
-    return FilteredSet(x.vertices | y.vertices, values)
+    return FilteredSet._trusted(x.vertices | y.vertices, values)
 
 
 def intersection(x: FilteredSet, y: FilteredSet) -> FilteredSet:
@@ -303,7 +346,7 @@ def intersection(x: FilteredSet, y: FilteredSet) -> FilteredSet:
         xval = xmap.get(sk)
         if xval is not None:
             values[sk] = max(val, xval)
-    return FilteredSet(x.vertices & y.vertices, values)
+    return FilteredSet._trusted(x.vertices & y.vertices, values)
 
 
 def skeleton(x: FilteredSet, q: int) -> FilteredSet:
@@ -314,7 +357,7 @@ def skeleton(x: FilteredSet, q: int) -> FilteredSet:
     if q < -1:
         raise ValueError("skeleton degree must be >= -1")
     values = {sk: val for sk, val in x.entries if len(sk) - 1 <= q}
-    return FilteredSet(x.vertices, values)
+    return FilteredSet._trusted(x.vertices, values)
 
 
 def _default_vertices(count: int) -> tuple[str, ...]:
@@ -344,7 +387,7 @@ def standard_boundary(q: int, alpha, vertices: Iterable[str] | None = None) -> F
     solid = standard_simplex(q, alpha, vertices)
     top = simplex(solid.vertices)
     values = {sk: val for sk, val in solid.entries if sk != top}
-    return FilteredSet(solid.vertices, values)
+    return FilteredSet._trusted(solid.vertices, values)
 
 
 def closed_star(q: int, alpha, center: str, vertices: Iterable[str] | None = None) -> FilteredSet:
@@ -359,7 +402,7 @@ def closed_star(q: int, alpha, center: str, vertices: Iterable[str] | None = Non
     top = simplex(solid.vertices)
     opposite = simplex(v for v in solid.vertices if v != center)
     values = {sk: val for sk, val in solid.entries if sk not in (top, opposite)}
-    return FilteredSet(solid.vertices, values)
+    return FilteredSet._trusted(solid.vertices, values)
 
 
 def point(alpha, name: str = "p") -> FilteredSet:
@@ -463,10 +506,8 @@ def compose(f: PreservingMap, g: PreservingMap) -> PreservingMap:
 def critical_values(obj) -> tuple[FiltValue, ...]:
     """Sorted distinct finite values of the support; pairs pool both parts."""
     if isinstance(obj, RelativeFilteredPair):
-        vals = {v for _, v in obj.total.entries} | {v for _, v in obj.sub.entries}
-    else:
-        vals = {v for _, v in obj.entries}
-    return tuple(sorted(vals))
+        return _sorted_distinct(obj.total._critical + obj.sub._critical)
+    return obj._critical
 
 
 def critical_intervals(obj) -> tuple[Interval, ...]:

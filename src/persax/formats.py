@@ -18,6 +18,7 @@ from typing import Iterable
 from .filtration import (
     FiltrationError,
     FilteredSet,
+    FiltValue,
     PreservingMap,
     RelativeFilteredPair,
     fin,
@@ -36,8 +37,14 @@ def _strip(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
 
-def _parse_lines(numbered: Iterable[tuple[int, str]], source: str) -> FilteredSet:
-    """A filtered set from ``(file line number, line)`` pairs."""
+def _parse_lines(numbered: Iterable[tuple[int, str]], source: str,
+                 coerced: dict[str, FiltValue]) -> FilteredSet:
+    """A filtered set from ``(file line number, line)`` pairs.
+
+    ``coerced`` maps each value token already read from the file to its
+    value, so a token is converted once and equal tokens share one object,
+    on which tuple comparison short-circuits.
+    """
     values = {}
     vertices = set()
     for line_no, raw in numbered:
@@ -47,10 +54,12 @@ def _parse_lines(numbered: Iterable[tuple[int, str]], source: str) -> FilteredSe
         tokens = line.split()
         if len(tokens) < 2:
             raise ParseError(source, line_no, "expected a value and at least one vertex")
-        try:
-            value = fin(tokens[0])
-        except (ValueError, TypeError):
-            raise ParseError(source, line_no, f"bad value {tokens[0]!r}") from None
+        value = coerced.get(tokens[0])
+        if value is None:
+            try:
+                value = coerced[tokens[0]] = fin(tokens[0])
+            except (ValueError, TypeError):
+                raise ParseError(source, line_no, f"bad value {tokens[0]!r}") from None
         verts = tokens[1:]
         if len(set(verts)) != len(verts):
             raise ParseError(source, line_no, "repeated vertex in simplex")
@@ -66,14 +75,15 @@ def _parse_lines(numbered: Iterable[tuple[int, str]], source: str) -> FilteredSe
 
 
 def parse_filtration_text(text: str, source: str = "<string>") -> FilteredSet:
-    return _parse_lines(enumerate(text.splitlines(), start=1), source)
+    return _parse_lines(enumerate(text.splitlines(), start=1), source, {})
 
 
 # the sections each kind of multi-part file takes: (required, optional)
 _SECTIONS = {
     "pair": (("X",), ("A",)),
     "triple": (("X", "A", "B"), ()),
-    "cover": (("X1", "X2"), ("X",)),
+    "cover": (("X1", "X2"), ("X",)),  # the ambient [X] is for --triad
+    "Mayer-Vietoris": (("X1", "X2"), ()),
 }
 
 
@@ -101,8 +111,9 @@ def _split_sections(text: str, source: str, kind: str) -> dict[str, tuple[int, l
 
 def parse_sections_text(text: str, kind: str, source: str = "<string>") -> dict[str, FilteredSet]:
     """Every section of a multi-part file, which must hold the kind's required ones."""
+    coerced: dict[str, FiltValue] = {}  # shared, so all sections share their values
     sections = {
-        name: _parse_lines(enumerate(lines, start=first), f"{source}[{name}]")
+        name: _parse_lines(enumerate(lines, start=first), f"{source}[{name}]", coerced)
         for name, (first, lines) in _split_sections(text, source, kind).items()
     }
     for name in _SECTIONS[kind][0]:
@@ -151,7 +162,8 @@ def parse_triple(path) -> tuple[FilteredSet, FilteredSet, FilteredSet]:
 
 
 def parse_cover(path) -> tuple[FilteredSet, FilteredSet]:
-    sections = parse_sections(path, "cover")
+    """The two parts of a Mayer-Vietoris file; it has no ambient [X] section."""
+    sections = parse_sections(path, "Mayer-Vietoris")
     return sections["X1"], sections["X2"]
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import importlib.util
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -11,20 +12,24 @@ from persax import (
     GF3,
     INF,
     QQ,
+    FilteredSet,
     Interval,
     bars_alive,
     barcode,
+    critical_intervals,
     critical_values,
     fin,
     linalg,
     pair_barcode,
     pair_of,
 )
+from persax.formats import parse_pair_text, serialize_pair
 from persax.fuzz import random_filtration, random_pair, random_subset_of
 
 from .oracles import reference_bars, reference_pair_bars, values_of
 
-BARCODE_SOURCE = Path(__file__).resolve().parent.parent / "src" / "persax" / "barcode.py"
+REPO = Path(__file__).resolve().parent.parent
+BARCODE_SOURCE = REPO / "src" / "persax" / "barcode.py"
 FIELDS = ((GF2, 2), (GF3, 3), (QQ, None))
 
 
@@ -73,6 +78,82 @@ class TestPinnedBarcodes:
             lines.append(f"{i} pair {pair_barcode(pair, field)}")
         text = "\n".join(lines)
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
+
+
+def _rips_pair_text(seed):
+    """A seeded Rips pair file (1,470 + 98 simplices) from the benchmark's recipe."""
+    spec = importlib.util.spec_from_file_location("persax_bench_gen", REPO / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    total = gen.rips(random.Random(seed), 2, 7, 3, levels=12)
+    return gen.pair_text(total, gen.left_half_subset(total))
+
+
+class TestLargerInput:
+    # sha256 of the canonical pair file and of the bars and alive-count dump,
+    # recorded before the filtration layer stopped re-validating derived sets
+    PAIR_DIGEST = "5e6b4283292e5aa17bd73d42a7469eb0bff9f4016833b50759a08d698accc771"
+    DUMP_DIGEST = "cb09432faecd84b2021ec48b99b11ab0770489d2d77e0a09900ab82aca562c27"
+
+    def test_rips_pair_round_trips_and_keeps_its_bars(self):
+        pair = parse_pair_text(_rips_pair_text(13))
+        assert (len(pair.total.entries), len(pair.sub.entries)) == (1470, 98)
+        text = serialize_pair(pair)
+        assert serialize_pair(parse_pair_text(text)) == text
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PAIR_DIGEST
+        lines = []
+        for p in (pair, pair_of(pair.total)):
+            bars = pair_barcode(p)
+            lines += [f"bar\t{b.degree}\t{b.birth}\t{b.death}" for b in bars]
+            for n in range(p.total.dimension + 2):
+                for iv in critical_intervals(p):
+                    lines.append(f"alive\t{n}\t{iv}\t{bars_alive(bars, n, iv)}")
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DUMP_DIGEST
+
+
+class TestBuiltOnce:
+    @staticmethod
+    def _validated_during(monkeypatch, build):
+        from persax import filtration
+
+        built = []
+        original_init = filtration.FilteredSet.__init__
+
+        def counted_init(self, vertices, values):
+            built.append(len(values))
+            original_init(self, vertices, values)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(filtration.FilteredSet, "__init__", counted_init)
+            build()
+        return built
+
+    def test_pair_barcode_validates_nothing_on_a_built_pair(self, monkeypatch):
+        pairs = list(_instances(30, 709)) + [parse_pair_text(_rips_pair_text(13))]
+        for pair in pairs:
+            for p in (pair, pair_of(pair.total)):
+                assert self._validated_during(monkeypatch, lambda: pair_barcode(p)) == []
+        # the hook does see a validating build
+        assert self._validated_during(monkeypatch, lambda: FilteredSet({"a"}, {("a",): 0})) == [1]
+
+    def test_critical_values_read_no_entries(self, monkeypatch):
+        pairs = list(_instances(30, 709))
+        slot = FilteredSet.__dict__["entries"]
+        reads = []
+
+        def counted(self):
+            reads.append(self)
+            return slot.__get__(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(FilteredSet, "entries", property(counted))
+            for pair in pairs:
+                critical_values(pair)
+                critical_values(pair.total)
+                critical_values(pair.sub)
+            assert reads == []
+            pairs[0].total.entries  # the hook does see a read
+        assert reads == [pairs[0].total]
 
 
 def _naive_alive(bars, degree, lo, hi):

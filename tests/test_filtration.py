@@ -40,7 +40,9 @@ from persax import (
     standard_simplex,
     union,
 )
+from persax.barcode import cone_off_subset
 from persax.formats import canonical_text, serialize_pair
+from persax.fuzz import random_filtration, random_pair
 
 TRIANGLE_RIM = {
     ("a",): 0, ("b",): 0, ("c",): 0,
@@ -241,6 +243,30 @@ class TestValidate:
             pair_of(FilteredSet({"a"}, {("a",): 1}), low)
 
 
+class TestValue:
+    def test_canonical_key_is_found_as_given(self):
+        fs = triangle_rim()
+        assert fs.value(("a", "b")) == fin(1) and fs.value(("c",)) == fin(0)
+
+    @pytest.mark.parametrize("key", [("b", "a"), ["b", "a"], {"a", "b"}, "ab"],
+                             ids=["reordered", "list", "set", "string"])
+    def test_non_canonical_key_finds_its_simplex(self, key):
+        assert triangle_rim().value(key) == fin(1)
+
+    @pytest.mark.parametrize("key", [("a", "b", "c"), ("c", "b", "a"), ("z",), ("a", "z")])
+    def test_missing_key_is_inf(self, key):
+        assert triangle_rim().value(key) == INF
+
+    @pytest.mark.parametrize("key, message", [
+        ((), "a simplex needs at least one vertex"),
+        (("a", "a"), r"repeated vertex in simplex \('a', 'a'\)"),
+        (["b", "b"], r"repeated vertex in simplex \('b', 'b'\)"),
+    ], ids=["empty", "repeated", "repeated-list"])
+    def test_malformed_key_raises(self, key, message):
+        with pytest.raises(ValueError, match=message):
+            triangle_rim().value(key)
+
+
 def _brute_force_valid(raw: dict) -> bool:
     # independent re-check: explicit downward closure and monotonicity
     table = {tuple(sorted(k)): v for k, v in raw.items() if v is not None}
@@ -359,6 +385,48 @@ class TestStandardObjects:
 
     def test_zero_simplex_is_a_point(self):
         assert standard_simplex(0, 2, ("p",)) == point(2)
+
+
+def _derived_sets(count, seed):
+    """Every set the package builds without re-validating, from seeded fuzz input."""
+    master = random.Random(seed)
+    for i in range(count):
+        rng = random.Random(master.getrandbits(64))
+        pair, y = random_pair(rng), random_filtration(rng)
+        x = pair.total
+        yield union(x, y)
+        yield intersection(x, y)
+        for q in range(-1, x.dimension + 2):
+            yield skeleton(x, q)
+        yield cone_off_subset(pair)
+        yield cone_off_subset(pair_of(x))
+        yield standard_boundary(i % 4, "1/2")
+        yield closed_star(1 + i % 3, 3, "v0")
+
+
+class TestTrustedConstruction:
+    """Derived sets match the validating constructor on the same table."""
+
+    def test_derived_sets_equal_their_validated_rebuild(self):
+        checked = 0
+        for fs in _derived_sets(200, 811):
+            rebuilt = FilteredSet(fs.vertices, dict(fs.entries))
+            assert fs == rebuilt and hash(fs) == hash(rebuilt)
+            assert fs.entries == rebuilt.entries and fs.vertices == rebuilt.vertices
+            assert critical_values(fs) == tuple(sorted({v for _, v in fs.entries}))
+            assert critical_values(fs) == critical_values(rebuilt)
+            for back in (copy.copy(fs), copy.deepcopy(fs), pickle.loads(pickle.dumps(fs))):
+                assert back == fs and hash(back) == hash(fs)
+                assert critical_values(back) == critical_values(fs)
+            checked += 1
+        assert checked > 2000
+
+    def test_pair_values_pool_both_parts(self):
+        master = random.Random(829)
+        for _ in range(200):
+            pair = random_pair(random.Random(master.getrandbits(64)))
+            pooled = {v for _, v in pair.total.entries} | {v for _, v in pair.sub.entries}
+            assert critical_values(pair) == tuple(sorted(pooled))
 
 
 class TestCylinder:

@@ -12,6 +12,7 @@ from persax import cli, fin, point
 from persax.formats import (
     ParseError,
     instance_tag,
+    parse_cover,
     parse_filtration_text,
     parse_map,
     parse_pair_text,
@@ -100,6 +101,26 @@ class TestParsing:
         with pytest.raises(ParseError) as info:
             parse_pair_text(text, source="p.txt")
         assert str(info.value) == f"p.txt:{line}: {message}"
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("0 a\nzz b\nzz c\n", 2, "bad value 'zz'"),
+        ("0 a\n1e999999999 b\n1e999999999 c\n", 2, "bad value '1e999999999'"),
+        ("1/2 a\n1/3 a\n", 2, "conflicting values for ('a',)"),
+    ], ids=["bad-token-twice", "huge-exponent-twice", "half-then-third"])
+    def test_value_errors_name_their_first_line(self, text, line, message):
+        with pytest.raises(ParseError) as info:
+            parse_filtration_text(text, source="v.txt")
+        assert str(info.value) == f"v.txt:{line}: {message}"
+
+    def test_equal_values_in_two_spellings_are_one_value(self):
+        fs = parse_filtration_text("1/2 a\n0.5 a\n2/4 b\n1 a b\n")
+        assert fs.value(("a",)) == fs.value(("b",)) == fin("1/2")
+        assert fs.support == (("a",), ("a", "b"), ("b",))
+
+    def test_a_value_token_is_one_object_across_sections(self):
+        pair = parse_pair_text(PAIR_TEXT)
+        assert pair.total.value(("a",)) is pair.total.value(("c",)) is pair.sub.value(("b",))
+        assert pair.total.value(("a", "b")) is pair.sub.value(("a", "b"))
 
     def test_error_inside_a_section_names_the_file_line(self):
         text = "# two sections\n[X]\n0 a\n\nzz b\n[A]\n"
@@ -296,6 +317,22 @@ class TestCli:
         proc = run_cli("sequence", flag, "--pair", str(path), "--interval", interval,
                        "--format", "records")
         assert (proc.stdout, proc.returncode) == (stdout, code)
+
+    def test_mv_rejects_an_ambient_section_at_its_line(self, tmp_path):
+        path = tmp_path / "cover.txt"
+        path.write_text("[X1]\n0 a\n[X2]\n0 b\n[X]\n0 a\n0 b\n0 c\n")
+        proc = run_cli("sequence", "--mv", "--pair", str(path), "--interval", "0,0")
+        assert (proc.stdout, proc.returncode) == ("", 2)
+        assert proc.stderr == f"error: {path}:5: a Mayer-Vietoris file has no [X] section\n"
+        with pytest.raises(ParseError, match=r":5: a Mayer-Vietoris file has no \[X\] section"):
+            parse_cover(path)
+        # --triad reads the same file, ambient section included
+        proc = run_cli("sequence", "--triad", "--pair", str(path), "--interval", "0,0",
+                       "--format", "records")
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[3:6] == ["sequence\t3\t1\ti_0\texact",
+                                                 "sequence\t4\t2\tj_0\texact",
+                                                 "sequence\t5\t1\t0\texact"]
 
     def test_triad_without_second_cover_set_is_rejected(self, tmp_path):
         path = tmp_path / "half.txt"
