@@ -1,21 +1,22 @@
 """Mechanical verification of the homology axioms on concrete instances.
 
 Each check takes the objects the axiom quantifies over, runs the stated
-property exactly, and returns a structured report: pass, fail (with an
+property exactly, and returns its verdict: pass, fail (with an
 independently re-checkable witness), or vacuous when the axiom's hypothesis
-is not met by the instance.
+is not met by the instance.  One table names each axiom id's check and
+instance keys, and ``verify_axiom`` turns a verdict into a report.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .filtration import (
     FilteredSet,
     Interval,
     PreservingMap,
-    RelativeFilteredPair,
     compose,
     critical_values,
     identity_map,
@@ -37,11 +38,9 @@ from .fuzz import (
     random_pair,
     random_pair_map,
 )
-from .homology import connecting, homology, induced_map
+from .homology import _degrees, connecting, homology, induced_map
 from .linalg import GF2
 from .sequences import are_contiguous, check_exact, les_pair
-
-AXIOM_IDS = ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "S1", "S2", "S3")
 
 PASS = "pass"
 FAIL = "fail"
@@ -68,81 +67,71 @@ def _need(bundle, *keys):
     return [bundle[k] for k in keys]
 
 
-def _degrees(pair: RelativeFilteredPair) -> range:
-    return range(0, max(pair.total.dimension, 0) + 2)
+def _first_failing_degree(degrees: range, failure):
+    """FAIL at the first degree where ``failure(n)`` gives ``(details, witness)``,
+    with the degree ahead of those details; PASS when it gives None throughout."""
+    for n in degrees:
+        found = failure(n)
+        if found is not None:
+            details, witness = found
+            return FAIL, (("degree", str(n)), *details), witness
+    return PASS, (), None
 
 
-def _identity_check(field, **bundle) -> AxiomReport:
-    pair, interval = _need(bundle, "pair", "interval")
+def _unequal(left, right):
+    """Both matrices as the witness when two maps differ; None when they agree."""
+    if left.matrix == right.matrix:
+        return None
+    return (), (left.matrix.rows, right.matrix.rows)
+
+
+def _identity_check(field, pair, interval):
     ident = identity_map(pair)
-    for n in _degrees(pair):
+
+    def failure(n):
         lm = induced_map(ident, n, interval, field)
-        if not lm.is_identity():
-            return AxiomReport("A1", bundle["tag"], FAIL,
-                               (("degree", str(n)),), lm.matrix.rows)
-    return AxiomReport("A1", bundle["tag"], PASS)
+        return None if lm.is_identity() else ((), lm.matrix.rows)
+
+    return _first_failing_degree(_degrees(pair.total), failure)
 
 
-def _composition_check(field, **bundle) -> AxiomReport:
-    f, g, interval = _need(bundle, "f", "g", "interval")
+def _composition_check(field, f, g, interval):
     if g.codomain != f.domain:
         raise MalformedInstance("maps do not compose")
     fg = compose(f, g)
-    for n in _degrees(fg.domain):
-        lhs = induced_map(fg, n, interval, field)
-        rhs = induced_map(f, n, interval, field).compose(induced_map(g, n, interval, field))
-        if lhs.matrix != rhs.matrix:
-            return AxiomReport("A2", bundle["tag"], FAIL, (("degree", str(n)),),
-                               (lhs.matrix.rows, rhs.matrix.rows))
-    return AxiomReport("A2", bundle["tag"], PASS)
+    return _first_failing_degree(_degrees(fg.domain.total), lambda n: _unequal(
+        induced_map(fg, n, interval, field),
+        induced_map(f, n, interval, field).compose(induced_map(g, n, interval, field))))
 
 
-def _naturality_check(field, **bundle) -> AxiomReport:
-    f, interval = _need(bundle, "f", "interval")
+def _naturality_check(field, f, interval):
     restricted = f.restrict_to_sub()
-    top = max(f.domain.total.dimension, f.codomain.total.dimension, 0) + 1
-    for n in range(1, top + 1):
-        left = induced_map(restricted, n - 1, interval, field).compose(
-            connecting(f.domain, n, interval, field))
-        right = connecting(f.codomain, n, interval, field).compose(
-            induced_map(f, n, interval, field))
-        if left.matrix != right.matrix:
-            return AxiomReport("A3", bundle["tag"], FAIL, (("degree", str(n)),),
-                               (left.matrix.rows, right.matrix.rows))
-    return AxiomReport("A3", bundle["tag"], PASS)
+    return _first_failing_degree(
+        _degrees(f.domain.total, f.codomain.total, start=1), lambda n: _unequal(
+            induced_map(restricted, n - 1, interval, field).compose(
+                connecting(f.domain, n, interval, field)),
+            connecting(f.codomain, n, interval, field).compose(
+                induced_map(f, n, interval, field))))
 
 
-def _exactness_check(field, axiom_id, **bundle) -> AxiomReport:
-    pair, interval = _need(bundle, "pair", "interval")
+def _exactness_check(field, pair, interval):
     report = check_exact(les_pair(pair, interval, field))
     if report.ok:
-        return AxiomReport(axiom_id, bundle["tag"], PASS,
-                           (("nodes", str(len(report.checks))),))
+        return PASS, (("nodes", str(len(report.checks))),), None
     bad = report.failures()[0]
-    return AxiomReport(axiom_id, bundle["tag"], FAIL,
-                       (("node", str(bad.index)),), bad.witness)
+    return FAIL, (("node", str(bad.index)),), bad.witness
 
 
-def _contiguity_check(field, **bundle) -> AxiomReport:
-    f, g, interval = _need(bundle, "f", "g", "interval")
+def _contiguity_check(field, f, g, interval):
     if f.domain != g.domain or f.codomain != g.codomain:
         raise MalformedInstance("maps do not share endpoints")
     if not are_contiguous(f, g, interval):
-        return AxiomReport("A5", bundle["tag"], VACUOUS,
-                           (("reason", "maps are not contiguous"),))
-    top = max(f.domain.total.dimension, 0) + 1
-    for n in range(0, top + 1):
-        mf = induced_map(f, n, interval, field)
-        mg = induced_map(g, n, interval, field)
-        if mf.matrix != mg.matrix:
-            return AxiomReport("A5", bundle["tag"], FAIL, (("degree", str(n)),),
-                               (mf.matrix.rows, mg.matrix.rows))
-    return AxiomReport("A5", bundle["tag"], PASS)
+        return VACUOUS, (("reason", "maps are not contiguous"),), None
+    return _first_failing_degree(_degrees(f.domain.total), lambda n: _unequal(
+        induced_map(f, n, interval, field), induced_map(g, n, interval, field)))
 
 
-def _dimension_check(field, **bundle) -> AxiomReport:
-    (alpha,) = _need(bundle, "alpha")
-    intervals = bundle.get("intervals")
+def _dimension_check(field, alpha, intervals):
     if not intervals:
         raise MalformedInstance("dimension check needs intervals")
     pt = pair_of(point(alpha))
@@ -151,10 +140,9 @@ def _dimension_check(field, **bundle) -> AxiomReport:
             want = 1 if n == 0 and interval.lo >= pt.total.value(("p",)) else 0
             got = homology(pt, n, interval, field).dim
             if got != want:
-                return AxiomReport("A6", bundle["tag"], FAIL,
-                                   (("interval", str(interval)), ("degree", str(n)),
-                                    ("got", str(got)), ("want", str(want))))
-    return AxiomReport("A6", bundle["tag"], PASS)
+                return FAIL, (("interval", str(interval)), ("degree", str(n)),
+                              ("got", str(got)), ("want", str(want))), None
+    return PASS, (), None
 
 
 def excision_instance(x_part: FilteredSet, a: FilteredSet):
@@ -166,28 +154,20 @@ def excision_instance(x_part: FilteredSet, a: FilteredSet):
     return inner, outer
 
 
-def _excision_check(field, axiom_id, **bundle) -> AxiomReport:
-    if axiom_id == "A7":
-        x_part, a, interval = _need(bundle, "x_part", "a", "interval")
-    else:
-        x_part, a, interval = _need(bundle, "x", "y", "interval")
+def _excision_check(field, x_part, a, interval):
     inner, outer = excision_instance(x_part, a)
     inc = inclusion(inner, outer)
-    top = max(outer.total.dimension, 0) + 1
-    for n in range(0, top + 1):
+
+    def failure(n):
         lm = induced_map(inc, n, interval, field)
-        if not lm.is_isomorphism():
-            return AxiomReport(axiom_id, bundle["tag"], FAIL,
-                               (("degree", str(n)), ("shape", str(lm.matrix.shape))))
-    return AxiomReport(axiom_id, bundle["tag"], PASS)
+        return None if lm.is_isomorphism() else ((("shape", str(lm.matrix.shape)),), None)
+
+    return _first_failing_degree(_degrees(outer.total), failure)
 
 
-def _simplex_dimension_check(field, **bundle) -> AxiomReport:
-    (alpha,) = _need(bundle, "alpha")
-    intervals = bundle.get("intervals")
+def _simplex_dimension_check(field, alpha, intervals, q_max=4):
     if not intervals:
         raise MalformedInstance("simplex dimension check needs intervals")
-    q_max = bundle.get("q_max", 4)
     for q in range(0, q_max + 1):
         solid = pair_of(standard_simplex(q, alpha))
         birth = solid.total.value(sorted(solid.total.vertices)[:1])
@@ -196,11 +176,35 @@ def _simplex_dimension_check(field, **bundle) -> AxiomReport:
                 want = 1 if k == 0 and interval.lo >= birth else 0
                 got = homology(solid, k, interval, field).dim
                 if got != want:
-                    return AxiomReport("S3", bundle["tag"], FAIL,
-                                       (("q", str(q)), ("degree", str(k)),
-                                        ("interval", str(interval)),
-                                        ("got", str(got)), ("want", str(want))))
-    return AxiomReport("S3", bundle["tag"], PASS)
+                    return FAIL, (("q", str(q)), ("degree", str(k)),
+                                  ("interval", str(interval)),
+                                  ("got", str(got)), ("want", str(want))), None
+    return PASS, (), None
+
+
+class _Axiom(NamedTuple):
+    check: Callable
+    keys: tuple[str, ...]
+    optional: tuple[str, ...] = ()
+
+
+# Each axiom id with its check and instance keys.  A check takes the field,
+# the values of ``keys`` in order and any ``optional`` key by name, and
+# returns ``(verdict, details, witness)``.
+_AXIOMS = {
+    "A1": _Axiom(_identity_check, ("pair", "interval")),
+    "A2": _Axiom(_composition_check, ("f", "g", "interval")),
+    "A3": _Axiom(_naturality_check, ("f", "interval")),
+    "A4": _Axiom(_exactness_check, ("pair", "interval")),
+    "A5": _Axiom(_contiguity_check, ("f", "g", "interval")),
+    "A6": _Axiom(_dimension_check, ("alpha", "intervals")),
+    "A7": _Axiom(_excision_check, ("x_part", "a", "interval")),
+    "S1": _Axiom(_excision_check, ("x", "y", "interval")),
+    "S2": _Axiom(_exactness_check, ("pair", "interval")),
+    "S3": _Axiom(_simplex_dimension_check, ("alpha", "intervals"), ("q_max",)),
+}
+
+AXIOM_IDS = tuple(_AXIOMS)
 
 
 def random_interval(rng, obj) -> Interval:
@@ -226,79 +230,63 @@ def _boundary_target_maps(rng):
     return f, g
 
 
+def _fuzz_instances(rng) -> dict:
+    """One seeded instance bundle per axiom id, drawn in a fixed order; A1, A4
+    and S2 share the pair's bundle, and A7 and S1 share the cut-out's tag."""
+    pair = random_pair(rng)
+    on_pair = dict(pair=pair, interval=random_interval(rng, pair), tag=instance_tag(pair))
+    f, g = random_composable_maps(rng)
+    composable = dict(f=f, g=g, interval=random_interval(rng, g.domain),
+                      tag=instance_tag((f, g)))
+    h = random_pair_map(rng)
+    natural = dict(f=h, interval=random_interval(rng, h.domain), tag=instance_tag(h))
+    cf, cg = _boundary_target_maps(rng) if rng.random() < 0.25 else random_contiguous_pair(rng)
+    contiguous = dict(f=cf, g=cg, interval=random_interval(rng, cf.domain),
+                      tag=instance_tag((cf, cg)))
+    alpha = rng.choice(list(DEFAULT_VALUES))
+    ivs = tuple(Interval(lo, lo + rng.choice((0, 1, 2))) for lo in (alpha - 1, alpha, alpha + 1))
+    x_part, carved = random_excision_parts(rng)
+    cut_interval = random_interval(rng, union(x_part, carved))
+    cut_tag = instance_tag((x_part, carved))
+    return {
+        "A1": on_pair,
+        "A2": composable,
+        "A3": natural,
+        "A4": on_pair,
+        "A5": contiguous,
+        "A6": dict(alpha=alpha, intervals=ivs, tag=f"point-{alpha}"),
+        "A7": dict(x_part=x_part, a=carved, interval=cut_interval, tag=cut_tag),
+        "S1": dict(x=x_part, y=carved, interval=cut_interval, tag=cut_tag),
+        "S2": on_pair,
+        "S3": dict(alpha=alpha, intervals=ivs, q_max=3, tag=f"simplex-{alpha}"),
+    }
+
+
 def fuzz_axiom_reports(count: int, seed: int, field=GF2) -> list[AxiomReport]:
     """Seeded random instances for every axiom; deterministic for a seed."""
     master = random.Random(seed)
     reports = []
-    for index in range(count):
-        rng = random.Random(master.getrandbits(64))
-        pair = random_pair(rng)
-        interval = random_interval(rng, pair)
-        reports.append(verify_axiom("A1", field, pair=pair, interval=interval,
-                                    tag=instance_tag(pair)))
-        f, g = random_composable_maps(rng)
-        reports.append(verify_axiom("A2", field, f=f, g=g,
-                                    interval=random_interval(rng, g.domain),
-                                    tag=instance_tag((f, g))))
-        h = random_pair_map(rng)
-        reports.append(verify_axiom("A3", field, f=h,
-                                    interval=random_interval(rng, h.domain),
-                                    tag=instance_tag(h)))
-        reports.append(verify_axiom("A4", field, pair=pair, interval=interval,
-                                    tag=instance_tag(pair)))
-        if rng.random() < 0.25:
-            cf, cg = _boundary_target_maps(rng)
-        else:
-            cf, cg = random_contiguous_pair(rng)
-        reports.append(verify_axiom("A5", field, f=cf, g=cg,
-                                    interval=random_interval(rng, cf.domain),
-                                    tag=instance_tag((cf, cg))))
-        alpha = rng.choice(list(DEFAULT_VALUES))
-        ivs = tuple(
-            Interval(lo, lo + rng.choice((0, 1, 2)))
-            for lo in (alpha - 1, alpha, alpha + 1)
-        )
-        reports.append(verify_axiom("A6", field, alpha=alpha, intervals=ivs,
-                                    tag=f"point-{alpha}"))
-        x_part, carved = random_excision_parts(rng)
-        cut_interval = random_interval(rng, union(x_part, carved))
-        reports.append(verify_axiom("A7", field, x_part=x_part, a=carved,
-                                    interval=cut_interval,
-                                    tag=instance_tag((x_part, carved))))
-        reports.append(verify_axiom("S1", field, x=x_part, y=carved,
-                                    interval=cut_interval,
-                                    tag=instance_tag((x_part, carved))))
-        reports.append(verify_axiom("S2", field, pair=pair, interval=interval,
-                                    tag=instance_tag(pair)))
-        reports.append(verify_axiom("S3", field, alpha=alpha, intervals=ivs,
-                                    q_max=3, tag=f"simplex-{alpha}"))
+    for _ in range(count):
+        instances = _fuzz_instances(random.Random(master.getrandbits(64)))
+        reports.extend(verify_axiom(axiom_id, field, **instances[axiom_id])
+                       for axiom_id in AXIOM_IDS)
     return reports
 
 
 def verify_axiom(axiom_id: str, field=GF2, **bundle) -> AxiomReport:
     """Run one axiom check on an instance bundle.
 
-    The bundle supplies whatever the axiom quantifies over: ``pair`` and
-    ``interval`` for identity/exactness; ``f``/``g`` for composition,
-    naturality, and contiguity; ``alpha`` and ``intervals`` for the point and
-    simplex dimension patterns; ``x_part``/``a`` (or ``x``/``y``) for the two
-    cut-out isomorphism checks.  ``tag`` names the instance in the report.
+    The bundle supplies the instance keys that the id's row of ``_AXIOMS``
+    names, and ``tag`` names the instance in the report.  An unknown id, or
+    a key missing from the bundle or outside its row, is a MalformedInstance.
     """
-    bundle.setdefault("tag", "-")
-    if axiom_id == "A1":
-        return _identity_check(field, **bundle)
-    if axiom_id == "A2":
-        return _composition_check(field, **bundle)
-    if axiom_id == "A3":
-        return _naturality_check(field, **bundle)
-    if axiom_id in ("A4", "S2"):
-        return _exactness_check(field, axiom_id, **bundle)
-    if axiom_id == "A5":
-        return _contiguity_check(field, **bundle)
-    if axiom_id == "A6":
-        return _dimension_check(field, **bundle)
-    if axiom_id in ("A7", "S1"):
-        return _excision_check(field, axiom_id, **bundle)
-    if axiom_id == "S3":
-        return _simplex_dimension_check(field, **bundle)
-    raise MalformedInstance(f"unknown axiom id {axiom_id!r}")
+    row = _AXIOMS.get(axiom_id)
+    if row is None:
+        raise MalformedInstance(f"unknown axiom id {axiom_id!r}")
+    tag = bundle.pop("tag", "-")
+    extra = sorted(set(bundle) - set(row.keys) - set(row.optional))
+    if extra:
+        raise MalformedInstance(f"{axiom_id} does not take {extra}")
+    options = {k: bundle[k] for k in row.optional if bundle.get(k) is not None}
+    verdict, details, witness = row.check(field, *_need(bundle, *row.keys), **options)
+    return AxiomReport(axiom_id, tag, verdict, details, witness)

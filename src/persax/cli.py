@@ -14,12 +14,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .axioms import FAIL, fuzz_axiom_reports, verify_axiom
+from .axioms import _AXIOMS, FAIL, fuzz_axiom_reports, verify_axiom
 from .barcode import bars_alive, pair_barcode
 from .filtration import Interval, critical_intervals, fin, pair_of, union
 from .formats import (instance_tag, parse_any, parse_cover, parse_filtration, parse_map, parse_pair,
                       parse_sections, parse_triple)
-from .homology import betti_grid, homology, induced_map
+from .homology import _degrees, betti_grid, homology, induced_map
 from .linalg import GF
 from .sequences import check_exact, les_pair, les_triple, mayer_vietoris, triad_sequence
 from .skeletal import OracleMismatch, direct_to_skeletal, skeletal_homology
@@ -135,12 +135,13 @@ def _cmd_verify_axioms(args, field) -> int:
         raise ValueError(f"--fuzz must not be negative, got {args.fuzz}")
     if not args.input and not args.fuzz:
         raise ValueError("verify-axioms needs --input or a positive --fuzz")
+    on_pair = [a for a, row in _AXIOMS.items() if row.keys == ("pair", "interval")]
     reports = []
     for path in args.input or ():
         pair = parse_any(path)
         tag = instance_tag(pair)
         for interval in critical_intervals(pair) or (Interval(0, 0),):
-            for axiom in ("A1", "A4", "S2"):
+            for axiom in on_pair:
                 reports.append(verify_axiom(axiom, field, pair=pair,
                                             interval=interval, tag=tag))
     if args.fuzz:
@@ -158,11 +159,10 @@ def _cmd_verify_axioms(args, field) -> int:
 def _cmd_oracle_compare(args, field) -> int:
     pair = _load_input(args.input, args.pair)
     bars = pair_barcode(pair, field)
-    top = max(pair.total.dimension, 0) + 1
     lines = []
     ok = True
     for interval in critical_intervals(pair) or (Interval(0, 0),):
-        for n in range(0, top + 1):
+        for n in _degrees(pair.total):
             direct = homology(pair, n, interval, field).dim
             skeletal = skeletal_homology(pair, n, interval, field).dim
             counted = bars_alive(bars, n, interval)

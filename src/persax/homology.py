@@ -144,6 +144,12 @@ def _homology_cached(pair: RelativeFilteredPair, n: int, interval: Interval, fld
     return HomologyGroup(simplices, persisted, bnd, reps)
 
 
+def _degrees(*sets: FilteredSet, start: int = 0) -> range:
+    """Degrees from ``start`` through one past the largest dimension of the
+    sets, counting an empty set as dimension 0."""
+    return range(start, max(0, *(s.dimension for s in sets)) + 2)
+
+
 def homology(pair_or_set, n: int, interval: Interval, field=GF2) -> HomologyGroup:
     """The degree-n homology group of a pair (or absolute set) over an interval."""
     return _homology_cached(_as_pair(pair_or_set), n, interval, field)

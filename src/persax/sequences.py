@@ -35,6 +35,7 @@ from .homology import (
     HomologyGroup,
     LinearMap,
     ClassNotInTarget,
+    _degrees,
     connecting,
     homology,
     induced_map,
@@ -228,7 +229,7 @@ def _cover(x1: FilteredSet, x2: FilteredSet) -> _Cover:
 
 def _is_proper(cover: _Cover, x: FilteredSet, interval: Interval, field) -> bool:
     """Both cross inclusions induce isomorphisms up to degree dim(x) + 1."""
-    for n in range(0, max(x.dimension, 0) + 2):
+    for n in _degrees(x):
         for k in (cover.k1, cover.k2):
             if not induced_map(k, n, interval, field).is_isomorphism():
                 return False
@@ -404,12 +405,10 @@ def are_contiguously_equivalent(f: PreservingMap, g: PreservingMap) -> bool:
 def is_homologically_trivial(obj, interval: Interval, field=GF2) -> bool:
     """All reduced groups vanish (sets); all relative groups vanish (pairs)."""
     pair = _as_pair(obj)
+    degrees = _degrees(pair.total)
     if pair.sub.vertices:
-        return all(homology(pair, q, interval, field).dim == 0
-                   for q in range(_default_degree(pair) + 1))
-    x = pair.total
-    return all(reduced_homology(x, q, interval, field).dim == 0
-               for q in range(max(x.dimension, 0) + 2))
+        return all(homology(pair, q, interval, field).dim == 0 for q in degrees)
+    return all(reduced_homology(pair.total, q, interval, field).dim == 0 for q in degrees)
 
 
 def deformation_retract_check(pair: RelativeFilteredPair, subpair: RelativeFilteredPair,
@@ -447,12 +446,11 @@ def direct_sum_check(parts: Sequence[FilteredSet], a: FilteredSet, q: int,
     parts = list(parts)
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
-            meet = intersection(parts[i], parts[j])
-            if not meet.vertices <= a.vertices:
-                raise HypothesisViolated("parts overlap outside the subset")
-            for sk, val in meet.entries:
-                if val < a.value(sk):
-                    raise HypothesisViolated("overlap enters before the subset")
+            try:
+                pair_of(a, intersection(parts[i], parts[j]))
+            except ValueError as exc:
+                raise HypothesisViolated(
+                    f"parts {i} and {j} must overlap inside the subset: {exc}") from None
     whole = a
     for part in parts:
         whole = union(whole, part)

@@ -16,7 +16,7 @@ from persax import (
     standard_simplex,
     verify_axiom,
 )
-from persax.axioms import FAIL, PASS, VACUOUS, fuzz_axiom_reports
+from persax.axioms import AXIOM_IDS, FAIL, PASS, VACUOUS, fuzz_axiom_reports
 
 
 TRIANGLE_RIM = FilteredSet(
@@ -118,6 +118,22 @@ def test_missing_instance_pieces_are_rejected():
         verify_axiom("A1", interval=Interval(0, 1))
     with pytest.raises(MalformedInstance):
         verify_axiom("Z9", pair=pair_of(TRIANGLE_RIM), interval=Interval(0, 1))
+
+
+@pytest.mark.parametrize("axiom_id, bundle, key", [
+    ("S3", dict(alpha=0, intervals=(Interval(0, 0),), qmax=1), "qmax"),
+    ("A1", dict(pair=pair_of(TRIANGLE_RIM), interval=Interval(0, 1), intervall=1), "intervall"),
+    ("S1", dict(x_part=TRIANGLE_RIM, a=TRIANGLE_RIM, interval=Interval(0, 1)), "x_part"),
+], ids=["S3-qmax", "A1-intervall", "S1-x_part"])
+def test_keys_outside_the_axiom_row_are_rejected(axiom_id, bundle, key):
+    with pytest.raises(MalformedInstance, match=key):
+        verify_axiom(axiom_id, **bundle)
+
+
+def test_one_fuzz_instance_reports_every_axiom_id_in_order():
+    assert AXIOM_IDS == ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "S1", "S2", "S3")
+    assert tuple(r.axiom for r in fuzz_axiom_reports(1, seed=7)) == AXIOM_IDS
+    assert tuple(r.axiom for r in fuzz_axiom_reports(3, seed=7)) == AXIOM_IDS * 3
 
 
 def test_fuzz_reports_are_deterministic_and_cover_every_axiom():

@@ -1,5 +1,6 @@
-"""Every name a persax module imports is used in that module, and every
-private name a module defines is used somewhere in the package.
+"""Every name a persax module imports is used in that module, every
+private name a module defines is used somewhere in the package, and every
+public constant a module defines is read somewhere in the package or tests.
 
 The package ``__init__`` is exempt from the first check: its imports are the
 public re-exports.
@@ -12,6 +13,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "persax"
 SOURCES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
@@ -90,3 +92,33 @@ def test_no_unused_private_names():
         if not any(name in names for node, names in reads if node is not defined)
     ]
     assert not unused, f"private names nothing uses: {unused}"
+
+
+def public_constants(tree: ast.Module):
+    """Each public name a module assigns at top level, with the statement."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("_"):
+                        yield name.id, node
+
+
+def test_no_unused_public_constants():
+    """A public constant is read, as a name or an attribute, outside the
+    statement that defines it; an import or a re-export is not a read."""
+    trees = {path: ast.parse(path.read_text()) for path in SOURCES + TESTS}
+    reads = []
+    for tree in trees.values():
+        for node in tree.body:
+            names = used_names(node)
+            names.update(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+            reads.append((node, names))
+    unused = [
+        f"{path.name}:{defined.lineno} {name}"
+        for path in SOURCES
+        for name, defined in public_constants(trees[path])
+        if not any(name in names for node, names in reads if node is not defined)
+    ]
+    assert not unused, f"public constants nothing reads: {unused}"

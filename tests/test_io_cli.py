@@ -352,7 +352,10 @@ class TestCli:
     def test_verify_axioms_on_file(self, pair_file):
         proc = run_cli("verify-axioms", "--input", str(pair_file),
                        "--format", "records")
-        assert "axiom\tA1" in proc.stdout
+        lines = proc.stdout.splitlines()
+        assert lines[-1].startswith("summary\t")
+        # three critical intervals, each running the pair axioms in table order
+        assert [ln.split("\t")[1] for ln in lines[:-1]] == ["A1", "A4", "S2"] * 3
 
     def test_oracle_compare_flags_interval_disagreements(self, tmp_path):
         # interior death: the three paths legitimately disagree, exit code 1
@@ -427,3 +430,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "4e7dbfd16196a9456b4ac0dab36be66ab6c3c921395843bdcf809b478e5bc800")
+
+    def test_verify_axioms_fuzz_100_seed_7_text_digest(self, capsys):
+        # unlike the records, the text shows every report's details
+        assert cli.main(["verify-axioms", "--fuzz", "100", "--seed", "7"]) == 1
+        out = capsys.readouterr().out
+        assert out.endswith("summary: fail=8 pass=991 vacuous=1\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "89040fa93aafa455da26d965d150fed73a746b59ea94aa17ab20d162f056f931")

@@ -267,6 +267,17 @@ class TestProperTriads:
                 for q in range(0, u.dimension + 2):
                     assert direct_sum_check([x1, x2], meet, q, iv).ok
 
+    @pytest.mark.parametrize("x1", [
+        FilteredSet({"a", "z"}, {("a",): 0, ("z",): 0}),
+        FilteredSet({"a"}, {("a",): -1}),
+    ], ids=["vertex-escapes", "enters-early"])
+    def test_cover_sets_outside_the_ambient_set_are_named(self, x1):
+        x2 = FilteredSet({"b"}, {("b",): 0})
+        with pytest.raises(ValueError, match="^first cover set: "):
+            is_proper_triad(TRIANGLE_RIM, x1, x2, Interval(0, 1))
+        with pytest.raises(ValueError, match="^second cover set: "):
+            is_proper_triad(TRIANGLE_RIM, x2, x1, Interval(0, 1))
+
     def test_nested_cover_reduces_to_triple(self):
         x2 = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0})
         x1 = TRIANGLE_RIM
@@ -451,6 +462,10 @@ class TestHomologicalTriviality:
         assert is_homologically_trivial(edge, Interval(0, 1))
         assert is_homologically_trivial(pair_of(solid, edge), Interval(0, 1))
 
+    def test_pair_without_finite_simplices_is_trivial(self):
+        vertex = FilteredSet({"a"}, {("a",): "inf"})
+        assert is_homologically_trivial(pair_of(vertex, vertex), Interval(0, 1))
+
 
 class TestDeformationRetract:
     def test_collapse_of_an_edge_onto_a_vertex(self):
@@ -504,6 +519,12 @@ class TestDirectSum:
         lonely = point(0, "z")
         with pytest.raises(HypothesisViolated):
             direct_sum_check([x1, x2], lonely, 0, Interval(0, 1))
+
+    def test_overlap_entering_before_the_subset_rejected(self):
+        x1 = standard_simplex(1, 0, ("a", "b"))
+        x2 = standard_simplex(1, 0, ("b", "c"))
+        with pytest.raises(HypothesisViolated, match="parts 0 and 1"):
+            direct_sum_check([x1, x2], point(1, "b"), 0, Interval(0, 1))
 
     def test_single_part_is_the_cut_out_instance(self):
         x1 = standard_simplex(2, 0, ("a", "b", "c"))
