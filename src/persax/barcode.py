@@ -89,12 +89,11 @@ def _reduce(faces: list[int], pivots: dict, field):
 def barcode(x: FilteredSet, field=GF2) -> tuple[Bar, ...]:
     """Bars of an absolute filtered set; zero-length bars are dropped."""
     values = critical_values(x)
-    rank = {v: r for r, v in enumerate(values)}
     never = len(values)  # the rank of INF
     # per degree, (rank, simplex) in filtration order; rows are positions here
     top = x.dimension
     by_degree: list[list[tuple[int, Simplex]]] = [[] for _ in range(top + 1)]
-    for r, size, sk in sorted((rank[v], len(sk), sk) for sk, v in x.entries):
+    for r, size, sk in sorted((r, len(sk), sk) for sk, r in x._lookup.items()):
         by_degree[size - 1].append((r, sk))
     row = {sk: i for cells in by_degree for i, (_, sk) in enumerate(cells)}
 
@@ -163,7 +162,7 @@ def cone_off_subset(pair: RelativeFilteredPair) -> FilteredSet:
     values[(apex,)] = vals[0]
     for sk, val in pair.sub.entries:
         values[simplex(sk + (apex,))] = val
-    return FilteredSet._trusted(pair.total.vertices | {apex}, values, critical_values(pair))
+    return FilteredSet._trusted(pair.total.vertices | {apex}, values)
 
 
 def pair_barcode(pair_or_set, field=GF2) -> tuple[Bar, ...]:

@@ -10,7 +10,10 @@ is the validated tuple ``(total, sub)``.
 
 Storage is sparse: only finitely-valued simplices are kept, and the stored
 support must be downward closed (every face of a stored simplex is stored)
-and monotone (faces never carry larger values than their cofaces).
+and monotone (faces never carry larger values than their cofaces).  Each set
+keeps its sorted distinct values and every simplex's integer rank among them,
+so the checks and orderings that need only the order of the values compare
+ints, not ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -142,6 +145,22 @@ def _sorted_distinct(values: Iterable[FiltValue]) -> tuple[FiltValue, ...]:
     return tuple(sorted(set({id(v): v for v in values}.values())))
 
 
+def _ranked(table: Mapping[Simplex, FiltValue]):
+    """A value table's sorted distinct values, and the table as ranks into them.
+
+    Value objects are deduplicated by identity and equal values are found
+    next to each other after sorting, so no ``Fraction`` is hashed: a table
+    of shared parsed values costs one int hash per entry.
+    """
+    critical: list[FiltValue] = []
+    rank_of_id = {}
+    for v in sorted({id(v): v for v in table.values()}.values()):
+        if not critical or critical[-1] != v:
+            critical.append(v)
+        rank_of_id[id(v)] = len(critical) - 1
+    return tuple(critical), {sk: rank_of_id[id(v)] for sk, v in table.items()}
+
+
 def facets(sigma: Simplex) -> list[Simplex]:
     """Codimension-1 faces, in the order of the omitted position."""
     return [sigma[:i] + sigma[i + 1 :] for i in range(len(sigma))]
@@ -154,7 +173,8 @@ class FilteredSet:
     hashable; all operations on them are pure functions.  ``FilteredSet(...)``
     is the one constructor that validates; sets derived from validated sets
     are built by ``_trusted`` without checking again.  Each set keeps its
-    sorted distinct values, which ``critical_values`` reads.
+    sorted distinct values, which ``critical_values`` reads, and maps each
+    supported simplex to its rank among them.
     """
 
     __slots__ = ("vertices", "entries", "_lookup", "_critical", "_hash")
@@ -170,38 +190,38 @@ class FilteredSet:
             # INF entries take part in the conflict check, so key order never decides it
             if given.setdefault(sk, val) != val:
                 raise FiltrationError(f"conflicting values for simplex {sk}")
-        table = {sk: val for sk, val in given.items() if val.is_finite}
-        for sk, val in table.items():
+        table = {sk: val for sk, val in given.items() if not val[0]}  # val[0] flags INF
+        critical, ranks = _ranked(table)
+        for sk, r in ranks.items():
             if len(sk) == 1:
                 continue
             for fc in facets(sk):
-                fval = table.get(fc)
-                if fval is None:
+                fr = ranks.get(fc)
+                if fr is None:
                     raise MissingFace(f"face {fc} of {sk} is absent from the support")
-                if fval > val:
-                    raise MonotonicityViolation(f"face {fc} at {fval} exceeds {sk} at {val}")
-        self._fill(verts, table)
+                if fr > r:
+                    raise MonotonicityViolation(
+                        f"face {fc} at {table[fc]} exceeds {sk} at {table[sk]}"
+                    )
+        self._fill(verts, critical, ranks)
 
     @classmethod
-    def _trusted(cls, vertices: frozenset[str], table: dict[Simplex, FiltValue],
-                 critical: tuple[FiltValue, ...] | None = None) -> "FilteredSet":
+    def _trusted(cls, vertices: frozenset[str], table: dict[Simplex, FiltValue]) -> "FilteredSet":
         """A set from a table that is valid by construction; nothing is checked.
 
         The caller guarantees what ``__init__`` checks: canonical keys over
         ``vertices``, finite values, a downward-closed support and monotone
-        values.  ``critical`` is the table's sorted distinct values when the
-        caller knows them exactly; otherwise they are computed here.
+        values.
         """
         self = object.__new__(cls)
-        self._fill(vertices, table, critical)
+        self._fill(vertices, *_ranked(table))
         return self
 
-    def _fill(self, verts, table, critical=None) -> None:
-        if critical is None:
-            critical = _sorted_distinct(table.values())
+    def _fill(self, verts, critical, ranks) -> None:
+        entries = tuple((sk, critical[r]) for sk, r in sorted(ranks.items()))
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "entries", tuple(sorted(table.items())))
-        object.__setattr__(self, "_lookup", table)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_lookup", ranks)
         object.__setattr__(self, "_critical", critical)
         object.__setattr__(self, "_hash", None)  # on first use: the bars path never hashes
 
@@ -209,7 +229,7 @@ class FilteredSet:
         raise AttributeError("FilteredSet is immutable")
 
     def __reduce__(self):
-        return type(self), (self.vertices, self._lookup)
+        return type(self), (self.vertices, dict(self.entries))
 
     def value(self, sigma) -> FiltValue:
         """Filtration value of a simplex; INF when unsupported.
@@ -218,10 +238,11 @@ class FilteredSet:
         so a reordered simplex finds its value and a malformed one raises.
         """
         if isinstance(sigma, tuple):
-            val = self._lookup.get(sigma)
-            if val is not None:
-                return val
-        return self._lookup.get(simplex(sigma), INF)
+            r = self._lookup.get(sigma)
+            if r is not None:
+                return self._critical[r]
+        r = self._lookup.get(simplex(sigma))
+        return INF if r is None else self._critical[r]
 
     @property
     def support(self) -> tuple[Simplex, ...]:

@@ -12,6 +12,7 @@ objects always produce identical bytes.
 from __future__ import annotations
 
 import hashlib
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -38,17 +39,16 @@ def _strip(line: str) -> str:
 
 
 def _parse_lines(numbered: Iterable[tuple[int, str]], source: str,
-                 coerced: dict[str, FiltValue]) -> FilteredSet:
-    """A filtered set from ``(file line number, line)`` pairs.
+                 coerced: dict[str, FiltValue], names: dict[str, str]) -> FilteredSet:
+    """A filtered set from ``(file line number, stripped line)`` pairs.
 
     ``coerced`` maps each value token already read from the file to its
     value, so a token is converted once and equal tokens share one object,
-    on which tuple comparison short-circuits.
+    on which tuple comparison short-circuits.  ``names`` does the same for
+    vertex names, so equal names are one ``str`` throughout the file.
     """
     values = {}
-    vertices = set()
-    for line_no, raw in numbered:
-        line = _strip(raw)
+    for line_no, line in numbered:
         if not line:
             continue
         tokens = line.split()
@@ -63,19 +63,18 @@ def _parse_lines(numbered: Iterable[tuple[int, str]], source: str,
         verts = tokens[1:]
         if len(set(verts)) != len(verts):
             raise ParseError(source, line_no, "repeated vertex in simplex")
-        vertices.update(verts)
-        key = tuple(sorted(verts))
+        key = tuple(sorted(map(names.setdefault, verts, verts)))
         # inf lines stay in the table too, so a finite value cannot override one
         if values.setdefault(key, value) != value:
             raise ParseError(source, line_no, f"conflicting values for {key}")
     try:
-        return FilteredSet(vertices, values)
+        return FilteredSet(set(chain.from_iterable(values)), values)
     except FiltrationError as exc:
         raise ParseError(source, 0, str(exc)) from exc
 
 
 def parse_filtration_text(text: str, source: str = "<string>") -> FilteredSet:
-    return _parse_lines(enumerate(text.splitlines(), start=1), source, {})
+    return _parse_lines(enumerate(map(_strip, text.splitlines()), start=1), source, {}, {})
 
 
 # the sections each kind of multi-part file takes: (required, optional)
@@ -88,7 +87,7 @@ _SECTIONS = {
 
 
 def _split_sections(text: str, source: str, kind: str) -> dict[str, tuple[int, list[str]]]:
-    """Each section's first file line and lines; every header is the kind's, once."""
+    """Each section's first file line and stripped lines; every header is the kind's, once."""
     required, optional = _SECTIONS[kind]
     sections: dict[str, tuple[int, list[str]]] = {}
     lines = None
@@ -103,7 +102,7 @@ def _split_sections(text: str, source: str, kind: str) -> dict[str, tuple[int, l
             lines = []
             sections[name] = (line_no + 1, lines)
         elif lines is not None:
-            lines.append(raw)
+            lines.append(line)
         elif line:
             raise ParseError(source, line_no, "content before any [SECTION] header")
     return sections
@@ -111,9 +110,11 @@ def _split_sections(text: str, source: str, kind: str) -> dict[str, tuple[int, l
 
 def parse_sections_text(text: str, kind: str, source: str = "<string>") -> dict[str, FilteredSet]:
     """Every section of a multi-part file, which must hold the kind's required ones."""
-    coerced: dict[str, FiltValue] = {}  # shared, so all sections share their values
+    # shared, so all sections share their values and vertex names
+    coerced: dict[str, FiltValue] = {}
+    names: dict[str, str] = {}
     sections = {
-        name: _parse_lines(enumerate(lines, start=first), f"{source}[{name}]", coerced)
+        name: _parse_lines(enumerate(lines, start=first), f"{source}[{name}]", coerced, names)
         for name, (first, lines) in _split_sections(text, source, kind).items()
     }
     for name in _SECTIONS[kind][0]:
@@ -144,8 +145,8 @@ def parse_any(path):
     """A pair when the file has sections, otherwise an absolute filtration."""
     path = Path(path)
     text = path.read_text()
-    stripped = [ln for ln in (_strip(l) for l in text.splitlines()) if ln]
-    if stripped and stripped[0].startswith("["):
+    first = next((line for line in map(_strip, text.splitlines()) if line), "")
+    if first.startswith("["):
         return parse_pair_text(text, str(path))
     return pair_of(parse_filtration_text(text, str(path)))
 

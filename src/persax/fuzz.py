@@ -62,10 +62,14 @@ def random_filtration(rng: random.Random, pool: Sequence[str] = DEFAULT_POOL,
 
 
 def restrict_to_vertices(x: FilteredSet, keep: Sequence[str]) -> FilteredSet:
-    """The full filtered subset on a vertex subset, values unchanged."""
-    keep_set = set(keep)
-    values = {sk: val for sk, val in x.entries if set(sk) <= keep_set}
-    return FilteredSet(keep_set, values)
+    """The full filtered subset on a vertex subset, values unchanged.
+
+    Faces of a kept simplex are kept, at the same values, so the restriction
+    of a valid set is valid by construction and is not checked again.
+    """
+    keep_set = frozenset(keep)
+    values = {sk: val for sk, val in x.entries if keep_set.issuperset(sk)}
+    return FilteredSet._trusted(keep_set, values)
 
 
 def random_subset_of(rng: random.Random, x: FilteredSet) -> FilteredSet:

@@ -110,6 +110,25 @@ class TestLargerInput:
                     lines.append(f"alive\t{n}\t{iv}\t{bars_alive(bars, n, iv)}")
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DUMP_DIGEST
 
+    def test_parse_and_bars_compare_values_by_rank(self, monkeypatch):
+        # validation and the reduction order simplices by integer rank, so
+        # Fraction work grows with the distinct values, not with the simplices
+        text = _rips_pair_text(13)
+        calls = []
+        for name in ("__eq__", "__lt__", "__gt__", "__le__", "__ge__", "__hash__"):
+            def counted(*args, _original=getattr(Fraction, name)):
+                calls.append(1)
+                return _original(*args)
+
+            monkeypatch.setattr(Fraction, name, counted)
+        pair = parse_pair_text(text)
+        pair_barcode(pair)
+        made = len(calls)
+        monkeypatch.undo()
+        distinct = len(critical_values(pair))
+        assert distinct == 13
+        assert made <= 20 * distinct
+
 
 class TestBuiltOnce:
     @staticmethod

@@ -42,7 +42,7 @@ from persax import (
 )
 from persax.barcode import cone_off_subset
 from persax.formats import canonical_text, serialize_pair
-from persax.fuzz import random_filtration, random_pair
+from persax.fuzz import random_filtration, random_pair, restrict_to_vertices
 
 TRIANGLE_RIM = {
     ("a",): 0, ("b",): 0, ("c",): 0,
@@ -402,6 +402,8 @@ def _derived_sets(count, seed):
         yield cone_off_subset(pair_of(x))
         yield standard_boundary(i % 4, "1/2")
         yield closed_star(1 + i % 3, 3, "v0")
+        yield restrict_to_vertices(x, sorted(x.vertices)[i % 2 :: 2])
+        yield restrict_to_vertices(pair.sub, sorted(pair.sub.vertices)[1:])
 
 
 class TestTrustedConstruction:
@@ -420,6 +422,17 @@ class TestTrustedConstruction:
                 assert critical_values(back) == critical_values(fs)
             checked += 1
         assert checked > 2000
+
+    def test_values_are_found_through_the_rank_table(self):
+        checked = 0
+        for fs in _derived_sets(60, 853):
+            absent = tuple(sorted(fs.vertices | {"zz"}))
+            for back in (fs, copy.copy(fs), copy.deepcopy(fs), pickle.loads(pickle.dumps(fs))):
+                for sk, val in fs.entries:
+                    assert back.value(sk) == val and back.value(sk[::-1]) == val
+                assert back.value(absent) == INF
+            checked += 1
+        assert checked > 700
 
     def test_pair_values_pool_both_parts(self):
         master = random.Random(829)

@@ -122,6 +122,18 @@ class TestParsing:
         assert pair.total.value(("a",)) is pair.total.value(("c",)) is pair.sub.value(("b",))
         assert pair.total.value(("a", "b")) is pair.sub.value(("a", "b"))
 
+    def test_a_vertex_name_is_one_object_across_sections(self):
+        # names longer than one character: CPython shares one-character strings anyway
+        text = "[X]\n0 v10\n0 v11\n1 v10 v11\n0 v12\n[A]\n2 v11\n2 v12\n"
+        pair = parse_pair_text(text)
+        seen = {}
+        for part in pair:
+            for v in part.vertices:
+                assert seen.setdefault(v, v) is v
+            for sk, _ in part.entries:
+                assert all(seen[v] is v for v in sk)
+        assert len(seen) == 3
+
     def test_error_inside_a_section_names_the_file_line(self):
         text = "# two sections\n[X]\n0 a\n\nzz b\n[A]\n"
         with pytest.raises(ParseError) as info:
