@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import itertools
 import sys
+from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -174,7 +176,7 @@ class FilteredSet:
     is the one constructor that validates; sets derived from validated sets
     are built by ``_trusted`` without checking again.  Each set keeps its
     sorted distinct values, which ``critical_values`` reads, and maps each
-    supported simplex to its rank among them.
+    supported simplex, in entry order, to its rank among them.
     """
 
     __slots__ = ("vertices", "entries", "_lookup", "_critical", "_hash")
@@ -218,10 +220,12 @@ class FilteredSet:
         return self
 
     def _fill(self, verts, critical, ranks) -> None:
-        entries = tuple((sk, critical[r]) for sk, r in sorted(ranks.items()))
+        keys = sorted(ranks)
+        lookup = {sk: ranks[sk] for sk in keys}
+        entries = tuple(zip(keys, map(critical.__getitem__, lookup.values())))
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_lookup", ranks)
+        object.__setattr__(self, "_lookup", lookup)
         object.__setattr__(self, "_critical", critical)
         object.__setattr__(self, "_hash", None)  # on first use: the bars path never hashes
 
@@ -254,10 +258,12 @@ class FilteredSet:
         return max((len(sk) - 1 for sk, _ in self.entries), default=-1)
 
     def __eq__(self, other):
-        return (
+        # equal values and equal ranks give equal entries, with int compares
+        return self is other or (
             isinstance(other, FilteredSet)
             and self.vertices == other.vertices
-            and self.entries == other.entries
+            and self._critical == other._critical
+            and self._lookup == other._lookup
         )
 
     def __hash__(self):
@@ -339,9 +345,17 @@ class Interval(tuple):
         return f"[{self.lo},{self.hi}]"
 
 
+def _level(x: FilteredSet, eps: FiltValue) -> tuple[Mapping[Simplex, int], int]:
+    """The set's ranks, in entry order, and the number of its values at most
+    eps: a simplex lies in the sublevel complex at eps when its rank is below
+    that number.  The level is bisected once; the simplices compare ints."""
+    return x._lookup, bisect_right(x._critical, eps)
+
+
 def complex_at(x: FilteredSet, eps: FiltValue) -> frozenset[Simplex]:
     """Sublevel complex at eps: all supported simplices with value <= eps."""
-    return frozenset(sk for sk, val in x.entries if val <= eps)
+    ranks, top = _level(x, eps)
+    return frozenset(sk for sk, r in ranks.items() if r < top)
 
 
 def union(x: FilteredSet, y: FilteredSet) -> FilteredSet:
@@ -386,14 +400,26 @@ def _default_vertices(count: int) -> tuple[str, ...]:
     return tuple(f"v{i:0{width}d}" for i in range(count))
 
 
+# The standard sets, and so ``point``, are interned: equal arguments give one
+# shared set, so comparisons between them stop at identity.  Each public
+# constructor normalises its arguments and builds through a bounded memo.  The
+# memo keeps no exception, so invalid arguments raise on every call, and it is
+# typed, so q = 1.0 still fails where q = 1 succeeds.
+_INTERNED = 256
+
+
 def standard_simplex(q: int, alpha, vertices: Iterable[str] | None = None) -> FilteredSet:
     """The solid q-simplex: every nonempty subset of q+1 vertices at alpha."""
-    alpha = fin(alpha)
+    return _standard_simplex(q, fin(alpha), None if vertices is None else tuple(vertices))
+
+
+@lru_cache(maxsize=_INTERNED, typed=True)
+def _standard_simplex(q: int, alpha: FiltValue, vertices: tuple | None) -> FilteredSet:
     if q < 0:
         raise ValueError("simplex dimension must be >= 0")
     if not alpha.is_finite:
         raise ValueError("the birth value must be finite")
-    verts = _default_vertices(q + 1) if vertices is None else tuple(vertices)
+    verts = _default_vertices(q + 1) if vertices is None else vertices
     if len(verts) != q + 1:
         raise ValueError(f"need exactly {q + 1} vertices")
     values = {}
@@ -405,7 +431,12 @@ def standard_simplex(q: int, alpha, vertices: Iterable[str] | None = None) -> Fi
 
 def standard_boundary(q: int, alpha, vertices: Iterable[str] | None = None) -> FilteredSet:
     """The q-simplex boundary: the top cell at INF, every proper face at alpha."""
-    solid = standard_simplex(q, alpha, vertices)
+    return _standard_boundary(q, fin(alpha), None if vertices is None else tuple(vertices))
+
+
+@lru_cache(maxsize=_INTERNED, typed=True)
+def _standard_boundary(q: int, alpha: FiltValue, vertices: tuple | None) -> FilteredSet:
+    solid = _standard_simplex(q, alpha, vertices)
     top = simplex(solid.vertices)
     values = {sk: val for sk, val in solid.entries if sk != top}
     return FilteredSet._trusted(solid.vertices, values)
@@ -417,7 +448,12 @@ def closed_star(q: int, alpha, center: str, vertices: Iterable[str] | None = Non
     The top cell and the single facet opposite ``center`` sit at INF; every
     other face of the q-simplex sits at alpha.
     """
-    solid = standard_simplex(q, alpha, vertices)
+    return _closed_star(q, fin(alpha), center, None if vertices is None else tuple(vertices))
+
+
+@lru_cache(maxsize=_INTERNED, typed=True)
+def _closed_star(q: int, alpha: FiltValue, center: str, vertices: tuple | None) -> FilteredSet:
+    solid = _standard_simplex(q, alpha, vertices)
     if center not in solid.vertices:
         raise UnknownVertex(f"{center!r} is not a vertex of the simplex")
     top = simplex(solid.vertices)

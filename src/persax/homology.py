@@ -132,9 +132,9 @@ class DirectSumGroup:
 @lru_cache(maxsize=None)
 def _homology_cached(pair: RelativeFilteredPair, n: int, interval: Interval, fld) -> HomologyGroup:
     simplices = chain_space(pair, n, interval.hi)
-    if n < 0:
-        empty = Subspace.zero(fld, len(simplices))
-        return HomologyGroup(simplices, empty, empty, Matrix.zero(fld, len(simplices), 0))
+    if not simplices:  # no chains, as below degree 0: the zero group, with no reduction
+        empty = Subspace.zero(fld, 0)
+        return HomologyGroup(simplices, empty, empty, Matrix.zero(fld, 0, 0))
     # inclusion_matrix times the lower-endpoint cycles, as the row selection it is
     lower = chain_space(pair, n, interval.lo)
     persisted = image(_move_rows(_cycles(pair, n, interval.lo, fld).basis, lower, simplices))

@@ -30,6 +30,7 @@ from .filtration import (
     PreservingMap,
     RelativeFilteredPair,
     Simplex,
+    _level,
     simplex,
 )
 
@@ -604,13 +605,18 @@ def chain_space(pair: RelativeFilteredPair, n: int, eps: FiltValue) -> tuple[Sim
 
     The basis lists the degree-n simplices present in the total sublevel
     complex but absent from the subset's, in the total's entry order, which
-    is canonical simplex order.
+    is canonical simplex order.  The level is bisected once into each part's
+    values, and the simplices are then tested by their int ranks.
     """
     if n < 0:
         return ()
-    sub = pair.sub
-    return tuple(sk for sk, val in pair.total.entries
-                 if len(sk) == n + 1 and val <= eps and sub.value(sk) > eps)
+    ranks, top = _level(pair.total, eps)
+    sub_ranks, sub_top = _level(pair.sub, eps)
+    sub_rank = sub_ranks.get
+    size = n + 1
+    # a simplex the subset lacks has no rank: it takes sub_top, never below it
+    return tuple(sk for sk, r in ranks.items()
+                 if r < top and len(sk) == size and sub_rank(sk, sub_top) >= sub_top)
 
 
 @lru_cache(maxsize=None)

@@ -261,11 +261,19 @@ def mayer_vietoris(x1: FilteredSet, x2: FilteredSet, interval: Interval,
     if not _is_proper(cover, u, interval, field):
         raise NotProperTriad("cover inclusions do not induce isomorphisms")
     meet_abs = pair_of(meet)
-    inc1 = inclusion(meet_abs, pair_of(x1))
-    inc2 = inclusion(meet_abs, pair_of(x2))
-    j1 = inclusion(pair_of(x1), pair_of(u))
-    j2 = inclusion(pair_of(x2), pair_of(u))
-    l1 = inclusion(pair_of(u), pair_of(u, x2))
+    built = {}
+
+    def include(a, b):
+        # nested parts make two of these maps one: build each (a, b) once
+        if (a, b) not in built:
+            built[a, b] = inclusion(a, b)
+        return built[a, b]
+
+    inc1 = include(meet_abs, pair_of(x1))
+    inc2 = include(meet_abs, pair_of(x2))
+    j1 = include(pair_of(x1), pair_of(u))
+    j2 = include(pair_of(x2), pair_of(u))
+    l1 = include(pair_of(u), pair_of(u, x2))
 
     def triangle(n):
         h_meet = homology(meet_abs, n, interval, field)

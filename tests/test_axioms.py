@@ -1,6 +1,8 @@
 """The axiom checker: verdicts, witnesses, and configuration equivalences."""
 
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +18,7 @@ from persax import (
     standard_simplex,
     verify_axiom,
 )
+from persax import axioms
 from persax.axioms import AXIOM_IDS, FAIL, PASS, VACUOUS, fuzz_axiom_reports
 
 
@@ -150,3 +153,51 @@ def test_fuzz_failures_are_confined_to_the_exactness_axioms():
     reports = fuzz_axiom_reports(15, seed=11)
     failing = {r.axiom for r in reports if r.verdict == FAIL}
     assert failing <= {"A4", "S2"}
+
+
+def test_rows_that_share_a_check_and_its_objects_run_it_once(monkeypatch):
+    # A4/S2 share one bundle and A7/S1 one cut-out; A1 shares A4's bundle,
+    # and A6 and S3 their point value, with another check
+    runs = {}
+
+    def counted(check):
+        def run(*args, **kwargs):
+            runs[check.__name__] = runs.get(check.__name__, 0) + 1
+            return check(*args, **kwargs)
+        return run
+
+    wrapped = {row.check: counted(row.check) for row in axioms._AXIOMS.values()}
+    for axiom_id, row in axioms._AXIOMS.items():
+        monkeypatch.setitem(axioms._AXIOMS, axiom_id, row._replace(check=wrapped[row.check]))
+    reports = fuzz_axiom_reports(4, seed=7)
+    assert runs == {check.__name__: 4 for check in wrapped}
+    assert len(reports) == len({id(r) for r in reports}) == 40
+    assert tuple(r.axiom for r in reports) == AXIOM_IDS * 4
+    monkeypatch.undo()
+    # each report equals the row checked on its own
+    master, alone = random.Random(7), []
+    for _ in range(4):
+        instances = axioms._fuzz_instances(random.Random(master.getrandbits(64)))
+        alone += [verify_axiom(axiom_id, **instances[axiom_id]) for axiom_id in AXIOM_IDS]
+    assert reports == alone
+
+
+def test_fuzz_compares_few_fractions(monkeypatch):
+    # sets compare by identity or by rank tables, and groups with no chains
+    # skip the reduction.  The memos start empty: a warm memo compares its
+    # keys' values on every hit.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("persax."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+    calls = []
+
+    def counted(self, other, _original=Fraction.__eq__):
+        calls.append(1)
+        return _original(self, other)
+
+    monkeypatch.setattr(Fraction, "__eq__", counted)
+    fuzz_axiom_reports(20, 7)
+    monkeypatch.undo()
+    assert len(calls) <= 12_000

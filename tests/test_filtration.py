@@ -386,6 +386,77 @@ class TestStandardObjects:
     def test_zero_simplex_is_a_point(self):
         assert standard_simplex(0, 2, ("p",)) == point(2)
 
+    def test_equal_arguments_give_one_shared_set(self):
+        # values and vertex lists are normalised before the memo looks them up
+        assert standard_simplex(2, "1/2") is standard_simplex(2, Fraction(1, 2))
+        assert standard_simplex(1, 0, ["a", "b"]) is standard_simplex(1, fin(0), ("a", "b"))
+        assert standard_boundary(3, 1) is standard_boundary(3, "1")
+        assert standard_boundary(2, 0, iter("xyz")) is standard_boundary(2, 0, ("x", "y", "z"))
+        assert closed_star(2, 0, "v0") is closed_star(2, Fraction(0), "v0")
+        assert point(2) is point("2") is standard_simplex(0, 2, ("p",))
+        assert point(2, "q") is point(2, "q") and point(2, "q") is not point(2)
+        assert standard_simplex(1, 0) is not standard_simplex(1, 1)
+
+    def test_the_shared_sets_are_kept_in_bounded_memos(self):
+        from persax import filtration
+
+        memos = [f for f in vars(filtration).values() if hasattr(f, "cache_info")]
+        assert len(memos) == 3
+        bound = max(f.cache_info().maxsize for f in memos)
+        assert all(f.cache_info().maxsize is not None for f in memos)
+        for i in range(bound + 10):
+            point(i, "bounded")
+        assert all(f.cache_info().currsize <= f.cache_info().maxsize for f in memos)
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: standard_simplex(-1, 0), ValueError, "simplex dimension must be >= 0"),
+        (lambda: standard_simplex(1, "inf"), ValueError, "the birth value must be finite"),
+        (lambda: standard_simplex(1, 0, ("a",)), ValueError, "need exactly 2 vertices"),
+        (lambda: standard_simplex(1, 0, ("a", "a")), ValueError,
+         "repeated vertex in simplex ('a', 'a')"),
+        (lambda: standard_simplex(1, [0]), TypeError, "cannot interpret [0] as a filtration value"),
+        # q = 1 is in the memo; the equal q = 1.0 is not taken for it
+        (lambda: (standard_simplex(1, 0), standard_simplex(1.0, 0)), TypeError,
+         "'float' object cannot be interpreted as an integer"),
+        (lambda: standard_boundary(2, 0, ("a", "b")), ValueError, "need exactly 3 vertices"),
+        (lambda: closed_star(2, 0, "zz"), UnknownVertex, "'zz' is not a vertex of the simplex"),
+        (lambda: point("inf"), ValueError, "the birth value must be finite"),
+    ])
+    def test_invalid_arguments_raise_on_every_call(self, build, error, message):
+        for _ in range(3):
+            with pytest.raises(error) as caught:
+                build()
+            assert type(caught.value) is error and str(caught.value) == message
+
+
+class TestEquality:
+    """Sets compare by vertices, sorted values and rank tables."""
+
+    RAW = {("a",): 0, ("b",): "1/2", ("c",): 1, ("a", "b"): 1, ("b", "c"): 2}
+
+    def test_sets_built_apart_are_equal(self):
+        x, y = FilteredSet("abc", self.RAW), FilteredSet(["c", "b", "a"], dict(self.RAW))
+        assert x is not y and x == y and hash(x) == hash(y)
+        assert x == x and not (x != y)
+
+    @pytest.mark.parametrize("change", [
+        {("b", "c"): 3},  # one value: the ranks stay, the values do not
+        {("c",): "1/2"},  # one value: the values stay, the ranks do not
+        {("a", "c"): 2},  # one more simplex
+    ], ids=["value-same-ranks", "value-same-values", "simplex"])
+    def test_one_changed_entry_breaks_equality(self, change):
+        x = FilteredSet("abc", self.RAW)
+        y = FilteredSet("abc", {**self.RAW, **change})
+        assert x != y and y != x
+
+    def test_the_vertex_set_counts(self):
+        assert FilteredSet("abc", self.RAW) != FilteredSet("abcd", self.RAW)
+
+    def test_other_objects_are_unequal(self):
+        x = FilteredSet("abc", self.RAW)
+        for other in (None, 0, dict(x.entries), x.entries, pair_of(x)):
+            assert x != other and not (x == other)
+
 
 def _derived_sets(count, seed):
     """Every set the package builds without re-validating, from seeded fuzz input."""

@@ -10,12 +10,14 @@ from persax import (
     GF3,
     FilteredSet,
     Interval,
+    HomologyGroup,
     Matrix,
     PreservingMap,
     VertexNotPresent,
     bars_alive,
     betti_grid,
     boundary_matrix,
+    chain_space,
     coefficient_group,
     compose,
     connecting,
@@ -104,6 +106,51 @@ def test_dims_match_brute_force_oracle_on_fuzzed_pairs():
                 assert homology(pair, n, iv).dim == want
                 checked += 1
     assert checked > 100
+
+
+def _group_by_reduction(pair, n, interval, field):
+    """The group as the reduction builds it, with no shortcut for empty chains."""
+    simplices = chain_space(pair, n, interval.hi)
+    cycles = kernel(boundary_matrix(pair, n, interval.lo, field))
+    moved = inclusion_matrix(pair, n, interval, field) * cycles.basis
+    persisted = image(moved)
+    bnd = image(boundary_matrix(pair, n + 1, interval.hi, field))
+    return HomologyGroup(simplices, persisted, bnd,
+                         persisted.complement_in(persisted.intersect(bnd)))
+
+
+class TestGroupsWithNoChains:
+    """A group with no upper-endpoint chains is the zero group the reduction gives."""
+
+    @staticmethod
+    def _assert_same_group(got, want):
+        assert got == want
+        for part in ("cycles", "boundaries"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert (a.ambient, a.basis, a.pivots) == (b.ambient, b.basis, b.pivots)
+        assert got.reps.shape == want.reps.shape == (0, 0)
+        assert got.simplices == ()
+
+    def test_above_the_top_degree(self):
+        master = random.Random(61)
+        for _ in range(20):
+            pair = random_pair(random.Random(master.getrandbits(64)))
+            for iv in critical_intervals(pair)[:4]:
+                for n in range(pair.total.dimension + 1, pair.total.dimension + 3):
+                    for field in (GF2, GF3):
+                        self._assert_same_group(homology(pair, n, iv, field),
+                                                _group_by_reduction(pair, n, iv, field))
+
+    def test_when_the_subset_absorbs_every_chain_by_the_upper_endpoint(self):
+        x = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0, ("a", "b"): 2})
+        a = FilteredSet({"a", "b"}, {("a",): 1, ("b",): 1})
+        pair, iv = pair_of(x, a), Interval(0, 1)
+        assert chain_space(pair, 0, iv.hi) == ()
+        assert chain_space(pair, 0, iv.lo) == (("a",), ("b",))
+        for field in (GF2, GF3):
+            want = _group_by_reduction(pair, 0, iv, field)
+            assert want.cycles.basis.shape == (0, 0)
+            self._assert_same_group(homology(pair, 0, iv, field), want)
 
 
 class TestInducedMaps:

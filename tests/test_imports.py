@@ -1,12 +1,14 @@
 """Every name a persax module imports is used in that module, every
 private name a module defines is used somewhere in the package, and every
 public constant a module defines is read somewhere in the package or tests.
+No memo beyond a fixed list grows without bound.
 
 The package ``__init__`` is exempt from the first check: its imports are the
 public re-exports.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -122,3 +124,32 @@ def test_no_unused_public_constants():
         if not any(name in names for node, names in reads if node is not defined)
     ]
     assert not unused, f"public constants nothing reads: {unused}"
+
+
+# The memos that keep every entry for the life of the process (ROADMAP item
+# 5).  A new memo takes a maxsize, and this list may only shrink.
+UNBOUNDED_MEMOS = {
+    "homology._boundaries",
+    "homology._cycles",
+    "homology._homology_cached",
+    "linalg.boundary_matrix",
+    "linalg.chain_map_matrix",
+    "linalg.chain_space",
+    "skeletal._skeleton",
+    "skeletal.skeletal_boundary",
+    "skeletal.skeletal_chain_group",
+    "skeletal.skeletal_homology",
+}
+
+
+def test_no_new_unbounded_memos():
+    found = set()
+    for path in MODULES:
+        if path.stem == "__main__":
+            continue  # importing it runs the command line
+        module = importlib.import_module(f"persax.{path.stem}")
+        for value in vars(module).values():
+            if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
+                if value.cache_parameters()["maxsize"] is None:
+                    found.add(f"{path.stem}.{value.__name__}")
+    assert found == UNBOUNDED_MEMOS

@@ -313,6 +313,34 @@ def test_chain_space_matches_the_sublevel_complex_definition():
                 assert chain_space(pair, n, eps) == _chain_space_by_complexes(pair, n, eps)
 
 
+def _levels(values):
+    """The values, the midpoints between neighbours, and one level below and
+    one above them all."""
+    finite = [v.finite for v in values]
+    mids = [(a + b) / 2 for a, b in zip(finite, finite[1:])]
+    ends = [finite[0] - 1, finite[-1] + 1] if finite else [Fraction(0)]
+    return [fin(q) for q in sorted(finite + mids + ends)]
+
+
+def test_rank_tests_match_the_value_definition_at_every_level():
+    # chain_space and complex_at bisect the level into each part's values
+    # and compare ranks; the definition compares each simplex's value
+    master = random.Random(41)
+    levels_seen = set()
+    for _ in range(80):
+        pair = random_pair(random.Random(master.getrandbits(64)))
+        critical = set(critical_values(pair))
+        for eps in _levels(critical_values(pair)):
+            levels_seen.add(eps in critical)
+            for x in pair:
+                assert complex_at(x, eps) == {sk for sk, val in x.entries if val <= eps}
+            for n in range(-1, pair.total.dimension + 2):
+                want = tuple(sk for sk, val in pair.total.entries if len(sk) == n + 1
+                             and val <= eps and pair.sub.value(sk) > eps)
+                assert chain_space(pair, n, eps) == want
+    assert levels_seen == {True, False}
+
+
 def _dump_matrix(m):
     return f"{m.field} {m.nrows}x{m.ncols} " + ";".join(",".join(map(str, r)) for r in m.rows)
 
