@@ -53,12 +53,10 @@ from .linalg import (
     boundary_matrix,
     chain_map_matrix,
     chain_space,
-    coords_in_quotient,
     image,
     inclusion_matrix,
     kernel,
     preimage,
-    quotient_dim,
 )
 from .homology import (
     BettiGrid,

@@ -165,10 +165,11 @@ def _excision_check(field, x_part, a, interval):
     return _first_failing_degree(_degrees(outer.total), failure)
 
 
-def _simplex_dimension_check(field, alpha, intervals, q_max=4):
+def _simplex_dimension_check(field, alpha, intervals):
+    """Solid simplices of dimensions 0 to 3, each in degrees 0 to q + 1."""
     if not intervals:
         raise MalformedInstance("simplex dimension check needs intervals")
-    for q in range(0, q_max + 1):
+    for q in range(0, 4):
         solid = pair_of(standard_simplex(q, alpha))
         birth = solid.total.value(sorted(solid.total.vertices)[:1])
         for interval in intervals:
@@ -185,12 +186,10 @@ def _simplex_dimension_check(field, alpha, intervals, q_max=4):
 class _Axiom(NamedTuple):
     check: Callable
     keys: tuple[str, ...]
-    optional: tuple[str, ...] = ()
 
 
-# Each axiom id with its check and instance keys.  A check takes the field,
-# the values of ``keys`` in order and any ``optional`` key by name, and
-# returns ``(verdict, details, witness)``.
+# Each axiom id with its check and instance keys.  A check takes the field
+# and the values of ``keys`` in order, and returns ``(verdict, details, witness)``.
 _AXIOMS = {
     "A1": _Axiom(_identity_check, ("pair", "interval")),
     "A2": _Axiom(_composition_check, ("f", "g", "interval")),
@@ -201,7 +200,7 @@ _AXIOMS = {
     "A7": _Axiom(_excision_check, ("x_part", "a", "interval")),
     "S1": _Axiom(_excision_check, ("x", "y", "interval")),
     "S2": _Axiom(_exactness_check, ("pair", "interval")),
-    "S3": _Axiom(_simplex_dimension_check, ("alpha", "intervals"), ("q_max",)),
+    "S3": _Axiom(_simplex_dimension_check, ("alpha", "intervals")),
 }
 
 AXIOM_IDS = tuple(_AXIOMS)
@@ -258,7 +257,7 @@ def _fuzz_instances(rng) -> dict:
         "A7": dict(x_part=x_part, a=carved, interval=cut_interval, tag=cut_tag),
         "S1": dict(x=x_part, y=carved, interval=cut_interval, tag=cut_tag),
         "S2": on_pair,
-        "S3": dict(alpha=alpha, intervals=ivs, q_max=3, tag=f"simplex-{alpha}"),
+        "S3": dict(alpha=alpha, intervals=ivs, tag=f"simplex-{alpha}"),
     }
 
 
@@ -287,14 +286,13 @@ def verify_axiom(axiom_id: str, field=GF2, *, _runs=None, **bundle) -> AxiomRepo
     if row is None:
         raise MalformedInstance(f"unknown axiom id {axiom_id!r}")
     tag = bundle.pop("tag", "-")
-    extra = sorted(set(bundle) - set(row.keys) - set(row.optional))
+    extra = sorted(set(bundle) - set(row.keys))
     if extra:
         raise MalformedInstance(f"{axiom_id} does not take {extra}")
-    options = {k: bundle[k] for k in row.optional if bundle.get(k) is not None}
     args = _need(bundle, *row.keys)
     runs = {} if _runs is None else _runs
-    key = (row.check, field, *map(id, args), *options.items())
+    key = (row.check, field, *map(id, args))
     if key not in runs:
-        runs[key] = row.check(field, *args, **options)
+        runs[key] = row.check(field, *args)
     verdict, details, witness = runs[key]
     return AxiomReport(axiom_id, tag, verdict, details, witness)

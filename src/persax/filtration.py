@@ -573,14 +573,17 @@ def critical_intervals(obj) -> tuple[Interval, ...]:
     return tuple(Interval(a, b) for i, a in enumerate(vals) for b in vals[i:])
 
 
-def _probe_levels(obj, interval: Interval) -> list[FiltValue]:
-    """Levels where interval-dependent predicates must be evaluated.
+def _probe_levels(*objs, interval: Interval | None = None) -> list[FiltValue]:
+    """Levels where predicates on the objects' sublevel complexes must be evaluated.
 
-    Sublevel complexes are constant between critical values, so the endpoints
-    plus the critical values inside the interval cover every level.
+    Sublevel complexes are constant between critical values, so the critical
+    values of every object cover every level; with an interval, its endpoints
+    plus the critical values inside it do.
     """
-    levels = {interval.lo, interval.hi}
-    levels.update(c for c in critical_values(obj) if interval.lo <= c <= interval.hi)
+    levels = {c for obj in objs for c in critical_values(obj)}
+    if interval is not None:
+        levels = {c for c in levels if interval.lo <= c <= interval.hi}
+        levels.update((interval.lo, interval.hi))
     return sorted(levels)
 
 
@@ -592,7 +595,7 @@ def is_star_shaped(x: FilteredSet, a: str, interval: Interval) -> bool:
     """
     if a not in x.vertices:
         raise UnknownVertex(f"{a!r} is not a vertex")
-    for level in _probe_levels(x, interval):
+    for level in _probe_levels(x, interval=interval):
         complex_ = complex_at(x, level)
         for sk in complex_:
             if simplex(set(sk) | {a}) not in complex_:

@@ -242,26 +242,9 @@ class Matrix:
         )
         return Matrix._trusted(fld, out, self.nrows, other.ncols)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape or self.field != other.field:
-            raise DimensionMismatch("shape mismatch in addition")
-        fld = self.field
-        return Matrix._trusted(
-            fld,
-            tuple(tuple(fld.add(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)),
-            self.nrows,
-            self.ncols,
-        )
-
     def __neg__(self) -> "Matrix":
         fld = self.field
         return Matrix._trusted(fld, tuple(tuple(fld.neg(a) for a in row) for row in self.rows),
-                               self.nrows, self.ncols)
-
-    def scale(self, c) -> "Matrix":
-        fld = self.field
-        c = fld.coerce(c)
-        return Matrix._trusted(fld, tuple(tuple(fld.mul(c, a) for a in row) for row in self.rows),
                                self.nrows, self.ncols)
 
     def apply(self, vec: Sequence) -> tuple:
@@ -447,17 +430,8 @@ class Subspace:
         raise AttributeError("Subspace is immutable")
 
     @classmethod
-    def spanned_by(cls, columns: Matrix) -> "Subspace":
-        """Canonicalize a spanning set of column vectors."""
-        return _echelon(columns.field, columns.columns, columns.nrows)
-
-    @classmethod
     def zero(cls, field, ambient: int) -> "Subspace":
-        return cls.spanned_by(Matrix.zero(field, ambient, 0))
-
-    @classmethod
-    def full(cls, field, ambient: int) -> "Subspace":
-        return cls.spanned_by(Matrix.identity(field, ambient))
+        return image(Matrix.zero(field, ambient, 0))
 
     @property
     def dim(self) -> int:
@@ -466,9 +440,6 @@ class Subspace:
     @property
     def field(self):
         return self.basis.field
-
-    def contains(self, vec: Sequence) -> bool:
-        return self.basis.solve(vec) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return self.basis.solve_matrix(other.basis) is not None
@@ -493,11 +464,11 @@ class Subspace:
         # solutions of B1 x = B2 y, read off through B1
         ker = kernel(hstack(self.basis, -other.basis))
         coeffs = Matrix._trusted(self.field, ker.basis.rows[: self.dim], self.dim, ker.basis.ncols)
-        return Subspace.spanned_by(self.basis * coeffs)
+        return image(self.basis * coeffs)
 
     def sum(self, other: "Subspace") -> "Subspace":
         _check_same_ambient(self, other)
-        return Subspace.spanned_by(hstack(self.basis, other.basis))
+        return image(hstack(self.basis, other.basis))
 
     def complement_in(self, sub: "Subspace") -> Matrix:
         """Canonical complement of ``sub`` inside self, as basis columns.
@@ -550,7 +521,7 @@ def kernel(m: Matrix) -> Subspace:
 
 def image(m: Matrix) -> Subspace:
     """Column space of a matrix, canonicalized."""
-    return Subspace.spanned_by(m)
+    return _echelon(m.field, m.columns, m.nrows)
 
 
 def preimage(m: Matrix, target: Subspace) -> Subspace:
@@ -561,15 +532,7 @@ def preimage(m: Matrix, target: Subspace) -> Subspace:
         return kernel(m)
     ker = kernel(hstack(m, target.basis))
     coeffs = Matrix._trusted(m.field, ker.basis.rows[: m.ncols], m.ncols, ker.basis.ncols)
-    return Subspace.spanned_by(coeffs)
-
-
-def quotient_dim(u: Subspace, v: Subspace) -> int:
-    """dim(u / v) for v contained in u."""
-    _check_same_ambient(u, v)
-    if not u.contains_subspace(v):
-        raise SubspaceNotContained("quotient requires a contained subspace")
-    return u.dim - v.dim
+    return image(coeffs)
 
 
 def quotient_coords(reps: Matrix, sub: Subspace, vectors: Matrix) -> Matrix | None:
@@ -585,14 +548,6 @@ def quotient_coords(reps: Matrix, sub: Subspace, vectors: Matrix) -> Matrix | No
     if sol is None:
         return None
     return Matrix._trusted(reps.field, sol.rows[: reps.ncols], reps.ncols, sol.ncols)
-
-
-def coords_in_quotient(vec: Sequence, u: Subspace, v: Subspace) -> tuple:
-    """Coordinates of a vector of u in the canonical complement of v."""
-    coords = quotient_coords(u.complement_in(v), v, Matrix.from_columns(u.field, [vec], u.ambient))
-    if coords is None:
-        raise SubspaceNotContained("vector lies outside the subspace")
-    return coords.column(0)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ from .filtration import (
     PreservingMap,
     RelativeFilteredPair,
     _as_pair,
+    _probe_levels,
     complex_at,
     compose,
-    critical_values,
     identity_map,
     inclusion,
     intersection,
@@ -383,11 +383,7 @@ def are_contiguous(f: PreservingMap, g: PreservingMap, interval: Interval | None
     """
     if f.domain != g.domain or f.codomain != g.codomain:
         raise ValueError("contiguity needs a shared domain and codomain")
-    levels = set(critical_values(f.domain)) | set(critical_values(f.codomain))
-    if interval is not None:
-        levels = {c for c in levels if interval.lo <= c <= interval.hi}
-        levels.update((interval.lo, interval.hi))
-    for level in sorted(levels):
+    for level in _probe_levels(f.domain, f.codomain, interval=interval):
         dom_total = complex_at(f.domain.total, level)
         dom_sub = complex_at(f.domain.sub, level)
         cod_total = complex_at(f.codomain.total, level)

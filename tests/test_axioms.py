@@ -85,9 +85,11 @@ def test_contiguity_axiom_passes_for_contiguous_maps():
 
 
 def test_simplex_dimension_axiom_through_degree_four():
-    rep = verify_axiom("S3", alpha=0, q_max=4,
-                       intervals=(Interval(-1, 0), Interval(0, 0), Interval(0, 2)))
-    assert rep.verdict == PASS
+    # the solid 3-simplex is checked in degrees 0 to 4; the depth is fixed
+    intervals = (Interval(-1, 0), Interval(0, 0), Interval(0, 2))
+    assert verify_axiom("S3", alpha=0, intervals=intervals).verdict == PASS
+    with pytest.raises(MalformedInstance, match="q_max"):
+        verify_axiom("S3", alpha=0, intervals=intervals, q_max=4)
 
 
 def test_exactness_axiom_passes_on_degenerate_interval():

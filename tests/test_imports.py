@@ -1,7 +1,9 @@
 """Every name a persax module imports is used in that module, every
-private name a module defines is used somewhere in the package, and every
-public constant a module defines is read somewhere in the package or tests.
-No memo beyond a fixed list grows without bound.
+private name a module defines is used somewhere in the package, every
+public constant a module defines is read somewhere in the package or tests,
+and every public function, class and method is read somewhere in the
+package, outside a fixed list.  No memo beyond a fixed list grows without
+bound.
 
 The package ``__init__`` is exempt from the first check: its imports are the
 public re-exports.
@@ -12,6 +14,8 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+from .test_bench_hooks import tracer
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "persax"
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -124,6 +128,66 @@ def test_no_unused_public_constants():
         if not any(name in names for node, names in reads if node is not defined)
     ]
     assert not unused, f"public constants nothing reads: {unused}"
+
+
+# Public names nothing in the package reads: the library surface that only
+# the tests, the README or a user's code calls.  A new public name needs a
+# reader in the package, and this list may only shrink.
+LIBRARY_ONLY = {
+    "filtration.FilteredSet.support",
+    "filtration.cylinder",
+    "filtration.is_star_shaped",
+    "homology.coefficient_group",
+    "homology.h0_decomposition",
+    "linalg.Matrix.is_zero",
+    "linalg.Subspace.sum",
+    "linalg.inclusion_matrix",
+    "linalg.preimage",
+    "sequences.ExactSequence.dims",
+    "sequences.ExactSequence.with_arrow",
+    "sequences.are_contiguously_equivalent",
+    "sequences.deformation_retract_check",
+    "sequences.direct_sum_check",
+    "sequences.is_homologically_trivial",
+    "sequences.is_proper_triad",
+    "skeletal.generator",
+    "skeletal.incidence_iso",
+}
+
+
+def public_definitions(tree: ast.Module):
+    """Each public top-level function and class, and each public method of a
+    top-level class, as (dotted name, defining node)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_no_unread_public_names():
+    """A public function or class is read as a name or an attribute, and a
+    public method as an attribute, outside the statement or method that
+    defines it.  Imports, and so the re-exports of ``__init__``, are not
+    reads; a name the benchmark's tracer wraps counts as read."""
+    reads = []  # (statement or method, names read, attributes read)
+    for path in SOURCES:
+        for node in ast.parse(path.read_text()).body:
+            for unit in node.body if isinstance(node, ast.ClassDef) else [node]:
+                attrs = {n.attr for n in ast.walk(unit) if isinstance(n, ast.Attribute)}
+                reads.append((unit, used_names(unit) | attrs, attrs))
+    wrapped = {f"{module}.{name}" for module, names in tracer.LAYERS.values() for name in names}
+    unread = set()
+    for path in MODULES:
+        for name, defined in public_definitions(ast.parse(path.read_text())):
+            own = set(map(id, ast.walk(defined)))
+            leaf = name.rpartition(".")[2]
+            column = 2 if "." in name else 1
+            if f"{path.stem}.{name}" not in wrapped and not any(
+                    leaf in read[column] for read in reads if id(read[0]) not in own):
+                unread.add(f"{path.stem}.{name}")
+    assert unread == LIBRARY_ONLY
 
 
 # The memos that keep every entry for the life of the process (ROADMAP item

@@ -134,7 +134,7 @@ class TestCheckExact:
                 assert all(v == 0 for v in outgoing.matrix.apply(vec))
                 from persax import image
 
-                assert not image(incoming.matrix).contains(vec)
+                assert image(incoming.matrix).basis.solve(vec) is None
 
     def test_zero_sequence_is_exact(self):
         pair = pair_of(point(0), point(0))

@@ -7,6 +7,7 @@ provably hold; the pinned counterexample documents the mixed-absorption
 failure of both, matching the direct construction's own exactness boundary.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -423,3 +424,34 @@ class TestIncidence:
         left = induced_map(face_map, 1, iv, GF3).matrix * inc_src.matrix
         right = inc_dst.matrix * induced_map(top_map, 2, iv, GF3).matrix
         assert left == right
+
+
+def _dump(build) -> str:
+    """What a call returns, or the type and message of what it raised."""
+    try:
+        return str(build())
+    except Exception as exc:
+        return f"raise\t{type(exc).__name__}\t{exc}"
+
+
+class TestPinnedSkeletalOutputs:
+    # sha256 of the dump below, recorded from the skeletal path before the
+    # unused linear-algebra operations were removed
+    DIGEST = "1bd9c9fb6759d8f64ca8307c19cf19ba28b9abbef00d82b6d842882264e3e45b"
+
+    def test_boundaries_homology_and_comparison_match_the_pinned_dump(self):
+        lines = []
+        for i in range(40):
+            field = (GF2, GF3)[i % 2]
+            pair = random_pair(random.Random(i))
+            for iv in critical_intervals(pair):
+                for q in range(pair.total.dimension + 2):
+                    lines += [
+                        f"{i} {q} {iv}",
+                        "d\t" + _dump(lambda: skeletal_boundary(pair, q, iv, field).rows),
+                        "h\t" + _dump(lambda: skeletal_homology(pair, q, iv, field).reps.rows),
+                        "iso\t" + _dump(lambda: direct_to_skeletal(pair, q, iv, field).matrix.rows),
+                    ]
+        text = "\n".join(lines)
+        assert "raise\tOracleMismatch" in text
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
