@@ -5,7 +5,7 @@ pairs over any closed interval of filtration values, with exact prime-field
 (or rational) coefficients, builds the induced and connecting maps and the
 standard exact sequences, and cross-checks everything through three
 independent computation paths: the direct definition, a skeleton-based chain
-theory, and a classical one-pass column reduction.
+theory, and persistent cohomology by column reduction.
 """
 
 from .filtration import (

@@ -1,15 +1,21 @@
-"""Classical column reduction producing birth/death bars.
+"""Persistent cohomology by column reduction, producing birth/death bars.
 
-This is an independent computation path: one global boundary matrix over the
+This is an independent computation path: one global coboundary matrix over the
 whole filtration instead of per-interval subspace arithmetic, and none of the
 ``linalg`` kernels.  Simplices are ordered by the rank of their value, then
-dimension, then vertices.  The matrix is reduced degree by degree from the
-top, each degree left to right, with clearing: a simplex that is the low of a
-column one degree up pairs with that column and its own column is never
-built (Chen & Kerber, "Persistent homology computation with a twist", 2011).
-Over GF(2) a column is an int bitset reduced by XOR.  Interval homology
-dimensions are then bar counts, which ``bars_alive`` reads off the sorted
-barcode by bisection.
+dimension, then vertices.  With field coefficients, reducing the coboundary
+matrix in the reverse order gives the same pairs as reducing the boundary
+matrix (de Silva, Morozov & Vejdemo-Johansson, "Dualities in persistent
+(co)homology", 2011), and it is the cheaper direction (Bauer, "Ripser",
+2021): degrees go from the bottom up, each degree from the youngest simplex
+to the oldest, and a column's pivot is its oldest remaining cofacet.  With
+clearing, a simplex that is the pivot of a column one degree down pairs with
+that column and its own column is never built (Chen & Kerber, "Persistent
+homology computation with a twist", 2011), so top-degree simplices, which
+have no cofacets, never become columns.  A column is kept as its list of
+cofacets until it must be reduced; over GF(2) it is then an int bitset
+reduced by XOR.  Interval homology dimensions are bar counts, which
+``bars_alive`` reads off the sorted barcode by bisection.
 
 Relative pairs reduce to the absolute case by coning the subset off: a fresh
 apex enters at the global minimum value, the cone over each subset simplex
@@ -20,6 +26,9 @@ complex match the pair's interval homology in every degree.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
+from itertools import combinations
+from operator import itemgetter
 from typing import NamedTuple
 
 from .filtration import (
@@ -44,46 +53,85 @@ class Bar(NamedTuple):
     death: FiltValue  # INF when the class never dies
 
 
-def _reduce(faces: list[int], pivots: dict, field):
-    """Reduce one boundary column against the pivot columns of its degree.
+def _cofacets(upper, field) -> dict:
+    """Each facet of the simplices ``upper`` mapped to its cofacets among them.
 
-    ``faces`` are the row indices of the column's faces in omitted-position
-    order.  A column that keeps a low is stored in ``pivots`` under that low,
-    which is returned; a column that vanishes returns None.  Over GF(2) a
-    column is an int bitset reduced by XOR; over any other field it is a
+    Cofacets are rows (positions in ``upper``) in ascending order, so the
+    first is the oldest; over a field other than GF(2) each comes with its
+    coboundary entry, the sign of the facet's omitted position.
+    ``combinations`` yields a simplex's facets from the last omitted position
+    down, so the t-th facet of a q-simplex omits position q - t.  A simplex
+    with no cofacet has no key.
+    """
+    cofacets = defaultdict(list)
+    q = len(upper[0][1]) - 1
+    if field == GF2:
+        for row, (_, sk) in enumerate(upper):
+            for fc in combinations(sk, q):
+                cofacets[fc].append(row)
+        return cofacets
+    signs = [(field.one, field.neg(field.one))[(q - t) & 1] for t in range(q + 1)]
+    for row, (_, sk) in enumerate(upper):
+        for fc, sign in zip(combinations(sk, q), signs):
+            cofacets[fc].append((row, sign))
+    return cofacets
+
+
+def _reduce(column: list, pivots: dict, field):
+    """Reduce one coboundary column against the pivot columns of its degree.
+
+    ``column`` lists at least one cofacet, in ascending row order, as
+    ``_cofacets`` gives them.  A column that keeps a pivot, its lowest row, is
+    stored in ``pivots`` under it, which is returned; a column that vanishes
+    returns None.  A column whose first cofacet is free is stored as its
+    list.  Only a column that is reduced, or reduces another, is converted:
+    over GF(2) to an int bitset reduced by XOR, over any other field to a
     {row: entry} dict.
     """
+    low = column[0] if field == GF2 else column[0][0]
+    other = pivots.get(low)
+    if other is None:
+        pivots[low] = column
+        return low
     if field == GF2:
-        col = 0
-        for r in faces:
-            col ^= 1 << r
-        while col:
-            low = col.bit_length() - 1
+        col = _bitset(column)
+        while True:
+            if type(other) is list:
+                other = pivots[low] = _bitset(other)
+            col ^= other
+            if not col:
+                return None
+            low = (col & -col).bit_length() - 1
             other = pivots.get(low)
             if other is None:
                 pivots[low] = col
                 return low
-            col ^= other
-        return None
-    col = {}
-    sign = field.one
-    for r in faces:
-        col[r] = sign
-        sign = field.neg(sign)
-    while col:
-        low = max(col)
+    col = dict(column)
+    zero = field.zero
+    while True:
+        if type(other) is list:
+            other = pivots[low] = dict(other)
+        factor = field.mul(col[low], field.inv(other[low]))
+        for r, val in other.items():
+            merged = field.sub(col.get(r, zero), field.mul(factor, val))
+            if merged == zero:
+                col.pop(r, None)
+            else:
+                col[r] = merged
+        if not col:
+            return None
+        low = min(col)
         other = pivots.get(low)
         if other is None:
             pivots[low] = col
             return low
-        factor = field.mul(col[low], field.inv(other[low]))
-        for r, val in other.items():
-            merged = field.sub(col.get(r, field.zero), field.mul(factor, val))
-            if merged == field.zero:
-                col.pop(r, None)
-            else:
-                col[r] = merged
-    return None
+
+
+def _bitset(rows: list[int]) -> int:
+    col = 0
+    for r in rows:
+        col |= 1 << r
+    return col
 
 
 def barcode(x: FilteredSet, field=GF2) -> tuple[Bar, ...]:
@@ -93,33 +141,35 @@ def barcode(x: FilteredSet, field=GF2) -> tuple[Bar, ...]:
     # per degree, (rank, simplex) in filtration order; rows are positions here
     top = x.dimension
     by_degree: list[list[tuple[int, Simplex]]] = [[] for _ in range(top + 1)]
-    for r, size, sk in sorted((r, len(sk), sk) for sk, r in x._lookup.items()):
-        by_degree[size - 1].append((r, sk))
-    row = {sk: i for cells in by_degree for i, (_, sk) in enumerate(cells)}
+    for sk, r in x._lookup.items():
+        by_degree[len(sk) - 1].append((r, sk))
+    for cells in by_degree:
+        cells.sort(key=itemgetter(0))  # stable: the lookup is in simplex order
 
     bars: list[tuple[int, int, int]] = []  # (degree, birth rank, death rank)
-    cleared: dict[int, int] = {}  # row of degree q -> rank of the column it pairs with
-    for q in range(top, -1, -1):
-        cells = by_degree[q]
+    cleared: set[int] = set()  # rows of degree q that are pivots of degree q - 1
+    for q, cells in enumerate(by_degree):
+        if q == top:  # no cofacets: each simplex not cleared is essential
+            bars += [(q, r, never) for j, (r, _) in enumerate(cells) if j not in cleared]
+            break
+        upper = by_degree[q + 1]
+        cofacets = _cofacets(upper, field)
         pivots: dict = {}
-        lows: dict[int, int] = {}
-        for j, (r, sk) in enumerate(cells):
-            death = cleared.get(j)
-            if death is not None:
-                if death != r:
-                    bars.append((q, r, death))
+        for j in range(len(cells) - 1, -1, -1):
+            if j in cleared:
                 continue
-            low = None
-            if q:
-                faces = [row[sk[:i] + sk[i + 1 :]] for i in range(q + 1)]
-                low = _reduce(faces, pivots, field)
+            r, sk = cells[j]
+            column = cofacets.get(sk)
+            low = None if column is None else _reduce(column, pivots, field)
             if low is None:
                 bars.append((q, r, never))
-            else:
-                lows[low] = r
-        cleared = lows
+            elif upper[low][0] != r:
+                bars.append((q, r, upper[low][0]))
+        cleared = set(pivots)
+        del cofacets, pivots  # before the next degree builds its own
     values += (INF,)
-    return tuple(Bar(q, values[b], values[d]) for q, b, d in sorted(bars))
+    make = Bar._make  # no Python-level __new__ per bar
+    return tuple(make((q, values[b], values[d])) for q, b, d in sorted(bars))
 
 
 def reduced_barcode(x: FilteredSet, field=GF2) -> tuple[Bar, ...]:

@@ -194,9 +194,12 @@ class FilteredSet:
                 raise FiltrationError(f"conflicting values for simplex {sk}")
         table = {sk: val for sk, val in given.items() if not val[0]}  # val[0] flags INF
         critical, ranks = _ranked(table)
+        get, absent = ranks.get, itertools.repeat(len(critical))  # above every rank
         for sk, r in ranks.items():
-            if len(sk) == 1:
+            q = len(sk) - 1
+            if not q or max(map(get, itertools.combinations(sk, q), absent)) <= r:
                 continue
+            # report the first bad facet in omitted-position order
             for fc in facets(sk):
                 fr = ranks.get(fc)
                 if fr is None:

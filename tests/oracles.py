@@ -2,9 +2,10 @@
 
 The interval oracle works over GF(2) with chains represented as frozensets of
 simplices (addition = symmetric difference) and subgroups enumerated
-exhaustively.  The reference barcode is the textbook column reduction, over
-GF(p) or the rationals.  Nothing imports the package, so agreement with the
-main path is a genuine cross-check.
+exhaustively.  The reference barcode is the textbook reduction of the
+boundary matrix, over GF(p) or the rationals; the package reduces the dual,
+coboundary matrix.  Nothing imports the package, so agreement with the main
+path is a genuine cross-check.
 """
 
 from __future__ import annotations

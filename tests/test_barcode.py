@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from persax import (
     GF2,
     GF3,
@@ -66,8 +68,46 @@ class TestAgainstReferenceReduction:
         assert essential > 500 and finite > 200
 
 
+class TestTiedValues:
+    # three levels on a Rips set tie most simplices, so the pairing depends on
+    # the order within each value; the reference reduces boundary columns
+    @pytest.mark.parametrize("seed, rows, cols, top_dim", [
+        (3, 2, 4, 3), (8, 3, 3, 2), (21, 2, 5, 2),
+    ])
+    def test_bars_match_the_reference_on_three_level_rips_sets(self, seed, rows, cols, top_dim):
+        pair = parse_pair_text(_rips_pair_text(seed, rows, cols, top_dim, levels=3))
+        assert 100 <= len(pair.total.entries) <= 300 and pair.sub.entries
+        assert len(critical_values(pair)) <= 5
+        total, sub = values_of(pair.total), values_of(pair.sub)
+        finite = 0
+        for field, p in FIELDS:
+            absolute = _plain(barcode(pair.total, field))
+            assert absolute == reference_bars(total, p)
+            assert _plain(pair_barcode(pair, field)) == reference_pair_bars(total, sub, p)
+            finite += sum(d is not None for _, _, d in absolute)
+        assert finite > 0
+
+    @pytest.mark.parametrize("total, sub", [
+        ({}, {}),
+        ({("a",): 0}, {}),
+        ({("a",): 0, ("b",): 0, ("c",): 1}, {}),
+        ({("a",): 0, ("b",): 0, ("c",): 1}, {("b",): 1, ("c",): 2}),
+        ({("a",): 0, ("b",): 0, ("c",): 0, ("a", "b"): 1, ("b", "c"): 1, ("a", "c"): 2}, {}),
+        ({("a",): 0, ("b",): 0, ("a", "b"): 1}, {("a",): 0, ("b",): 0, ("a", "b"): 1}),
+    ], ids=["empty", "one-vertex", "vertices-only", "vertices-only-pair",
+            "empty-subset", "subset-is-everything"])
+    def test_small_cases_match_the_reference(self, total, sub):
+        vertices = {v for sk in total for v in sk}
+        pair = pair_of(FilteredSet(vertices, total), FilteredSet(vertices, sub))
+        plain_total = {sk: Fraction(v) for sk, v in total.items()}
+        plain_sub = {sk: Fraction(v) for sk, v in sub.items()}
+        for field, p in FIELDS:
+            assert _plain(barcode(pair.total, field)) == reference_bars(plain_total, p)
+            assert _plain(pair_barcode(pair, field)) == reference_pair_bars(plain_total, plain_sub, p)
+
+
 class TestPinnedBarcodes:
-    # sha256 of the dump below, recorded from the left-to-right reduction
+    # sha256 of the dump below, recorded from the boundary-matrix reduction
     DIGEST = "a82577dcf1b6c0cdea54f35be993711fac0925c0a4ca8e9279f6d2285e64ea38"
 
     def test_barcode_dump_matches_the_pinned_digest(self):
@@ -80,12 +120,12 @@ class TestPinnedBarcodes:
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
 
 
-def _rips_pair_text(seed):
-    """A seeded Rips pair file (1,470 + 98 simplices) from the benchmark's recipe."""
+def _rips_pair_text(seed, rows=2, cols=7, top_dim=3, levels=12):
+    """A seeded Rips pair file from the benchmark's recipe (1,470 + 98 simplices by default)."""
     spec = importlib.util.spec_from_file_location("persax_bench_gen", REPO / "perfbench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    total = gen.rips(random.Random(seed), 2, 7, 3, levels=12)
+    total = gen.rips(random.Random(seed), rows, cols, top_dim, levels=levels)
     return gen.pair_text(total, gen.left_half_subset(total))
 
 
@@ -128,6 +168,23 @@ class TestLargerInput:
         distinct = len(critical_values(pair))
         assert distinct == 13
         assert made <= 20 * distinct
+
+    def test_rational_bars_do_little_fraction_arithmetic(self, monkeypatch):
+        # only reductions of columns whose oldest cofacet is already a pivot
+        # do arithmetic; the boundary-matrix reduction made 56,207 calls here
+        pair = parse_pair_text(_rips_pair_text(13))
+        calls = []
+        for name in ("__mul__", "__rmul__", "__sub__", "__rsub__", "__add__", "__radd__",
+                     "__truediv__", "__rtruediv__", "__neg__"):
+            def counted(*args, _original=getattr(Fraction, name)):
+                calls.append(1)
+                return _original(*args)
+
+            monkeypatch.setattr(Fraction, name, counted)
+        pair_barcode(pair, QQ)
+        made = len(calls)
+        monkeypatch.undo()
+        assert 0 < made <= 5_000
 
 
 class TestBuiltOnce:

@@ -235,6 +235,34 @@ class TestValidate:
         fs = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0, ("a", "b"): "inf", ("b", "a"): "inf"})
         assert fs.support == (("a",), ("b",))
 
+    @pytest.mark.parametrize("missing, late, error, message", [
+        (("acd", "abd"), (), MissingFace,
+         "face ('a', 'c', 'd') of ('a', 'b', 'c', 'd') is absent from the support"),
+        (("abc", "bcd"), (), MissingFace,
+         "face ('b', 'c', 'd') of ('a', 'b', 'c', 'd') is absent from the support"),
+        ((), ("acd", "abd"), MonotonicityViolation,
+         "face ('a', 'c', 'd') at 5 exceeds ('a', 'b', 'c', 'd') at 3"),
+        ((), ("abc", "bcd"), MonotonicityViolation,
+         "face ('b', 'c', 'd') at 5 exceeds ('a', 'b', 'c', 'd') at 3"),
+        (("abc",), ("bcd",), MonotonicityViolation,
+         "face ('b', 'c', 'd') at 5 exceeds ('a', 'b', 'c', 'd') at 3"),
+        (("bcd",), ("abc",), MissingFace,
+         "face ('b', 'c', 'd') of ('a', 'b', 'c', 'd') is absent from the support"),
+    ], ids=["two-missing", "two-missing-ends", "two-late", "two-late-ends",
+            "late-before-missing", "missing-before-late"])
+    def test_the_facet_with_the_lowest_omitted_position_is_reported(
+            self, missing, late, error, message):
+        # a solid tetrahedron at 3 with two bad facets; the message names the
+        # bad facet that omits the earliest vertex
+        table = {sk: min(len(sk) - 1, 3)
+                 for k in range(1, 5) for sk in itertools.combinations("abcd", k)}
+        for sk in missing:
+            del table[tuple(sk)]
+        table.update({tuple(sk): 5 for sk in late})
+        with pytest.raises(error) as raised:
+            FilteredSet(set("abcd"), table)
+        assert str(raised.value) == message
+
     def test_pair_requires_dominating_subset_values(self):
         x = FilteredSet({"a"}, {("a",): 0})
         low = FilteredSet({"a"}, {("a",): 0})
