@@ -137,30 +137,26 @@ def simplex(vertices: Iterable[str]) -> Simplex:
     return vs
 
 
-def _sorted_distinct(values: Iterable[FiltValue]) -> tuple[FiltValue, ...]:
-    """Sorted distinct values.
-
-    Shared value objects are deduplicated by identity before the set hashes
-    them, so a large table of parsed values costs one int hash per entry
-    rather than one ``Fraction`` hash.
-    """
-    return tuple(sorted(set({id(v): v for v in values}.values())))
-
-
-def _ranked(table: Mapping[Simplex, FiltValue]):
-    """A value table's sorted distinct values, and the table as ranks into them.
+def _sorted_values(values: Iterable[FiltValue]):
+    """Sorted distinct values, and each value object's rank among them, by id.
 
     Value objects are deduplicated by identity and equal values are found
-    next to each other after sorting, so no ``Fraction`` is hashed: a table
-    of shared parsed values costs one int hash per entry.
+    next to each other after sorting, so no ``Fraction`` is hashed: shared
+    parsed values cost one int hash each.
     """
     critical: list[FiltValue] = []
     rank_of_id = {}
-    for v in sorted({id(v): v for v in table.values()}.values()):
+    for v in sorted({id(v): v for v in values}.values()):
         if not critical or critical[-1] != v:
             critical.append(v)
         rank_of_id[id(v)] = len(critical) - 1
-    return tuple(critical), {sk: rank_of_id[id(v)] for sk, v in table.items()}
+    return tuple(critical), rank_of_id
+
+
+def _ranked(table: Mapping[Simplex, FiltValue]):
+    """A value table's sorted distinct values, and the table as ranks into them."""
+    critical, rank_of_id = _sorted_values(table.values())
+    return critical, {sk: rank_of_id[id(v)] for sk, v in table.items()}
 
 
 def facets(sigma: Simplex) -> list[Simplex]:
@@ -297,9 +293,11 @@ class RelativeFilteredPair(tuple):
             raise UnknownVertex("subset vertices must lie in the total vertex set")
         for sk, val in sub.entries:
             if val < total.value(sk):
-                raise FiltrationError(
+                err = FiltrationError(
                     f"subset value {val} for {sk} is below the total value {total.value(sk)}"
                 )
+                err.simplex = sk  # the first early simplex, for callers that reword the error
+                raise err
         return tuple.__new__(cls, (total, sub))
 
     def __reduce__(self):
@@ -566,7 +564,7 @@ def compose(f: PreservingMap, g: PreservingMap) -> PreservingMap:
 def critical_values(obj) -> tuple[FiltValue, ...]:
     """Sorted distinct finite values of the support; pairs pool both parts."""
     if isinstance(obj, RelativeFilteredPair):
-        return _sorted_distinct(obj.total._critical + obj.sub._critical)
+        return _sorted_values(obj.total._critical + obj.sub._critical)[0]
     return obj._critical
 
 

@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from .filtration import (
     FilteredSet,
     PreservingMap,
     RelativeFilteredPair,
+    facets,
     fin,
     inclusion,
     pair_of,
@@ -38,23 +40,10 @@ def random_filtration(rng: random.Random, pool: Sequence[str] = DEFAULT_POOL,
         k = rng.randint(1, min(max_span, len(pool)))
         sigma = tuple(sorted(rng.sample(list(pool), k)))
         val = rng.choice(list(values))
-        new_keys = []
-        stack = [sigma]
-        seen = set()
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            if cur not in table:
-                new_keys.append(cur)
-            for i in range(len(cur)):
-                face = cur[:i] + cur[i + 1 :]
-                if face:
-                    stack.append(face)
-        if len(table) + len(new_keys) > max_simplices:
+        closure = [face for size in range(1, k + 1) for face in combinations(sigma, size)]
+        if len(table) + sum(face not in table for face in closure) > max_simplices:
             continue
-        for key in seen:
+        for key in closure:
             prev = table.get(key)
             if prev is None or val < prev:
                 table[key] = val
@@ -86,8 +75,7 @@ def random_subset_of(rng: random.Random, x: FilteredSet) -> FilteredSet:
     for sk, val in sorted(restricted.entries, key=lambda e: (len(e[0]), e[0])):
         bump = rng.choice(bumps)
         candidate = max(val, bump)
-        for i in range(len(sk)):
-            face = sk[:i] + sk[i + 1 :]
+        for face in facets(sk):
             if face in bumped and bumped[face] > candidate:
                 candidate = bumped[face]
         bumped[sk] = candidate

@@ -31,6 +31,7 @@ from .filtration import (
     RelativeFilteredPair,
     Simplex,
     _level,
+    facets,
     simplex,
 )
 
@@ -586,12 +587,10 @@ def boundary_matrix(pair: RelativeFilteredPair, n: int, eps: FiltValue, field=GF
     out = [[field.zero] * len(cols) for _ in range(len(rows))]
     for j, sk in enumerate(cols):
         sign = field.one
-        for i in range(len(sk)):
-            face = sk[:i] + sk[i + 1 :]
-            if face:
-                r = index.get(face)
-                if r is not None:
-                    out[r][j] = field.add(out[r][j], sign)
+        for face in facets(sk):
+            r = index.get(face)
+            if r is not None:
+                out[r][j] = field.add(out[r][j], sign)
             sign = field.neg(sign)
     return Matrix._trusted(field, tuple(map(tuple, out)), len(rows), len(cols))
 

@@ -1,9 +1,10 @@
 """Homology sequences of pairs, triples, and covers, and their exactness.
 
 Sequences are concrete: nodes are computed groups, arrows are matrices, and
-exactness at each interior node is decided by double inclusion of echelon
-bases (image inside kernel and kernel inside image), never by dimension
-counting alone.  Failed checks carry re-checkable witness vectors.
+exactness at each interior node is decided by equality of the canonical
+echelon bases of the incoming image and the outgoing kernel (equal exactly
+when each space lies in the other), never by dimension counting alone.
+Failed checks carry re-checkable witness vectors.
 
 Also here: contiguity of maps, contiguous equivalence, homological
 triviality, deformation retracts, proper covers, and direct-sum splittings.
@@ -16,9 +17,11 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .filtration import (
     FilteredSet,
+    FiltrationError,
     Interval,
     PreservingMap,
     RelativeFilteredPair,
+    UnknownVertex,
     _as_pair,
     _probe_levels,
     complex_at,
@@ -91,8 +94,11 @@ class NodeCheck:
     index: int
     image_dim: int
     kernel_dim: int
-    ok: bool
     witness: tuple | None = None  # (kind, vector) on failure
+
+    @property
+    def ok(self) -> bool:
+        return self.witness is None
 
 
 @dataclass(frozen=True)
@@ -108,7 +114,7 @@ class ExactnessReport:
 
 
 def check_exact(seq: ExactSequence) -> ExactnessReport:
-    """Verify image = kernel at every interior node, with witnesses."""
+    """Verify image = kernel at every interior node by equal canonical bases, with witnesses."""
     checks = []
     for i in range(1, len(seq.nodes) - 1):
         incoming = seq.arrows[i - 1]
@@ -116,24 +122,21 @@ def check_exact(seq: ExactSequence) -> ExactnessReport:
         im = image(incoming.matrix)
         ker = kernel(outgoing.matrix)
         witness = None
-        ok = True
-        if not ker.contains_subspace(im):
+        if im != ker:
             composite = outgoing.matrix * incoming.matrix
-            bad = next(j for j in range(composite.ncols) if any(a != composite.field.zero for a in composite.column(j)))
-            unit = tuple(
-                composite.field.one if k == bad else composite.field.zero
-                for k in range(incoming.matrix.ncols)
-            )
-            witness = ("image_not_in_kernel", unit)
-            ok = False
-        elif not im.contains_subspace(ker):
-            # a kernel column lies in the image iff its reduction against the
-            # image basis vanishes below the image's rank
-            red = hstack(im.basis, ker.basis).rref()[0]
-            bad = next(j for j in range(ker.dim) if any(red.column(im.dim + j)[im.dim:]))
-            witness = ("kernel_not_in_image", ker.basis.column(bad))
-            ok = False
-        checks.append(NodeCheck(i, im.dim, ker.dim, ok, witness))
+            bad = next((j for j, col in enumerate(composite.columns) if any(col)), None)
+            if bad is not None:
+                field = composite.field
+                unit = tuple(field.one if k == bad else field.zero for k in range(composite.ncols))
+                witness = ("image_not_in_kernel", unit)
+            else:
+                # the image lies in the kernel, so some kernel column does not
+                # lie in the image: its reduction against the image basis
+                # leaves a nonzero entry below the image's rank
+                red = hstack(im.basis, ker.basis).rref()[0]
+                bad = next(j for j in range(ker.dim) if any(red.column(im.dim + j)[im.dim:]))
+                witness = ("kernel_not_in_image", ker.basis.column(bad))
+        checks.append(NodeCheck(i, im.dim, ker.dim, witness))
     return ExactnessReport(tuple(checks))
 
 
@@ -188,11 +191,13 @@ def les_pair(pair: RelativeFilteredPair, interval: Interval, field=GF2) -> Exact
 
 
 def _require_filtered_subset(sub: FilteredSet, ambient: FilteredSet, what: str):
-    if not sub.vertices <= ambient.vertices:
-        raise ValueError(f"{what}: vertices escape the ambient set")
-    for sk, val in sub.entries:
-        if val < ambient.value(sk):
-            raise ValueError(f"{what}: value for {sk} drops below the ambient value")
+    """The pair check of ``pair_of(ambient, sub)``, reworded under the role ``what``."""
+    try:
+        pair_of(ambient, sub)
+    except UnknownVertex:
+        raise ValueError(f"{what}: vertices escape the ambient set") from None
+    except FiltrationError as exc:
+        raise ValueError(f"{what}: value for {exc.simplex} drops below the ambient value") from None
 
 
 def les_triple(x: FilteredSet, a: FilteredSet, b: FilteredSet, interval: Interval,
@@ -434,10 +439,13 @@ def deformation_retract_check(pair: RelativeFilteredPair, subpair: RelativeFilte
 
 @dataclass(frozen=True)
 class DirectSumVerdict:
-    ok: bool
     total_dim: int
     part_dims: tuple[int, ...]
     joint_rank: int
+
+    @property
+    def ok(self) -> bool:
+        return self.total_dim == sum(self.part_dims) and self.joint_rank == self.total_dim
 
 
 def direct_sum_check(parts: Sequence[FilteredSet], a: FilteredSet, q: int,
@@ -471,6 +479,4 @@ def direct_sum_check(parts: Sequence[FilteredSet], a: FilteredSet, q: int,
     joint = Matrix.zero(field, target.dim, 0)
     for m in mats:
         joint = hstack(joint, m)
-    rank = joint.rank()
-    ok = target.dim == sum(dims) and rank == target.dim
-    return DirectSumVerdict(ok, target.dim, tuple(dims), rank)
+    return DirectSumVerdict(target.dim, tuple(dims), joint.rank())

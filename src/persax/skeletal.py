@@ -36,7 +36,7 @@ from .homology import (
     homology,
     induced_map,
 )
-from .linalg import GF2, Matrix, Subspace, image, kernel, quotient_coords
+from .linalg import GF2, Matrix, Subspace, SubspaceNotContained, image, kernel, quotient_coords
 
 
 class OracleMismatch(RuntimeError):
@@ -184,9 +184,10 @@ def skeletal_homology(pair: RelativeFilteredPair, q: int, interval: Interval,
         return SkeletalHomology(empty, empty, Matrix.zero(field, 0, 0))
     cycles = kernel(skeletal_boundary(pair, q, interval, field))
     bounds = image(skeletal_boundary(pair, q + 1, interval, field))
-    if not cycles.contains_subspace(bounds):
-        raise OracleMismatch("boundary image is not made of cycles")
-    reps = cycles.complement_in(bounds)
+    try:
+        reps = cycles.complement_in(bounds)
+    except SubspaceNotContained:
+        raise OracleMismatch("boundary image is not made of cycles") from None
     return SkeletalHomology(cycles, bounds, reps)
 
 

@@ -170,6 +170,13 @@ class TestRelativeFilteredPair:
             RelativeFilteredPair(triangle_rim(), early)
         assert type(info.value) is FiltrationError
         assert str(info.value) == "subset value 0 for ('a', 'b') is below the total value 1"
+        # of two early edges, the first in entry order is named, not the first given
+        early = FilteredSet({"a", "b", "c"}, {("b", "c"): 0, ("a", "c"): 0, ("a",): 0,
+                                              ("b",): 0, ("c",): 0})
+        with pytest.raises(FiltrationError) as info:
+            RelativeFilteredPair(triangle_rim(), early)
+        assert type(info.value) is FiltrationError
+        assert str(info.value) == "subset value 0 for ('a', 'c') is below the total value 1"
 
     def test_canonical_text_is_the_pair_file(self):
         pair = pair_of(triangle_rim(), FilteredSet({"a"}, {("a",): 1}))

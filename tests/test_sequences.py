@@ -140,6 +140,43 @@ class TestCheckExact:
         pair = pair_of(point(0), point(0))
         assert check_exact(les_pair(pair, Interval(0, 0))).ok
 
+    def test_nonzero_composite_names_the_first_bad_column(self):
+        # H_1(x, a) -> H_0(a) -> H_0(x) on two vertices of the rim: corrupt
+        # d_1 so that only its second column survives i_0
+        a = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0})
+        seq = les_pair(pair_of(TRIANGLE_RIM, a), Interval(1, 2))
+        idx = seq.labels.index("d_1")
+        arrow, outgoing = seq.arrows[idx].matrix, seq.arrows[idx + 1].matrix
+        assert arrow.ncols >= 2
+        live = next(r for r in range(outgoing.ncols) if any(outgoing.column(r)))
+        columns = [(arrow.field.zero,) * arrow.nrows] * arrow.ncols
+        columns[1] = Matrix.identity(arrow.field, arrow.nrows).column(live)
+        bad = LinearMap(seq.arrows[idx].source, seq.arrows[idx].target,
+                        Matrix.from_columns(arrow.field, columns, arrow.nrows), "corrupt")
+        check = check_exact(seq.with_arrow(idx, bad)).checks[idx]
+        assert check.index == idx + 1 and not check.ok
+        kind, vec = check.witness
+        units = Matrix.identity(arrow.field, arrow.ncols).columns
+        assert kind == "image_not_in_kernel" and vec == units[1]
+        assert any(outgoing.apply(bad.matrix.apply(vec)))
+        assert not any(outgoing.apply(bad.matrix.apply(units[0])))
+
+    def test_forty_pair_sequences_stay_within_the_reduction_budget(self, monkeypatch):
+        # equal canonical bases decide these nodes with 1,080 reductions;
+        # two containment solves per node took 1,798
+        seqs = []
+        for i in range(40):
+            rng = random.Random(i)
+            pair = random_pair(rng)
+            iv = rng.choice(critical_intervals(pair) or (Interval(0, 0),))
+            seqs.append(les_pair(pair, iv, field=(GF2, GF3)[i % 2]))
+        calls = []
+        real = Matrix.rref
+        monkeypatch.setattr(Matrix, "rref", lambda self: calls.append(self) or real(self))
+        for seq in seqs:
+            check_exact(seq)
+        assert len(calls) <= 1_200
+
 
 class TestLesTriple:
     def test_empty_inner_set_reduces_to_pair_sequence(self):
@@ -266,16 +303,21 @@ class TestProperTriads:
                 for q in range(0, u.dimension + 2):
                     assert direct_sum_check([x1, x2], meet, q, iv).ok
 
-    @pytest.mark.parametrize("x1", [
-        FilteredSet({"a", "z"}, {("a",): 0, ("z",): 0}),
-        FilteredSet({"a"}, {("a",): -1}),
-    ], ids=["vertex-escapes", "enters-early"])
-    def test_cover_sets_outside_the_ambient_set_are_named(self, x1):
+    @pytest.mark.parametrize("x1, reason", [
+        (FilteredSet({"a", "z"}, {("a",): 0, ("z",): 0}), "vertices escape the ambient set"),
+        (FilteredSet({"a"}, {("a",): -1}), "value for ('a',) drops below the ambient value"),
+        # two edges enter before the rim's; entry order names (a, c) first
+        (FilteredSet({"a", "b", "c"}, {("b", "c"): 0, ("a", "c"): 0, ("a",): 0, ("b",): 0,
+                                       ("c",): 0}),
+         "value for ('a', 'c') drops below the ambient value"),
+    ], ids=["vertex-escapes", "enters-early", "first-early-in-entry-order"])
+    def test_cover_sets_outside_the_ambient_set_are_named(self, x1, reason):
         x2 = FilteredSet({"b"}, {("b",): 0})
-        with pytest.raises(ValueError, match="^first cover set: "):
-            is_proper_triad(TRIANGLE_RIM, x1, x2, Interval(0, 1))
-        with pytest.raises(ValueError, match="^second cover set: "):
-            is_proper_triad(TRIANGLE_RIM, x2, x1, Interval(0, 1))
+        for args, role in (((x1, x2), "first"), ((x2, x1), "second")):
+            with pytest.raises(ValueError) as info:
+                is_proper_triad(TRIANGLE_RIM, *args, Interval(0, 1))
+            assert type(info.value) is ValueError
+            assert str(info.value) == f"{role} cover set: {reason}"
 
     def test_nested_cover_reduces_to_triple(self):
         x2 = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0})

@@ -304,6 +304,16 @@ class TestSkeletalHomology:
     def test_negative_degree_vanishes(self):
         assert skeletal_homology(pair_of(TRIANGLE_RIM), -1, Interval(0, 1)).dim == 0
 
+    def test_a_non_differential_boundary_is_a_broken_oracle(self, monkeypatch):
+        # d_1 d_2 = 1 on one generator: the boundary image holds no cycle
+        from persax import skeletal
+
+        monkeypatch.setattr(skeletal, "skeletal_boundary",
+                            lambda pair, q, interval, field: Matrix.identity(field, 1))
+        with pytest.raises(OracleMismatch) as info:
+            skeletal_homology.__wrapped__(pair_of(TRIANGLE_RIM), 1, Interval(0, 1), GF2)
+        assert str(info.value) == "boundary image is not made of cycles"
+
     def test_triangle_rim_matches_direct_theory(self):
         pair = pair_of(TRIANGLE_RIM)
         iv = Interval(1, 2)
