@@ -54,7 +54,6 @@ from .linalg import (
     chain_map_matrix,
     chain_space,
     image,
-    inclusion_matrix,
     kernel,
     preimage,
 )

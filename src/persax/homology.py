@@ -31,6 +31,8 @@ from .linalg import (
     GF2,
     Matrix,
     Subspace,
+    _face_columns,
+    _inclusion_columns,
     _move_rows,
     boundary_matrix,
     chain_space,
@@ -135,9 +137,9 @@ def _homology_cached(pair: RelativeFilteredPair, n: int, interval: Interval, fld
     if not simplices:  # no chains, as below degree 0: the zero group, with no reduction
         empty = Subspace.zero(fld, 0)
         return HomologyGroup(simplices, empty, empty, Matrix.zero(fld, 0, 0))
-    # inclusion_matrix times the lower-endpoint cycles, as the row selection it is
-    lower = chain_space(pair, n, interval.lo)
-    persisted = image(_move_rows(_cycles(pair, n, interval.lo, fld).basis, lower, simplices))
+    # the lower-endpoint cycles, moved into the upper-endpoint chains
+    included = _inclusion_columns(chain_space(pair, n, interval.lo))
+    persisted = image(_move_rows(_cycles(pair, n, interval.lo, fld).basis, included, simplices))
     bnd = _boundaries(pair, n, interval.hi, fld)
     dying = persisted.intersect(bnd)
     reps = persisted.complement_in(dying)
@@ -163,30 +165,28 @@ def zero_group(field, interval: Interval) -> HomologyGroup:
 def induced_map(f: PreservingMap, n: int, interval: Interval, field=GF2) -> LinearMap:
     """Map on homology induced by a filtration-preserving map.
 
-    Pushes each source representative through the chain map at the upper
-    endpoint and reads the result off in the target's basis.
+    Moves the source representatives through the vertex map's chain columns
+    at the upper endpoint and reads the result off in the target's basis.
     """
     source = homology(f.domain, n, interval, field)
     target = homology(f.codomain, n, interval, field)
-    push = chain_map_matrix(f, n, interval.hi, field)
-    return LinearMap(source, target, target.coords_of(push * source.reps), "f*")
+    pushed = _move_rows(source.reps, chain_map_matrix(f, n, interval.hi), target.simplices)
+    return LinearMap(source, target, target.coords_of(pushed), "f*")
 
 
 def connecting(pair: RelativeFilteredPair, n: int, interval: Interval, field=GF2) -> LinearMap:
     """Degree-lowering boundary map from the pair's homology to the subset's.
 
-    Each relative representative is lifted to an absolute chain at the upper
-    endpoint; its boundary is a cycle supported on the subset, and its class
-    must be representable by lower-endpoint subset cycles.
+    Each relative representative's rows move onto their faces in the total's
+    chains at the upper endpoint; the boundary is a cycle supported on the
+    subset, and its class must be representable by lower-endpoint subset cycles.
     """
     if n < 1:
         raise ValueError("the connecting map needs degree >= 1")
     source = homology(pair, n, interval, field)
     target = homology(pair_of(pair.sub), n - 1, interval, field)
-    x_abs = pair_of(pair.total)
-    lift = _move_rows(source.reps, source.simplices, chain_space(x_abs, n, interval.hi))
-    dchains = boundary_matrix(x_abs, n, interval.hi, field) * lift
-    lower = chain_space(x_abs, n - 1, interval.hi)
+    lower = chain_space(pair_of(pair.total), n - 1, interval.hi)
+    dchains = _move_rows(source.reps, _face_columns(source.simplices), lower)
     sub_simplices = chain_space(pair_of(pair.sub), n - 1, interval.hi)
     sub_basis = set(sub_simplices)
     if not sub_basis <= set(lower):
@@ -194,7 +194,7 @@ def connecting(pair: RelativeFilteredPair, n: int, interval: Interval, field=GF2
     if any(any(row) for sk, row in zip(lower, dchains.rows) if sk not in sub_basis):
         raise AssertionError("boundary of a relative cycle escaped the subset")
     try:
-        coords = target.coords_of(_move_rows(dchains, lower, sub_simplices))
+        coords = target.coords_of(_move_rows(dchains, _inclusion_columns(lower), sub_simplices))
     except ClassNotInTarget as exc:
         raise NotRepresentableAtLowerEndpoint(
             f"degree {n} boundary class has no lower-endpoint representative"

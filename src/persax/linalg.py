@@ -12,8 +12,9 @@ list each right-hand column's nonzero entries once and reduce each output
 entry once.
 
 The chain-level constructions live here too: ordered simplex bases for the
-relative chain groups of a pair at a level, boundary matrices, the inclusion
-matrices between levels, and the matrices induced by vertex maps.
+relative chain groups of a pair at a level, and boundary matrices.  Chain
+maps (inclusions between levels, faces, vertex maps) are sparse signed
+columns, and ``_move_rows`` is the one routine that applies them to rows.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import or_
+from operator import mul, or_
 from typing import Sequence
 
 from .filtration import (
     FiltValue,
-    Interval,
     PreservingMap,
     RelativeFilteredPair,
     Simplex,
@@ -585,64 +585,64 @@ def boundary_matrix(pair: RelativeFilteredPair, n: int, eps: FiltValue, field=GF
     cols = chain_space(pair, n, eps)
     index = {sk: i for i, sk in enumerate(rows)}
     out = [[field.zero] * len(cols) for _ in range(len(rows))]
-    for j, sk in enumerate(cols):
-        sign = field.one
-        for face in facets(sk):
+    for j, terms in enumerate(_face_columns(cols)):
+        for face, sign in terms:
             r = index.get(face)
             if r is not None:
                 out[r][j] = field.add(out[r][j], sign)
-            sign = field.neg(sign)
     return Matrix._trusted(field, tuple(map(tuple, out)), len(rows), len(cols))
 
 
-def inclusion_matrix(pair: RelativeFilteredPair, n: int, interval: Interval, field=GF2) -> Matrix:
-    """Chain map from the lower-endpoint basis into the upper-endpoint basis.
+def _inclusion_columns(basis) -> tuple:
+    """Each simplex onto itself."""
+    return tuple(((sk, 1),) for sk in basis)
 
-    A basis simplex maps to itself unless the subset has absorbed it by the
-    upper endpoint, in which case it maps to zero.
+
+def _face_columns(basis) -> tuple:
+    """Each simplex onto its facets, with alternating signs."""
+    return tuple(tuple((face, (1, -1)[i % 2]) for i, face in enumerate(facets(sk))) for sk in basis)
+
+
+def chain_map_matrix(f: PreservingMap, n: int, eps: FiltValue) -> tuple:
+    """Columns of a vertex map on the domain's relative chains at one level.
+
+    A simplex maps to its image with the sign of the permutation sorting the
+    image vertices; a collapsed simplex maps to zero.
     """
-    src = chain_space(pair, n, interval.lo)
-    return _move_rows(Matrix.identity(field, len(src)), src, chain_space(pair, n, interval.hi))
-
-
-def _move_rows(m: Matrix, basis, new_basis) -> Matrix:
-    """Each simplex of ``new_basis`` takes its row of m (rows indexed by
-    ``basis``), or a zero row when ``basis`` lacks it."""
-    rows = dict(zip(basis, m.rows))
-    absent = (m.field.zero,) * m.ncols
-    return Matrix._trusted(m.field, tuple(rows.get(sk, absent) for sk in new_basis),
-                           len(new_basis), m.ncols)
-
-
-def _sort_sign(values: Sequence[str], field):
-    """Sign of the permutation sorting the sequence; zero on repeats."""
-    values = list(values)
-    if len(set(values)) != len(values):
-        return None
-    inversions = sum(
-        1 for i in range(len(values)) for j in range(i + 1, len(values)) if values[i] > values[j]
-    )
-    return field.one if inversions % 2 == 0 else field.neg(field.one)
-
-
-@lru_cache(maxsize=None)
-def chain_map_matrix(f: PreservingMap, n: int, eps: FiltValue, field=GF2) -> Matrix:
-    """Matrix of a vertex map on relative chains at one level.
-
-    A simplex maps to its image with the sign of the sorting permutation;
-    collapsed simplices and images absorbed by the codomain subset map to 0.
-    """
-    src = chain_space(f.domain, n, eps)
-    dst = chain_space(f.codomain, n, eps)
-    index = {sk: i for i, sk in enumerate(dst)}
-    out = [[field.zero] * len(src) for _ in range(len(dst))]
-    for j, sk in enumerate(src):
+    out = []
+    for sk in chain_space(f.domain, n, eps):
         images = [f.vertex_map[v] for v in sk]
-        sign = _sort_sign(images, field)
-        if sign is None:
-            continue
-        target = simplex(set(images))
-        r = index.get(target)
-        if r is not None:
-            out[r][j] = sign
-    return Matrix._trusted(field, tuple(map(tuple, out)), len(dst), len(src))
+        inversions = sum(1 for i, a in enumerate(images) for b in images[i + 1:] if a > b)
+        distinct = len(set(images)) == len(images)
+        out.append(((simplex(images), (1, -1)[inversions % 2]),) if distinct else ())
+    return tuple(out)
+
+
+def _move_rows(m: Matrix, columns, new_basis) -> Matrix:
+    """A chain-level map applied to m, whose rows follow a simplex basis.
+
+    The map comes as sparse columns: each row's image as (simplex, +1 or -1)
+    terms, with int signs, so the columns serve every field.  Each simplex of
+    ``new_basis`` takes the signed sum of the rows sent to it; a term on a
+    simplex that ``new_basis`` lacks, because the subset absorbed it, is
+    dropped.
+    """
+    fld = m.field
+    index = {sk: i for i, sk in enumerate(new_basis)}
+    sent = [[] for _ in new_basis]
+    for row, terms in zip(m.rows, columns):
+        for sk, sign in terms:
+            if sk in index:
+                sent[index[sk]].append((sign, row))
+    coerce, absent = fld.coerce, (fld.zero,) * m.ncols
+    out = []
+    for terms in sent:
+        if not terms:
+            out.append(absent)
+        elif len(terms) == 1 and terms[0][0] == 1:
+            out.append(terms[0][1])  # one row, unsigned: already reduced
+        else:
+            signs = [sign for sign, _ in terms]
+            out.append(tuple([coerce(sum(map(mul, signs, entries)))
+                              for entries in zip(*(row for _, row in terms))]))
+    return Matrix._trusted(fld, tuple(out), len(new_basis), m.ncols)

@@ -36,7 +36,8 @@ from .homology import (
     homology,
     induced_map,
 )
-from .linalg import GF2, Matrix, Subspace, SubspaceNotContained, image, kernel, quotient_coords
+from .linalg import (GF2, Matrix, Subspace, SubspaceNotContained, _inclusion_columns, _move_rows,
+                     image, kernel, quotient_coords)
 
 
 class OracleMismatch(RuntimeError):
@@ -97,14 +98,8 @@ def skeletal_chain_group(pair: RelativeFilteredPair, q: int, interval: Interval,
         if len(sk) == q + 1 and val <= interval.lo and pair.sub.value(sk) > interval.hi
     )
     group = homology(skeletal_pair(pair, q), q, interval, field)
-    expected = Matrix.from_columns(
-        field,
-        [
-            tuple(field.one if bsk == gen else field.zero for bsk in group.simplices)
-            for gen in generators
-        ],
-        len(group.simplices),
-    )
+    expected = _move_rows(Matrix.identity(field, len(generators)),
+                          _inclusion_columns(generators), group.simplices)
     if group.reps != expected:
         raise OracleMismatch("chain group representatives are not the generator simplices")
     return SkeletalChainGroup(generators, group)

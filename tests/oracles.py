@@ -4,8 +4,9 @@ The interval oracle works over GF(2) with chains represented as frozensets of
 simplices (addition = symmetric difference) and subgroups enumerated
 exhaustively.  The reference barcode is the textbook reduction of the
 boundary matrix, over GF(p) or the rationals; the package reduces the dual,
-coboundary matrix.  Nothing imports the package, so agreement with the main
-path is a genuine cross-check.
+coboundary matrix.  The reference chain map is the dense matrix of a vertex
+map; the package moves rows through sparse signed columns.  Nothing imports
+the package, so agreement with the main path is a genuine cross-check.
 """
 
 from __future__ import annotations
@@ -100,6 +101,28 @@ def brute_pair_dim(pair, n: int, interval) -> int:
         values_of(pair.total), values_of(pair.sub), n,
         interval.lo.finite, interval.hi.finite,
     )
+
+
+def reference_chain_map(vertex_map: dict, source, target) -> list:
+    """Dense matrix of a vertex map on chains, as rows of ints 0 and +-1.
+
+    Rows follow the ``target`` simplices and columns the ``source`` ones.  A
+    simplex goes to the sorted tuple of its images with the sign of the
+    sorting permutation; it goes to zero when two of its vertices share an
+    image or when ``target`` lacks the image.
+    """
+    index = {sk: i for i, sk in enumerate(target)}
+    out = [[0] * len(source) for _ in target]
+    for j, sk in enumerate(source):
+        images = [vertex_map[v] for v in sk]
+        if len(set(images)) != len(images):
+            continue
+        inversions = sum(1 for i in range(len(images)) for k in range(i + 1, len(images))
+                         if images[i] > images[k])
+        r = index.get(tuple(sorted(images)))
+        if r is not None:
+            out[r][j] = (-1) ** inversions
+    return out
 
 
 def reference_bars(values: dict, p: int | None = None) -> list:

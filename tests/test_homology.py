@@ -1,6 +1,7 @@
 """Interval homology groups, induced and connecting maps, grids, barcodes."""
 
 import hashlib
+import importlib
 import random
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from persax import (
     GF2,
     GF3,
+    QQ,
     FilteredSet,
     Interval,
     HomologyGroup,
@@ -27,7 +29,6 @@ from persax import (
     homology,
     identity_map,
     image,
-    inclusion_matrix,
     induced_map,
     inclusion,
     is_star_shaped,
@@ -37,12 +38,16 @@ from persax import (
     point,
     point_class,
     reduced_homology,
+    skeleton,
     standard_boundary,
     standard_simplex,
 )
-from persax.fuzz import random_pair
+from persax.fuzz import random_composable_maps, random_map_to_cone, random_pair, random_pair_map
+from persax.homology import NotRepresentableAtLowerEndpoint, _degrees
+from persax.linalg import _move_rows, chain_map_matrix
 
-from .oracles import brute_pair_dim
+from .oracles import brute_pair_dim, reference_chain_map
+from .test_linalg import inclusion_as_matrix
 
 TRIANGLE_RIM = FilteredSet(
     {"a", "b", "c"},
@@ -90,7 +95,7 @@ class TestHomologyExamples:
             for iv in critical_intervals(pair):
                 for n in range(pair.total.dimension + 2):
                     lower = kernel(boundary_matrix(pair, n, iv.lo, GF3)).basis
-                    included = image(inclusion_matrix(pair, n, iv, GF3) * lower)
+                    included = image(inclusion_as_matrix(pair, n, iv, GF3) * lower)
                     assert homology(pair, n, iv, GF3).cycles == included
 
 
@@ -112,7 +117,7 @@ def _group_by_reduction(pair, n, interval, field):
     """The group as the reduction builds it, with no shortcut for empty chains."""
     simplices = chain_space(pair, n, interval.hi)
     cycles = kernel(boundary_matrix(pair, n, interval.lo, field))
-    moved = inclusion_matrix(pair, n, interval, field) * cycles.basis
+    moved = inclusion_as_matrix(pair, n, interval, field) * cycles.basis
     persisted = image(moved)
     bnd = image(boundary_matrix(pair, n + 1, interval.hi, field))
     return HomologyGroup(simplices, persisted, bnd,
@@ -196,10 +201,8 @@ class TestInducedMaps:
         regauged = HomologyGroup(group.simplices, group.cycles, group.boundaries,
                                  shifted * Matrix(GF3, [[2], [2]]))
         f = identity_map(pair)
-        from persax.linalg import chain_map_matrix
-
-        push = chain_map_matrix(f, 0, iv.hi, GF3)
-        cols = regauged.coords_of(push * group.reps).columns
+        push = chain_map_matrix(f, 0, iv.hi)
+        cols = regauged.coords_of(_move_rows(group.reps, push, group.simplices)).columns
         # [rep] = 2^{-1} * [regauged rep]  =>  coords double back
         assert cols[0] == (2,)
 
@@ -226,6 +229,116 @@ class TestConnecting:
         d = connecting(pair_of(TRIANGLE_RIM), 1, Interval(1, 1))
         assert d.target.dim == 0
         assert d.matrix.shape == (0, 1)
+
+    def test_a_subset_simplex_missing_from_the_total_is_caught(self, monkeypatch):
+        module = importlib.import_module("persax.homology")
+        pair = pair_of(standard_simplex(1, 0, ("a", "b")), standard_boundary(1, 0, ("a", "b")))
+        x_abs, real = pair_of(pair.total), module.chain_space
+
+        def dropping_a(p, n, eps):
+            basis = real(p, n, eps)
+            return basis[1:] if p == x_abs and n == 0 else basis
+
+        monkeypatch.setattr(module, "chain_space", dropping_a)
+        with pytest.raises(AssertionError) as info:
+            connecting(pair, 1, Interval(0, 1), GF3)
+        assert str(info.value) == "subset simplex missing from the ambient complex"
+
+    def test_a_boundary_outside_the_subset_is_caught(self, monkeypatch):
+        module = importlib.import_module("persax.homology")
+        x = FilteredSet({"a", "b", "c"}, {("a",): 0, ("b",): 0, ("c",): 0, ("a", "b"): 0})
+        pair = pair_of(x, FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0}))
+        assert homology(pair, 1, Interval(0, 1), GF3).dim == 1
+        monkeypatch.setattr(module, "_face_columns",
+                            lambda basis: tuple(((("c",), 1),) for _ in basis))
+        with pytest.raises(AssertionError) as info:
+            connecting(pair, 1, Interval(0, 1), GF3)
+        assert str(info.value) == "boundary of a relative cycle escaped the subset"
+
+
+class TestChainMapsMatchTheDenseProducts:
+    """The rows ``induced_map`` and ``connecting`` hand to ``coords_of`` are,
+    entry for entry, the dense products: the reference chain map times the
+    source representatives, and the total's boundary times the lifted
+    representatives, restricted to the subset's chains."""
+
+    @staticmethod
+    def _handed(monkeypatch, build):
+        """The one matrix ``build`` hands to ``HomologyGroup.coords_of``."""
+        handed, real = [], HomologyGroup.coords_of
+        with monkeypatch.context() as patch:
+            patch.setattr(HomologyGroup, "coords_of",
+                          lambda self, vectors: handed.append(vectors) or real(self, vectors))
+            try:
+                build()
+            except NotRepresentableAtLowerEndpoint:
+                pass  # the rows were handed over before the solve failed
+        assert len(handed) == 1
+        return handed[0]
+
+    @staticmethod
+    def _assert_same_entries(got, want):
+        assert got.shape == want.shape
+        assert repr(got.rows) == repr(want.rows)  # equal values of the same types
+
+    def _check_induced(self, monkeypatch, f, n, iv, field):
+        source = homology(f.domain, n, iv, field)
+        target = homology(f.codomain, n, iv, field)
+        dense = Matrix(field, reference_chain_map(f.vertex_map, source.simplices, target.simplices),
+                       len(target.simplices), len(source.simplices))
+        want = dense * source.reps
+        self._assert_same_entries(self._handed(monkeypatch, lambda: induced_map(f, n, iv, field)), want)
+        return not want.is_zero()
+
+    def _check_connecting(self, monkeypatch, pair, n, iv, field):
+        source = homology(pair, n, iv, field)
+        x_abs = pair_of(pair.total)
+        upper = chain_space(x_abs, n, iv.hi)
+        reps = dict(zip(source.simplices, source.reps.rows))
+        absent = (field.zero,) * source.dim
+        lift = Matrix(field, [reps.get(sk, absent) for sk in upper], len(upper), source.dim)
+        dchains = dict(zip(chain_space(x_abs, n - 1, iv.hi),
+                           (boundary_matrix(x_abs, n, iv.hi, field) * lift).rows))
+        sub = chain_space(pair_of(pair.sub), n - 1, iv.hi)
+        want = Matrix(field, [dchains[sk] for sk in sub], len(sub), source.dim)
+        self._assert_same_entries(self._handed(monkeypatch, lambda: connecting(pair, n, iv, field)), want)
+        return not want.is_zero()
+
+    def test_on_seeded_maps_over_three_fields(self, monkeypatch):
+        maps = []
+        for i in range(12):
+            rng = random.Random(i)
+            maps.append(random_pair_map(rng))
+            maps.append(random_map_to_cone(rng, random_pair(rng)))
+            maps.extend(random_composable_maps(rng))
+        nonzero = {"f*": 0, "d": 0}
+        for f in maps:
+            for field in (GF2, GF3, QQ):
+                for iv in critical_intervals(f.domain) or (Interval(0, 0),):
+                    for n in _degrees(f.domain.total, f.codomain.total):
+                        nonzero["f*"] += self._check_induced(monkeypatch, f, n, iv, field)
+                # a skeleton subset gives connecting maps with nonzero sources
+                x = f.domain.total
+                for pair in (f.domain, f.codomain, pair_of(x, skeleton(x, 0))):
+                    for iv in critical_intervals(pair) or (Interval(0, 0),):
+                        for n in _degrees(pair.total, start=1):
+                            nonzero["d"] += self._check_connecting(monkeypatch, pair, n, iv, field)
+        assert nonzero["f*"] >= 100 and nonzero["d"] >= 200
+
+    def test_a_fold_sums_two_edges_with_opposite_signs(self, monkeypatch):
+        path = FilteredSet({"a", "b", "c"}, {("a",): 0, ("b",): 0, ("c",): 0,
+                                             ("a", "b"): 0, ("b", "c"): 0})
+        edge = standard_simplex(1, 0, ("x", "y"))
+        fold = PreservingMap(pair_of(path), pair_of(edge), {"a": "x", "b": "y", "c": "x"})
+        columns = chain_map_matrix(fold, 1, fin(0))
+        assert columns == (((("x", "y"), 1),), ((("x", "y"), -1),))  # ab, then bc
+        moved = _move_rows(Matrix.identity(GF3, 2), columns, chain_space(pair_of(edge), 1, fin(0)))
+        assert moved.rows == ((1, 2),)
+        assert moved == Matrix(GF3, reference_chain_map(fold.vertex_map, [("a", "b"), ("b", "c")],
+                                                        [("x", "y")]))
+        for field in (GF2, GF3, QQ):
+            for n in (0, 1, 2):
+                self._check_induced(monkeypatch, fold, n, Interval(0, 0), field)
 
 
 class TestReduced:

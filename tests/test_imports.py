@@ -141,7 +141,6 @@ LIBRARY_ONLY = {
     "homology.h0_decomposition",
     "linalg.Matrix.is_zero",
     "linalg.Subspace.sum",
-    "linalg.inclusion_matrix",
     "linalg.preimage",
     "sequences.ExactSequence.dims",
     "sequences.ExactSequence.with_arrow",
@@ -197,7 +196,6 @@ UNBOUNDED_MEMOS = {
     "homology._cycles",
     "homology._homology_cached",
     "linalg.boundary_matrix",
-    "linalg.chain_map_matrix",
     "linalg.chain_space",
     "skeletal._skeleton",
     "skeletal.skeletal_boundary",

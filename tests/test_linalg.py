@@ -27,13 +27,13 @@ from persax import (
     critical_values,
     fin,
     image,
-    inclusion_matrix,
     kernel,
     pair_of,
     preimage,
     standard_simplex,
 )
 from persax.fuzz import random_pair
+from persax.linalg import _inclusion_columns, _move_rows
 
 
 def test_gf_requires_prime():
@@ -208,6 +208,19 @@ def filled_triangle():
     return pair_of(FilteredSet({"a", "b", "c"}, TRIANGLE))
 
 
+def inclusion_as_matrix(pair, n, interval, field):
+    """The chain inclusion from the lower- into the upper-endpoint basis, as a matrix."""
+    src = chain_space(pair, n, interval.lo)
+    return _move_rows(Matrix.identity(field, len(src)), _inclusion_columns(src),
+                      chain_space(pair, n, interval.hi))
+
+
+def chain_map_as_matrix(f, n, eps, field):
+    """A vertex map's chain columns at one level, as a matrix."""
+    return _move_rows(Matrix.identity(field, len(chain_space(f.domain, n, eps))),
+                      chain_map_matrix(f, n, eps), chain_space(f.codomain, n, eps))
+
+
 class TestChainMatrices:
     def test_edge_boundary_signs(self):
         pair = filled_triangle()
@@ -238,15 +251,15 @@ class TestChainMatrices:
         pair = filled_triangle()
         iv = Interval(1, 2)
         for n in (1, 2):
-            left = inclusion_matrix(pair, n - 1, iv, GF3) * boundary_matrix(pair, n, fin(1), GF3)
-            right = boundary_matrix(pair, n, fin(2), GF3) * inclusion_matrix(pair, n, iv, GF3)
+            left = inclusion_as_matrix(pair, n - 1, iv, GF3) * boundary_matrix(pair, n, fin(1), GF3)
+            right = boundary_matrix(pair, n, fin(2), GF3) * inclusion_as_matrix(pair, n, iv, GF3)
             assert left == right
 
     def test_inclusion_absorbs_into_growing_subset(self):
         x = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0})
         a = FilteredSet({"a"}, {("a",): 1})
         pair = pair_of(x, a)
-        m = inclusion_matrix(pair, 0, Interval(0, 1), GF2)
+        m = inclusion_as_matrix(pair, 0, Interval(0, 1), GF2)
         # source basis (a, b); a is absorbed by level 1, b persists
         assert m.shape == (1, 2)
         assert m.column(0) == (0,)
@@ -254,7 +267,7 @@ class TestChainMatrices:
 
     def test_equal_endpoints_give_identity(self):
         pair = filled_triangle()
-        assert inclusion_matrix(pair, 1, Interval(1, 1), GF2).is_identity()
+        assert inclusion_as_matrix(pair, 1, Interval(1, 1), GF2).is_identity()
 
 
 class TestChainMaps:
@@ -262,26 +275,26 @@ class TestChainMaps:
         pair = filled_triangle()
         from persax import identity_map
 
-        m = chain_map_matrix(identity_map(pair), 1, fin(1), GF3)
+        m = chain_map_as_matrix(identity_map(pair), 1, fin(1), GF3)
         assert m.is_identity()
 
     def test_collapsed_edge_maps_to_zero(self):
         x = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0, ("a", "b"): 0})
         f = PreservingMap(pair_of(x), pair_of(standard_simplex(0, 0, ("p",))), {"a": "p", "b": "p"})
-        assert chain_map_matrix(f, 1, fin(0), GF2).is_zero()
+        assert chain_map_as_matrix(f, 1, fin(0), GF2).is_zero()
 
     def test_vertex_swap_carries_permutation_sign(self):
         x = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0, ("a", "b"): 0})
         f = PreservingMap(pair_of(x), pair_of(x), {"a": "b", "b": "a"})
-        assert chain_map_matrix(f, 1, fin(0), GF2) == Matrix(GF2, [[1]])
-        assert chain_map_matrix(f, 1, fin(0), GF3) == Matrix(GF3, [[2]])
+        assert chain_map_as_matrix(f, 1, fin(0), GF2) == Matrix(GF2, [[1]])
+        assert chain_map_as_matrix(f, 1, fin(0), GF3) == Matrix(GF3, [[2]])
 
     def test_chain_maps_commute_with_boundaries(self):
         x = FilteredSet({"a", "b", "c"}, TRIANGLE)
         f = PreservingMap(pair_of(x), pair_of(x), {"a": "b", "b": "c", "c": "a"})
         for n in (1, 2):
-            left = chain_map_matrix(f, n - 1, fin(2), GF3) * boundary_matrix(pair_of(x), n, fin(2), GF3)
-            right = boundary_matrix(pair_of(x), n, fin(2), GF3) * chain_map_matrix(f, n, fin(2), GF3)
+            left = chain_map_as_matrix(f, n - 1, fin(2), GF3) * boundary_matrix(pair_of(x), n, fin(2), GF3)
+            right = boundary_matrix(pair_of(x), n, fin(2), GF3) * chain_map_as_matrix(f, n, fin(2), GF3)
             assert left == right
 
 
@@ -393,7 +406,7 @@ class TestPinnedCanonicalBases:
             pair = random_pair(rng)
             interval = rng.choice(critical_intervals(pair) or (Interval(0, 0),))
             for deg in range(3):
-                lines.append(_dump_matrix(inclusion_matrix(pair, deg, interval, field)))
+                lines.append(_dump_matrix(inclusion_as_matrix(pair, deg, interval, field)))
         return lines
 
     def test_canonical_bases_match_the_pinned_dump(self):
