@@ -6,107 +6,91 @@ pairs over any closed interval of filtration values, with exact prime-field
 standard exact sequences, and cross-checks everything through three
 independent computation paths: the direct definition, a skeleton-based chain
 theory, and persistent cohomology by column reduction.
+
+Every public name below is loaded from its submodule on first use (PEP 562),
+so a command imports only the modules it reaches.
 """
 
-from .filtration import (
-    EMPTY_SET,
-    INF,
-    FiltrationError,
-    FiltValue,
-    FilteredSet,
-    Interval,
-    MissingFace,
-    MonotonicityViolation,
-    NotFiltrationPreserving,
-    PreservingMap,
-    RelativeFilteredPair,
-    SubNotMappedIntoSub,
-    UnknownVertex,
-    closed_star,
-    complex_at,
-    compose,
-    critical_intervals,
-    critical_values,
-    cylinder,
-    fin,
-    identity_map,
-    inclusion,
-    intersection,
-    is_star_shaped,
-    pair_of,
-    point,
-    simplex,
-    skeleton,
-    standard_boundary,
-    standard_simplex,
-    union,
-)
-from .linalg import (
-    GF,
-    GF2,
-    GF3,
-    QQ,
-    DimensionMismatch,
-    Matrix,
-    Subspace,
-    SubspaceNotContained,
-    boundary_matrix,
-    chain_map_matrix,
-    chain_space,
-    image,
-    kernel,
-    preimage,
-)
-from .homology import (
-    BettiGrid,
-    ClassNotInTarget,
-    DirectSumGroup,
-    HomologyGroup,
-    LinearMap,
-    NotRepresentableAtLowerEndpoint,
-    VertexNotPresent,
-    betti_grid,
-    coefficient_group,
-    connecting,
-    h0_decomposition,
-    homology,
-    induced_map,
-    point_class,
-    reduced_homology,
-    zero_group,
-)
-from .barcode import Bar, bars_alive, barcode, pair_barcode, reduced_barcode
-from .sequences import (
-    ExactSequence,
-    ExactnessReport,
-    HypothesisViolated,
-    NotARetraction,
-    NotProperTriad,
-    are_contiguous,
-    are_contiguously_equivalent,
-    check_exact,
-    deformation_retract_check,
-    direct_sum_check,
-    is_homologically_trivial,
-    is_proper_triad,
-    les_pair,
-    les_triple,
-    mayer_vietoris,
-    reduced_les_pair,
-    triad_sequence,
-)
-from .skeletal import (
-    OracleMismatch,
-    SkeletalChainGroup,
-    SkeletalHomology,
-    direct_to_skeletal,
-    generator,
-    incidence_iso,
-    skeletal_boundary,
-    skeletal_chain_group,
-    skeletal_homology,
-    skeletal_pair,
-)
-from .axioms import AxiomReport, MalformedInstance, fuzz_axiom_reports, verify_axiom
+import importlib
+import sys
+import types
 
+# public name -> the submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "filtration": (
+            "EMPTY_SET", "INF", "FiltrationError", "FiltValue", "FilteredSet", "Interval",
+            "MissingFace", "MonotonicityViolation", "NotFiltrationPreserving",
+            "PreservingMap", "RelativeFilteredPair", "SubNotMappedIntoSub", "UnknownVertex",
+            "closed_star", "complex_at", "compose", "critical_intervals", "critical_values",
+            "cylinder", "fin", "identity_map", "inclusion", "intersection",
+            "is_star_shaped", "pair_of", "point", "simplex", "skeleton",
+            "standard_boundary", "standard_simplex", "union",
+        ),
+        "linalg": (
+            "GF", "GF2", "GF3", "QQ", "DimensionMismatch", "Matrix", "Subspace",
+            "SubspaceNotContained", "boundary_matrix", "chain_map_matrix", "chain_space",
+            "image", "kernel", "preimage",
+        ),
+        "homology": (
+            "BettiGrid", "ClassNotInTarget", "DirectSumGroup", "HomologyGroup", "LinearMap",
+            "NotRepresentableAtLowerEndpoint", "VertexNotPresent", "betti_grid",
+            "coefficient_group", "connecting", "h0_decomposition", "homology",
+            "induced_map", "point_class", "reduced_homology", "zero_group",
+        ),
+        "barcode": ("Bar", "bars_alive", "barcode", "pair_barcode", "reduced_barcode"),
+        "sequences": (
+            "ExactSequence", "ExactnessReport", "HypothesisViolated", "NotARetraction",
+            "NotProperTriad", "are_contiguous", "are_contiguously_equivalent",
+            "check_exact", "deformation_retract_check", "direct_sum_check",
+            "is_homologically_trivial", "is_proper_triad", "les_pair", "les_triple",
+            "mayer_vietoris", "reduced_les_pair", "triad_sequence",
+        ),
+        "skeletal": (
+            "OracleMismatch", "SkeletalChainGroup", "SkeletalHomology", "direct_to_skeletal",
+            "generator", "incidence_iso", "skeletal_boundary", "skeletal_chain_group",
+            "skeletal_homology", "skeletal_pair",
+        ),
+        "axioms": ("AxiomReport", "MalformedInstance", "verify_axiom"),
+        "fuzz": ("fuzz_axiom_reports",),
+    }.items()
+    for name in names
+}
+_SUBMODULES = ("axioms", "barcode", "cli", "filtration", "formats", "fuzz", "homology",
+               "linalg", "sequences", "skeletal")
+
+__all__ = list(_EXPORTS)
 __version__ = "0.1.0"
+
+
+class _Package(types.ModuleType):
+    """The package module, whose exports win over same-named submodules.
+
+    ``homology`` and ``barcode`` are functions and submodules at once.  The
+    import system binds a submodule on its package once it is loaded; here
+    that binding keeps the function the submodule defines under that name.
+    """
+
+    def __setattr__(self, name, value):
+        if isinstance(value, types.ModuleType) and _EXPORTS.get(name) == name:
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})

@@ -9,34 +9,19 @@ instance keys, and ``verify_axiom`` turns a verdict into a report.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .filtration import (
     FilteredSet,
-    Interval,
-    PreservingMap,
     compose,
-    critical_values,
     identity_map,
     inclusion,
     intersection,
     pair_of,
     point,
-    standard_boundary,
     standard_simplex,
     union,
-)
-from .formats import instance_tag
-from .fuzz import (
-    DEFAULT_VALUES,
-    random_composable_maps,
-    random_contiguous_pair,
-    random_excision_parts,
-    random_filtration,
-    random_pair,
-    random_pair_map,
 )
 from .homology import _degrees, connecting, homology, induced_map
 from .linalg import GF2
@@ -204,73 +189,6 @@ _AXIOMS = {
 }
 
 AXIOM_IDS = tuple(_AXIOMS)
-
-
-def random_interval(rng, obj) -> Interval:
-    """An interval with endpoints at the object's critical values."""
-    vals = critical_values(obj)
-    if not vals:
-        return Interval(0, 0)
-    i = rng.randrange(len(vals))
-    j = rng.randrange(i, len(vals))
-    return Interval(vals[i], vals[j])
-
-
-def _boundary_target_maps(rng):
-    """Two maps into a hollow simplex boundary; contiguity is not guaranteed."""
-    domain = pair_of(random_filtration(rng))
-    target = pair_of(standard_boundary(4, 0, tuple(f"t{i}" for i in range(5))))
-    verts = sorted(target.total.vertices)
-    f, g = (
-        PreservingMap(domain, target,
-                      {v: rng.choice(verts) for v in sorted(domain.total.vertices)})
-        for _ in range(2)
-    )
-    return f, g
-
-
-def _fuzz_instances(rng) -> dict:
-    """One seeded instance bundle per axiom id, drawn in a fixed order; A1, A4
-    and S2 share the pair's bundle, and A7 and S1 share the cut-out's tag."""
-    pair = random_pair(rng)
-    on_pair = dict(pair=pair, interval=random_interval(rng, pair), tag=instance_tag(pair))
-    f, g = random_composable_maps(rng)
-    composable = dict(f=f, g=g, interval=random_interval(rng, g.domain),
-                      tag=instance_tag((f, g)))
-    h = random_pair_map(rng)
-    natural = dict(f=h, interval=random_interval(rng, h.domain), tag=instance_tag(h))
-    cf, cg = _boundary_target_maps(rng) if rng.random() < 0.25 else random_contiguous_pair(rng)
-    contiguous = dict(f=cf, g=cg, interval=random_interval(rng, cf.domain),
-                      tag=instance_tag((cf, cg)))
-    alpha = rng.choice(list(DEFAULT_VALUES))
-    ivs = tuple(Interval(lo, lo + rng.choice((0, 1, 2))) for lo in (alpha - 1, alpha, alpha + 1))
-    x_part, carved = random_excision_parts(rng)
-    cut_interval = random_interval(rng, union(x_part, carved))
-    cut_tag = instance_tag((x_part, carved))
-    return {
-        "A1": on_pair,
-        "A2": composable,
-        "A3": natural,
-        "A4": on_pair,
-        "A5": contiguous,
-        "A6": dict(alpha=alpha, intervals=ivs, tag=f"point-{alpha}"),
-        "A7": dict(x_part=x_part, a=carved, interval=cut_interval, tag=cut_tag),
-        "S1": dict(x=x_part, y=carved, interval=cut_interval, tag=cut_tag),
-        "S2": on_pair,
-        "S3": dict(alpha=alpha, intervals=ivs, tag=f"simplex-{alpha}"),
-    }
-
-
-def fuzz_axiom_reports(count: int, seed: int, field=GF2) -> list[AxiomReport]:
-    """Seeded random instances for every axiom; deterministic for a seed."""
-    master = random.Random(seed)
-    reports = []
-    for _ in range(count):
-        instances = _fuzz_instances(random.Random(master.getrandbits(64)))
-        runs = {}  # A4/S2 and A7/S1 run one check on the same objects
-        reports.extend(verify_axiom(axiom_id, field, _runs=runs, **instances[axiom_id])
-                       for axiom_id in AXIOM_IDS)
-    return reports
 
 
 def verify_axiom(axiom_id: str, field=GF2, *, _runs=None, **bundle) -> AxiomReport:

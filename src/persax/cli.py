@@ -7,6 +7,9 @@ instances), ``oracle-compare`` (direct vs skeletal vs bar-count dimensions),
 and ``induced`` (the matrix of a map file).  Exit code 0 means every verdict
 passed, 1 that some verdict failed, and 2 a usage error or a failed internal
 check.  With a fixed seed the output bytes are fully reproducible.
+
+Each command imports the modules it runs when it runs, so a process loads
+only what its command reaches.
 """
 
 from __future__ import annotations
@@ -14,15 +17,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .axioms import _AXIOMS, FAIL, fuzz_axiom_reports, verify_axiom
-from .barcode import bars_alive, pair_barcode
-from .filtration import Interval, critical_intervals, fin, pair_of, union
+from .filtration import Interval, OracleMismatch, critical_intervals, fin, pair_of, union
 from .formats import (instance_tag, parse_any, parse_cover, parse_filtration, parse_map, parse_pair,
                       parse_sections, parse_triple)
-from .homology import _degrees, betti_grid, homology, induced_map
-from .linalg import GF
-from .sequences import check_exact, les_pair, les_triple, mayer_vietoris, triad_sequence
-from .skeletal import OracleMismatch, direct_to_skeletal, skeletal_homology
 
 
 def _parse_interval(text: str) -> Interval:
@@ -52,6 +49,8 @@ def _emit(lines: list[str]) -> None:
 
 
 def _cmd_compute(args, field) -> int:
+    from .homology import homology
+
     pair = _load_input(args.input, args.pair)
     interval = _parse_interval(args.interval)
     group = homology(pair, args.degree, interval, field)
@@ -67,6 +66,8 @@ def _cmd_compute(args, field) -> int:
 
 
 def _cmd_grid(args, field) -> int:
+    from .homology import betti_grid
+
     pair = _load_input(args.input, args.pair)
     grid = betti_grid(pair, args.degree, field)
     lines = []
@@ -85,6 +86,8 @@ def _cmd_grid(args, field) -> int:
 
 
 def _cmd_sequence(args, field) -> int:
+    from .sequences import check_exact, les_pair, les_triple, mayer_vietoris, triad_sequence
+
     interval = _parse_interval(args.interval)
     if args.triple:
         x, a, b = parse_triple(args.pair)
@@ -116,6 +119,8 @@ def _cmd_sequence(args, field) -> int:
 
 
 def _axiom_lines(reports, records: bool) -> tuple[list[str], bool]:
+    from .axioms import FAIL
+
     lines = []
     all_ok = True
     for rep in reports:
@@ -131,6 +136,9 @@ def _axiom_lines(reports, records: bool) -> tuple[list[str], bool]:
 
 
 def _cmd_verify_axioms(args, field) -> int:
+    from .axioms import _AXIOMS, verify_axiom
+    from .fuzz import fuzz_axiom_reports
+
     if args.fuzz < 0:
         raise ValueError(f"--fuzz must not be negative, got {args.fuzz}")
     if not args.input and not args.fuzz:
@@ -157,6 +165,10 @@ def _cmd_verify_axioms(args, field) -> int:
 
 
 def _cmd_oracle_compare(args, field) -> int:
+    from .barcode import bars_alive, pair_barcode
+    from .homology import _degrees, homology
+    from .skeletal import direct_to_skeletal, skeletal_homology
+
     pair = _load_input(args.input, args.pair)
     bars = pair_barcode(pair, field)
     lines = []
@@ -188,6 +200,8 @@ def _cmd_oracle_compare(args, field) -> int:
 
 
 def _cmd_induced(args, field) -> int:
+    from .homology import induced_map
+
     f = parse_map(args.map)
     interval = _parse_interval(args.interval)
     lm = induced_map(f, args.degree, interval, field)
@@ -261,6 +275,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    from .linalg import GF
+
     try:
         return args.run(args, GF(args.field))
     except (ValueError, OSError, OracleMismatch) as exc:

@@ -52,6 +52,15 @@ class SubNotMappedIntoSub(FiltrationError):
     pass
 
 
+class OracleMismatch(RuntimeError):
+    """The two homology constructions disagree; something is broken.
+
+    The skeletal path raises it.  It is defined here, in the module every
+    command loads, so that the command line can report it without importing
+    that path.
+    """
+
+
 class FiltValue(tuple):
     """An exact filtration value: the tuple ``(is_inf, Fraction)``.
 
@@ -169,8 +178,10 @@ class FilteredSet:
 
     Absent simplices are implicitly at INF.  Instances are immutable and
     hashable; all operations on them are pure functions.  ``FilteredSet(...)``
-    is the one constructor that validates; sets derived from validated sets
-    are built by ``_trusted`` without checking again.  Each set keeps its
+    is the one public constructor that validates; the parser, whose keys and
+    values are already canonical, enters the same checks through
+    ``_canonical``, and sets derived from validated sets are built by
+    ``_trusted`` without checking again.  Each set keeps its
     sorted distinct values, which ``critical_values`` reads, and maps each
     supported simplex, in entry order, to its rank among them.
     """
@@ -188,6 +199,23 @@ class FilteredSet:
             # INF entries take part in the conflict check, so key order never decides it
             if given.setdefault(sk, val) != val:
                 raise FiltrationError(f"conflicting values for simplex {sk}")
+        self._check_and_fill(verts, given)
+
+    @classmethod
+    def _canonical(cls, vertices: frozenset[str], given: dict[Simplex, FiltValue]) -> "FilteredSet":
+        """A set from a table that is canonical but not yet checked.
+
+        The caller guarantees what ``__init__`` establishes before its face
+        checks: keys are canonical simplices over ``vertices``, each value is
+        a ``FiltValue`` (``INF`` included), and no key repeats.  The
+        downward-closure and monotonicity checks run here as in ``__init__``.
+        """
+        self = object.__new__(cls)
+        self._check_and_fill(vertices, given)
+        return self
+
+    def _check_and_fill(self, verts, given) -> None:
+        """Rank the finite values, check faces and monotonicity, and fill the set."""
         table = {sk: val for sk, val in given.items() if not val[0]}  # val[0] flags INF
         critical, ranks = _ranked(table)
         get, absent = ranks.get, itertools.repeat(len(critical))  # above every rank
@@ -219,9 +247,8 @@ class FilteredSet:
         return self
 
     def _fill(self, verts, critical, ranks) -> None:
-        keys = sorted(ranks)
-        lookup = {sk: ranks[sk] for sk in keys}
-        entries = tuple(zip(keys, map(critical.__getitem__, lookup.values())))
+        lookup = dict(sorted(ranks.items()))
+        entries = tuple(zip(lookup, map(critical.__getitem__, lookup.values())))
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_lookup", lookup)
@@ -254,7 +281,7 @@ class FilteredSet:
     @property
     def dimension(self) -> int:
         """Largest simplex dimension in the support; -1 when empty."""
-        return max((len(sk) - 1 for sk, _ in self.entries), default=-1)
+        return max(map(len, self._lookup), default=0) - 1
 
     def __eq__(self, other):
         # equal values and equal ranks give equal entries, with int compares

@@ -11,7 +11,8 @@ objects always produce identical bytes.
 
 from __future__ import annotations
 
-import hashlib
+import gc
+from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 from typing import Iterable
@@ -38,21 +39,44 @@ def _strip(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
 
+def _lines(text: str) -> list[str]:
+    """The text's lines, each cut at its ``#`` when the text has one."""
+    lines = text.splitlines()
+    return list(map(_strip, lines)) if "#" in text else lines
+
+
+@contextmanager
+def _gc_paused():
+    """The cyclic collector off, and back in its prior state on the way out.
+
+    A parse allocates a tuple or more per line and builds no reference
+    cycles, so the collections those allocations would trigger find nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _parse_lines(numbered: Iterable[tuple[int, str]], source: str,
                  coerced: dict[str, FiltValue], names: dict[str, str]) -> FilteredSet:
-    """A filtered set from ``(file line number, stripped line)`` pairs.
+    """A checked filtered set from ``(file line number, comment-free line)`` pairs.
 
     ``coerced`` maps each value token already read from the file to its
     value, so a token is converted once and equal tokens share one object,
-    on which tuple comparison short-circuits.  ``names`` does the same for
-    vertex names, so equal names are one ``str`` throughout the file.
+    on which comparisons short-circuit.  ``names`` does the same for vertex
+    names, so equal names are one ``str`` throughout the file.  The keys are
+    built canonical, so the set is checked without canonicalising them again.
     """
-    values = {}
+    values: dict[tuple[str, ...], FiltValue] = {}
     for line_no, line in numbered:
-        if not line:
-            continue
         tokens = line.split()
         if len(tokens) < 2:
+            if not tokens:
+                continue
             raise ParseError(source, line_no, "expected a value and at least one vertex")
         value = coerced.get(tokens[0])
         if value is None:
@@ -60,21 +84,26 @@ def _parse_lines(numbered: Iterable[tuple[int, str]], source: str,
                 value = coerced[tokens[0]] = fin(tokens[0])
             except (ValueError, TypeError):
                 raise ParseError(source, line_no, f"bad value {tokens[0]!r}") from None
-        verts = tokens[1:]
-        if len(set(verts)) != len(verts):
-            raise ParseError(source, line_no, "repeated vertex in simplex")
-        key = tuple(sorted(map(names.setdefault, verts, verts)))
+        if len(tokens) == 2:
+            key = (names.setdefault(tokens[1], tokens[1]),)
+        else:
+            verts = tokens[1:]
+            if len(set(verts)) != len(verts):
+                raise ParseError(source, line_no, "repeated vertex in simplex")
+            key = tuple(sorted(map(names.setdefault, verts, verts)))
         # inf lines stay in the table too, so a finite value cannot override one
-        if values.setdefault(key, value) != value:
+        prev = values.setdefault(key, value)
+        if prev is not value and prev != value:
             raise ParseError(source, line_no, f"conflicting values for {key}")
     try:
-        return FilteredSet(set(chain.from_iterable(values)), values)
+        return FilteredSet._canonical(frozenset(chain.from_iterable(values)), values)
     except FiltrationError as exc:
         raise ParseError(source, 0, str(exc)) from exc
 
 
 def parse_filtration_text(text: str, source: str = "<string>") -> FilteredSet:
-    return _parse_lines(enumerate(map(_strip, text.splitlines()), start=1), source, {}, {})
+    with _gc_paused():
+        return _parse_lines(enumerate(_lines(text), start=1), source, {}, {})
 
 
 # the sections each kind of multi-part file takes: (required, optional)
@@ -87,25 +116,28 @@ _SECTIONS = {
 
 
 def _split_sections(text: str, source: str, kind: str) -> dict[str, tuple[int, list[str]]]:
-    """Each section's first file line and stripped lines; every header is the kind's, once."""
+    """Each section's first file line and its lines, cut at ``#``, as one slice
+    of the text's lines; every header is the kind's, once."""
     required, optional = _SECTIONS[kind]
-    sections: dict[str, tuple[int, list[str]]] = {}
-    lines = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if name not in required + optional:
-                raise ParseError(source, line_no, f"a {kind} file has no [{name}] section")
-            if name in sections:
-                raise ParseError(source, line_no, f"second [{name}] section")
-            lines = []
-            sections[name] = (line_no + 1, lines)
-        elif lines is not None:
-            lines.append(line)
-        elif line:
-            raise ParseError(source, line_no, "content before any [SECTION] header")
-    return sections
+    lines = _lines(text)
+    starts: dict[str, int] = {}  # section name -> index of its first line
+    for i, line in enumerate(lines):
+        if "[" in line:
+            line = line.strip()
+            if line.startswith("[") and line.endswith("]"):
+                name = line[1:-1].strip()
+                if name not in required + optional:
+                    raise ParseError(source, i + 1, f"a {kind} file has no [{name}] section")
+                if name in starts:
+                    raise ParseError(source, i + 1, f"second [{name}] section")
+                starts[name] = i + 1
+                continue
+        if not starts and line.strip():
+            raise ParseError(source, i + 1, "content before any [SECTION] header")
+    firsts = list(starts.values())
+    stops = [first - 1 for first in firsts[1:]] + [len(lines)]  # the next header, or the end
+    return {name: (first + 1, lines[first:stop])
+            for (name, first), stop in zip(starts.items(), stops)}
 
 
 def parse_sections_text(text: str, kind: str, source: str = "<string>") -> dict[str, FilteredSet]:
@@ -113,10 +145,11 @@ def parse_sections_text(text: str, kind: str, source: str = "<string>") -> dict[
     # shared, so all sections share their values and vertex names
     coerced: dict[str, FiltValue] = {}
     names: dict[str, str] = {}
-    sections = {
-        name: _parse_lines(enumerate(lines, start=first), f"{source}[{name}]", coerced, names)
-        for name, (first, lines) in _split_sections(text, source, kind).items()
-    }
+    with _gc_paused():
+        sections = {
+            name: _parse_lines(enumerate(lines, start=first), f"{source}[{name}]", coerced, names)
+            for name, (first, lines) in _split_sections(text, source, kind).items()
+        }
     for name in _SECTIONS[kind][0]:
         if name not in sections:
             raise ParseError(source, 0, f"a {kind} file needs an [{name}] section")
@@ -234,4 +267,6 @@ def canonical_text(obj) -> str:
 
 def instance_tag(obj) -> str:
     """Short stable identifier for an instance, from its canonical bytes."""
+    import hashlib  # here, so that commands that tag no instance never load it
+
     return hashlib.sha256(canonical_text(obj).encode()).hexdigest()[:12]

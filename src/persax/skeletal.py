@@ -17,6 +17,7 @@ from typing import NamedTuple, Sequence
 
 from .filtration import (
     Interval,
+    OracleMismatch,
     PreservingMap,
     RelativeFilteredPair,
     Simplex,
@@ -38,10 +39,6 @@ from .homology import (
 )
 from .linalg import (GF2, Matrix, Subspace, SubspaceNotContained, _inclusion_columns, _move_rows,
                      image, kernel, quotient_coords)
-
-
-class OracleMismatch(RuntimeError):
-    """The two homology constructions disagree; something is broken."""
 
 
 class _Skeleton(NamedTuple):

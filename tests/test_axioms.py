@@ -18,8 +18,9 @@ from persax import (
     standard_simplex,
     verify_axiom,
 )
-from persax import axioms
-from persax.axioms import AXIOM_IDS, FAIL, PASS, VACUOUS, fuzz_axiom_reports
+from persax import axioms, fuzz
+from persax.axioms import AXIOM_IDS, FAIL, PASS, VACUOUS
+from persax.fuzz import fuzz_axiom_reports
 
 
 TRIANGLE_RIM = FilteredSet(
@@ -54,7 +55,7 @@ def test_excision_on_two_glued_triangles():
 def test_excision_and_s1_agree_verdict_for_verdict():
     master = random.Random(17)
     from persax.fuzz import random_excision_parts
-    from persax.axioms import random_interval
+    from persax.fuzz import random_interval
     from persax import union
 
     for _ in range(10):
@@ -179,7 +180,7 @@ def test_rows_that_share_a_check_and_its_objects_run_it_once(monkeypatch):
     # each report equals the row checked on its own
     master, alone = random.Random(7), []
     for _ in range(4):
-        instances = axioms._fuzz_instances(random.Random(master.getrandbits(64)))
+        instances = fuzz._fuzz_instances(random.Random(master.getrandbits(64)))
         alone += [verify_axiom(axiom_id, **instances[axiom_id]) for axiom_id in AXIOM_IDS]
     assert reports == alone
 

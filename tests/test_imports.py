@@ -3,18 +3,26 @@ private name a module defines is used somewhere in the package, every
 public constant a module defines is read somewhere in the package or tests,
 and every public function, class and method is read somewhere in the
 package, outside a fixed list.  No memo beyond a fixed list grows without
-bound.
+bound.  A fresh process loads only the modules its work reaches, and every
+public name of the package resolves to its submodule's object.
 
-The package ``__init__`` is exempt from the first check: its imports are the
-public re-exports.
+The package ``__init__`` is exempt from the first check, and its export
+table, which names the public re-exports, is not a read.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import persax
+
+from ._cli import SOURCE_ROOT
 from .test_bench_hooks import tracer
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "persax"
@@ -49,6 +57,13 @@ def used_names(tree: ast.AST) -> set[str]:
                 continue
             used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
     return used
+
+
+def is_export_table(node: ast.stmt) -> bool:
+    """The package's name -> submodule table.  Its strings name re-exports,
+    as its import statements once did; they are not reads."""
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets)
 
 
 def test_modules_are_found():
@@ -118,6 +133,8 @@ def test_no_unused_public_constants():
     reads = []
     for tree in trees.values():
         for node in tree.body:
+            if is_export_table(node):
+                continue
             names = used_names(node)
             names.update(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
             reads.append((node, names))
@@ -168,11 +185,13 @@ def public_definitions(tree: ast.Module):
 def test_no_unread_public_names():
     """A public function or class is read as a name or an attribute, and a
     public method as an attribute, outside the statement or method that
-    defines it.  Imports, and so the re-exports of ``__init__``, are not
-    reads; a name the benchmark's tracer wraps counts as read."""
+    defines it.  Imports and the export table of ``__init__`` are not reads;
+    a name the benchmark's tracer wraps counts as read."""
     reads = []  # (statement or method, names read, attributes read)
     for path in SOURCES:
         for node in ast.parse(path.read_text()).body:
+            if is_export_table(node):
+                continue
             for unit in node.body if isinstance(node, ast.ClassDef) else [node]:
                 attrs = {n.attr for n in ast.walk(unit) if isinstance(n, ast.Attribute)}
                 reads.append((unit, used_names(unit) | attrs, attrs))
@@ -215,3 +234,90 @@ def test_no_new_unbounded_memos():
                 if value.cache_parameters()["maxsize"] is None:
                     found.add(f"{path.stem}.{value.__name__}")
     assert found == UNBOUNDED_MEMOS
+
+
+def persax_modules_after(code: str) -> list[str]:
+    """The persax modules a fresh interpreter holds after running ``code``."""
+    report = ("import sys; print(*sorted(m for m in sys.modules"
+              " if m == 'persax' or m.startswith('persax.')))")
+    proc = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], cwd=SOURCE_ROOT,
+                          env=dict(os.environ, PYTHONPATH=SOURCE_ROOT), capture_output=True, text=True,
+                          timeout=60, check=True)
+    return proc.stdout.split()
+
+
+def test_the_command_line_imports_only_what_parsing_needs():
+    assert persax_modules_after("import persax, persax.cli") == [
+        "persax", "persax.cli", "persax.filtration", "persax.formats"]
+
+
+def test_the_bars_path_adds_only_the_reduction_and_its_field():
+    assert persax_modules_after("import persax, persax.cli; persax.pair_barcode") == [
+        "persax", "persax.barcode", "persax.cli", "persax.filtration", "persax.formats",
+        "persax.linalg"]
+
+
+# The package's public names, by the submodule that defines each.
+REEXPORTS = {
+    "filtration": (
+        "EMPTY_SET", "INF", "FiltrationError", "FiltValue", "FilteredSet", "Interval",
+        "MissingFace", "MonotonicityViolation", "NotFiltrationPreserving", "PreservingMap",
+        "RelativeFilteredPair", "SubNotMappedIntoSub", "UnknownVertex", "closed_star",
+        "complex_at", "compose", "critical_intervals", "critical_values", "cylinder", "fin",
+        "identity_map", "inclusion", "intersection", "is_star_shaped", "pair_of", "point",
+        "simplex", "skeleton", "standard_boundary", "standard_simplex", "union",
+    ),
+    "linalg": (
+        "GF", "GF2", "GF3", "QQ", "DimensionMismatch", "Matrix", "Subspace",
+        "SubspaceNotContained", "boundary_matrix", "chain_map_matrix", "chain_space", "image",
+        "kernel", "preimage",
+    ),
+    "homology": (
+        "BettiGrid", "ClassNotInTarget", "DirectSumGroup", "HomologyGroup", "LinearMap",
+        "NotRepresentableAtLowerEndpoint", "VertexNotPresent", "betti_grid",
+        "coefficient_group", "connecting", "h0_decomposition", "homology", "induced_map",
+        "point_class", "reduced_homology", "zero_group",
+    ),
+    "barcode": ("Bar", "bars_alive", "barcode", "pair_barcode", "reduced_barcode"),
+    "sequences": (
+        "ExactSequence", "ExactnessReport", "HypothesisViolated", "NotARetraction",
+        "NotProperTriad", "are_contiguous", "are_contiguously_equivalent", "check_exact",
+        "deformation_retract_check", "direct_sum_check", "is_homologically_trivial",
+        "is_proper_triad", "les_pair", "les_triple", "mayer_vietoris", "reduced_les_pair",
+        "triad_sequence",
+    ),
+    "skeletal": (
+        "OracleMismatch", "SkeletalChainGroup", "SkeletalHomology", "direct_to_skeletal",
+        "generator", "incidence_iso", "skeletal_boundary", "skeletal_chain_group",
+        "skeletal_homology", "skeletal_pair",
+    ),
+    "axioms": ("AxiomReport", "MalformedInstance", "verify_axiom"),
+    "fuzz": ("fuzz_axiom_reports",),
+}
+
+
+def test_every_public_name_is_its_submodules_object():
+    names = [name for group in REEXPORTS.values() for name in group]
+    assert sorted(persax.__all__) == sorted(names)
+    assert set(names) <= set(dir(persax))
+    for module, group in REEXPORTS.items():
+        source = importlib.import_module(f"persax.{module}")
+        for name in group:
+            assert getattr(persax, name) is getattr(source, name), name
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
+        persax.nothing
+
+
+def test_homology_and_barcode_stay_functions_after_their_submodules_load():
+    check = ("import persax.homology, persax.barcode\n"
+             "from persax import homology\n"
+             "import persax, types\n"
+             "assert not isinstance(homology, types.ModuleType), homology\n"
+             "assert homology is sys.modules['persax.homology'].homology\n"
+             "assert persax.barcode is sys.modules['persax.barcode'].barcode")
+    assert "persax.homology" in persax_modules_after(f"import sys\n{check}")
+    for name in ("homology", "barcode"):
+        assert not isinstance(getattr(persax, name), types.ModuleType)

@@ -1,6 +1,9 @@
 """File formats, round trips, and the command-line interface."""
 
+import gc
 import hashlib
+import importlib
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -8,7 +11,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from persax import cli, fin, point
+from persax import (
+    FilteredSet,
+    FiltrationError,
+    MissingFace,
+    MonotonicityViolation,
+    OracleMismatch,
+    cli,
+    fin,
+    point,
+)
 from persax.formats import (
     ParseError,
     instance_tag,
@@ -187,6 +199,131 @@ def test_malformed_text_raises_only_parse_errors(text):
             parse(text)
         except ParseError:
             pass
+
+
+POOL = ("a", "b", "c", "d", "e")
+SIMPLICES = st.sets(st.sampled_from(POOL), min_size=1, max_size=4).map(sorted).map(tuple)
+
+
+@st.composite
+def valid_lines(draw):
+    """``(value token, vertices)`` lines of a valid file, in file order.
+
+    Each drawn simplex brings its faces at values no larger than its own.  A
+    simplex may get several lines, with its value spelled ``1``, ``1/1`` or
+    ``2/2``, and its vertices in any order; a few keys outside the support get
+    ``inf`` lines.
+    """
+    table = {}
+    for sk in draw(st.lists(SIMPLICES, max_size=8)):
+        value = Fraction(draw(st.integers(0, 3)), draw(st.sampled_from((1, 2))))
+        for k in range(1, len(sk) + 1):
+            for face in itertools.combinations(sk, k):
+                table[face] = min(table.get(face, value), value)
+    lines = []
+    for sk, value in table.items():
+        for _ in range(draw(st.integers(1, 2))):
+            token = draw(st.sampled_from((str(value), f"{value.numerator}/{value.denominator}",
+                                          f"{2 * value.numerator}/{2 * value.denominator}")))
+            lines.append((token, tuple(draw(st.permutations(sk)))))
+    for sk in draw(st.lists(SIMPLICES, max_size=3)):
+        if sk not in table:
+            lines.append(("inf", tuple(draw(st.permutations(sk)))))
+    return draw(st.permutations(lines))
+
+
+@st.composite
+def written(draw, lines):
+    """The lines as file text, with tabs, comments, blank and whitespace-only
+    lines, and LF or CRLF endings."""
+    out = []
+    for token, verts in lines:
+        if draw(st.booleans()):
+            out.append(draw(st.sampled_from(("", "   ", "\t", "# a comment"))))
+        line = draw(st.sampled_from((" ", "\t", "  "))).join((token, *verts))
+        out.append(line + draw(st.sampled_from(("", " ", "\t# note"))))
+    return draw(st.sampled_from(("\n", "\r\n"))).join(out)
+
+
+def constructed(lines):
+    """The lines' set built by the public constructor, keys in file order."""
+    table = {}
+    for token, verts in lines:
+        table.setdefault(verts, fin(token))
+    return FilteredSet({v for _, verts in lines for v in verts}, table)
+
+
+def state(fs):
+    return fs.entries, list(fs._lookup.items()), fs._critical, fs.vertices, hash(fs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_the_parser_builds_what_the_constructor_builds(data):
+    lines = data.draw(valid_lines())
+    text = data.draw(written(lines))
+    assert state(parse_filtration_text(text)) == state(constructed(lines))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_face_fault_reads_as_the_constructors_message(data):
+    lines = data.draw(valid_lines())
+    keys = {tuple(sorted(verts)) for token, verts in lines if token != "inf"}
+    cofaced = sorted(sk for sk in keys if len(sk) > 1)
+    if not cofaced:
+        return
+    top = data.draw(st.sampled_from(cofaced))
+    face = data.draw(st.sampled_from(list(itertools.combinations(top, len(top) - 1))))
+    if data.draw(st.booleans()):
+        lines = [line for line in lines if tuple(sorted(line[1])) != face]  # a missing face
+    else:
+        lines = [("7", verts) if tuple(sorted(verts)) == face else (token, verts)
+                 for token, verts in lines]  # a face born after its coface
+    with pytest.raises(FiltrationError) as want:
+        constructed(lines)
+    with pytest.raises(ParseError) as got:
+        parse_filtration_text(data.draw(written(lines)), source="f.txt")
+    assert isinstance(want.value, (MissingFace, MonotonicityViolation))
+    assert type(got.value.__cause__) is type(want.value)
+    assert (got.value.line_no, str(got.value)) == (0, f"f.txt:0: {want.value}")
+
+
+@pytest.mark.parametrize("first, second", itertools.permutations([
+    ("x a", "bad value 'x'"),
+    ("1 b b", "repeated vertex in simplex"),
+    ("2 a", "conflicting values for ('a',)"),
+    ("3", "expected a value and at least one vertex"),
+], 2))
+def test_of_two_faults_the_earlier_line_is_reported(first, second):
+    # a face fault has no line and is found after the last line
+    text = "\n".join(["0 a", "0 b c", first[0], "# between", second[0], "1 d e"])
+    with pytest.raises(ParseError) as info:
+        parse_filtration_text(text, source="f.txt")
+    assert str(info.value) == f"f.txt:3: {first[1]}"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("parse, text, fails", [
+    (parse_filtration_text, "0 a\n0 b\n1 a b\n", False),
+    (parse_filtration_text, "0 a\nx b\n", True),
+    (parse_filtration_text, "0 a\n1 a b\n", True),
+    (parse_pair_text, PAIR_TEXT, False),
+    (parse_pair_text, "[X]\n0 a\n[A]\n0 a a\n", True),
+])
+def test_a_parse_leaves_the_collector_as_it_found_it(parse, text, fails, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            parse(text)
+        except ParseError:
+            assert fails
+        else:
+            assert not fails
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 class TestMapFiles:
@@ -421,12 +558,23 @@ class TestCli:
         def broken(*args, **kwargs):
             raise AssertionError("rank-nullity failed; reduction is broken")
 
-        monkeypatch.setattr(cli, "homology", broken)
+        # the module: the package attribute of that name is the function
+        monkeypatch.setattr(importlib.import_module("persax.homology"), "homology", broken)
         code = cli.main(["compute", "--input", str(rim_file), "--interval", "1,2",
                          "--degree", "1", "--format", "records"])
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
         assert err == "error: internal check failed: rank-nullity failed; reduction is broken\n"
+
+    def test_oracle_mismatch_exits_2_with_its_message(self, rim_file, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise OracleMismatch("boundary image is not made of cycles")
+
+        monkeypatch.setattr(importlib.import_module("persax.skeletal"), "skeletal_homology", broken)
+        code = cli.main(["oracle-compare", "--input", str(rim_file), "--format", "records"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "error: boundary image is not made of cycles\n"
 
     def test_verify_axioms_fuzz_is_byte_identical_across_runs(self):
         first = run_cli("verify-axioms", "--fuzz", "5", "--seed", "7",
