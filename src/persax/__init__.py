@@ -26,7 +26,7 @@ _EXPORTS = {
             "closed_star", "complex_at", "compose", "critical_intervals", "critical_values",
             "cylinder", "fin", "identity_map", "inclusion", "intersection",
             "is_star_shaped", "pair_of", "point", "simplex", "skeleton",
-            "standard_boundary", "standard_simplex", "union",
+            "standard_boundary", "standard_simplex", "union", "OracleMismatch",
         ),
         "linalg": (
             "GF", "GF2", "GF3", "QQ", "DimensionMismatch", "Matrix", "Subspace",
@@ -48,9 +48,9 @@ _EXPORTS = {
             "mayer_vietoris", "reduced_les_pair", "triad_sequence",
         ),
         "skeletal": (
-            "OracleMismatch", "SkeletalChainGroup", "SkeletalHomology", "direct_to_skeletal",
-            "generator", "incidence_iso", "skeletal_boundary", "skeletal_chain_group",
-            "skeletal_homology", "skeletal_pair",
+            "SkeletalChainGroup", "SkeletalHomology", "direct_to_skeletal", "generator",
+            "incidence_iso", "skeletal_boundary", "skeletal_chain_group", "skeletal_homology",
+            "skeletal_pair",
         ),
         "axioms": ("AxiomReport", "MalformedInstance", "verify_axiom"),
         "fuzz": ("fuzz_axiom_reports",),

@@ -11,8 +11,6 @@ objects always produce identical bytes.
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 from typing import Iterable
@@ -45,22 +43,6 @@ def _lines(text: str) -> list[str]:
     return list(map(_strip, lines)) if "#" in text else lines
 
 
-@contextmanager
-def _gc_paused():
-    """The cyclic collector off, and back in its prior state on the way out.
-
-    A parse allocates a tuple or more per line and builds no reference
-    cycles, so the collections those allocations would trigger find nothing.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _parse_lines(numbered: Iterable[tuple[int, str]], source: str,
                  coerced: dict[str, FiltValue], names: dict[str, str]) -> FilteredSet:
     """A checked filtered set from ``(file line number, comment-free line)`` pairs.
@@ -84,13 +66,10 @@ def _parse_lines(numbered: Iterable[tuple[int, str]], source: str,
                 value = coerced[tokens[0]] = fin(tokens[0])
             except (ValueError, TypeError):
                 raise ParseError(source, line_no, f"bad value {tokens[0]!r}") from None
-        if len(tokens) == 2:
-            key = (names.setdefault(tokens[1], tokens[1]),)
-        else:
-            verts = tokens[1:]
-            if len(set(verts)) != len(verts):
-                raise ParseError(source, line_no, "repeated vertex in simplex")
-            key = tuple(sorted(map(names.setdefault, verts, verts)))
+        verts = tokens[1:]
+        if len(set(verts)) != len(verts):
+            raise ParseError(source, line_no, "repeated vertex in simplex")
+        key = tuple(sorted(map(names.setdefault, verts, verts)))
         # inf lines stay in the table too, so a finite value cannot override one
         prev = values.setdefault(key, value)
         if prev is not value and prev != value:
@@ -102,8 +81,7 @@ def _parse_lines(numbered: Iterable[tuple[int, str]], source: str,
 
 
 def parse_filtration_text(text: str, source: str = "<string>") -> FilteredSet:
-    with _gc_paused():
-        return _parse_lines(enumerate(_lines(text), start=1), source, {}, {})
+    return _parse_lines(enumerate(_lines(text), start=1), source, {}, {})
 
 
 # the sections each kind of multi-part file takes: (required, optional)
@@ -145,11 +123,10 @@ def parse_sections_text(text: str, kind: str, source: str = "<string>") -> dict[
     # shared, so all sections share their values and vertex names
     coerced: dict[str, FiltValue] = {}
     names: dict[str, str] = {}
-    with _gc_paused():
-        sections = {
-            name: _parse_lines(enumerate(lines, start=first), f"{source}[{name}]", coerced, names)
-            for name, (first, lines) in _split_sections(text, source, kind).items()
-        }
+    sections = {
+        name: _parse_lines(enumerate(lines, start=first), f"{source}[{name}]", coerced, names)
+        for name, (first, lines) in _split_sections(text, source, kind).items()
+    }
     for name in _SECTIONS[kind][0]:
         if name not in sections:
             raise ParseError(source, 0, f"a {kind} file needs an [{name}] section")

@@ -251,6 +251,11 @@ def test_the_command_line_imports_only_what_parsing_needs():
         "persax", "persax.cli", "persax.filtration", "persax.formats"]
 
 
+def test_the_oracle_exception_loads_no_skeletal_path():
+    assert persax_modules_after("from persax import OracleMismatch") == [
+        "persax", "persax.filtration"]
+
+
 def test_the_bars_path_adds_only_the_reduction_and_its_field():
     assert persax_modules_after("import persax, persax.cli; persax.pair_barcode") == [
         "persax", "persax.barcode", "persax.cli", "persax.filtration", "persax.formats",
@@ -266,6 +271,7 @@ REEXPORTS = {
         "complex_at", "compose", "critical_intervals", "critical_values", "cylinder", "fin",
         "identity_map", "inclusion", "intersection", "is_star_shaped", "pair_of", "point",
         "simplex", "skeleton", "standard_boundary", "standard_simplex", "union",
+        "OracleMismatch",
     ),
     "linalg": (
         "GF", "GF2", "GF3", "QQ", "DimensionMismatch", "Matrix", "Subspace",
@@ -287,7 +293,7 @@ REEXPORTS = {
         "triad_sequence",
     ),
     "skeletal": (
-        "OracleMismatch", "SkeletalChainGroup", "SkeletalHomology", "direct_to_skeletal",
+        "SkeletalChainGroup", "SkeletalHomology", "direct_to_skeletal",
         "generator", "incidence_iso", "skeletal_boundary", "skeletal_chain_group",
         "skeletal_homology", "skeletal_pair",
     ),

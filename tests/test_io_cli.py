@@ -1,6 +1,5 @@
 """File formats, round trips, and the command-line interface."""
 
-import gc
 import hashlib
 import importlib
 import itertools
@@ -301,29 +300,6 @@ def test_of_two_faults_the_earlier_line_is_reported(first, second):
     with pytest.raises(ParseError) as info:
         parse_filtration_text(text, source="f.txt")
     assert str(info.value) == f"f.txt:3: {first[1]}"
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-@pytest.mark.parametrize("parse, text, fails", [
-    (parse_filtration_text, "0 a\n0 b\n1 a b\n", False),
-    (parse_filtration_text, "0 a\nx b\n", True),
-    (parse_filtration_text, "0 a\n1 a b\n", True),
-    (parse_pair_text, PAIR_TEXT, False),
-    (parse_pair_text, "[X]\n0 a\n[A]\n0 a a\n", True),
-])
-def test_a_parse_leaves_the_collector_as_it_found_it(parse, text, fails, enabled):
-    was = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
-    try:
-        try:
-            parse(text)
-        except ParseError:
-            assert fails
-        else:
-            assert not fails
-        assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was else gc.disable)()
 
 
 class TestMapFiles:
