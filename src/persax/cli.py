@@ -149,9 +149,9 @@ def _cmd_verify_axioms(args, field) -> int:
         pair = parse_any(path)
         tag = instance_tag(pair)
         for interval in critical_intervals(pair) or (Interval(0, 0),):
-            for axiom in on_pair:
-                reports.append(verify_axiom(axiom, field, pair=pair,
-                                            interval=interval, tag=tag))
+            runs = {}  # A4 and S2 run one check on the same objects
+            reports.extend(verify_axiom(axiom, field, _runs=runs, pair=pair,
+                                        interval=interval, tag=tag) for axiom in on_pair)
     if args.fuzz:
         reports.extend(fuzz_axiom_reports(args.fuzz, args.seed, field))
     lines, all_ok = _axiom_lines(reports, args.format == "records")
@@ -175,15 +175,16 @@ def _cmd_oracle_compare(args, field) -> int:
     ok = True
     for interval in critical_intervals(pair) or (Interval(0, 0),):
         for n in _degrees(pair.total):
-            direct = homology(pair, n, interval, field).dim
-            skeletal = skeletal_homology(pair, n, interval, field).dim
             counted = bars_alive(bars, n, interval)
             try:
-                direct_to_skeletal(pair, n, interval, field)
-                iso = True
+                iso = direct_to_skeletal(pair, n, interval, field)
             except OracleMismatch:
-                iso = False
-            agree = direct == skeletal == counted and iso
+                direct = homology(pair, n, interval, field).dim
+                skeletal = skeletal_homology(pair, n, interval, field).dim
+                agree = False
+            else:
+                direct, skeletal = iso.source.dim, iso.target.dim
+                agree = direct == skeletal == counted
             ok = ok and agree
             word = "ok" if agree else "MISMATCH"
             if args.format == "records":

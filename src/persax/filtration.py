@@ -601,18 +601,17 @@ def critical_intervals(obj) -> tuple[Interval, ...]:
     return tuple(Interval(a, b) for i, a in enumerate(vals) for b in vals[i:])
 
 
-def _probe_levels(*objs, interval: Interval | None = None) -> list[FiltValue]:
+def _probe_levels(*objs, interval: Interval | None = None) -> tuple[FiltValue, ...]:
     """Levels where predicates on the objects' sublevel complexes must be evaluated.
 
     Sublevel complexes are constant between critical values, so the critical
     values of every object cover every level; with an interval, its endpoints
     plus the critical values inside it do.
     """
-    levels = {c for obj in objs for c in critical_values(obj)}
+    levels = [c for obj in objs for c in critical_values(obj)]
     if interval is not None:
-        levels = {c for c in levels if interval.lo <= c <= interval.hi}
-        levels.update((interval.lo, interval.hi))
-    return sorted(levels)
+        levels = [c for c in levels if interval.lo <= c <= interval.hi] + [interval.lo, interval.hi]
+    return _sorted_values(levels)[0]
 
 
 def is_star_shaped(x: FilteredSet, a: str, interval: Interval) -> bool:

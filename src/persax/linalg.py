@@ -84,7 +84,7 @@ class GF:
             if x.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
             return x.numerator * pow(x.denominator, -1, self.p) % self.p
-        return int(x) % self.p
+        raise TypeError(f"cannot interpret {x!r} as an element of {self}")
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -117,7 +117,9 @@ class _Rationals:
     one = Fraction(1)
 
     def coerce(self, x):
-        return Fraction(x)
+        if isinstance(x, (int, Fraction)):
+            return Fraction(x)
+        raise TypeError(f"cannot interpret {x!r} as an element of {self}")
 
     def add(self, a, b):
         return a + b

@@ -167,7 +167,6 @@ class SkeletalHomology:
         return coords
 
 
-@lru_cache(maxsize=None)
 def skeletal_homology(pair: RelativeFilteredPair, q: int, interval: Interval,
                       field=GF2) -> SkeletalHomology:
     """Kernel of the boundary modulo its image, over generator coordinates."""
@@ -202,11 +201,9 @@ def direct_to_skeletal(pair: RelativeFilteredPair, q: int, interval: Interval,
     lifts = to_direct.matrix.solve_matrix(Matrix.identity(field, direct.dim))
     if lifts is None:
         raise OracleMismatch("skeleton inclusion fails to reach a direct class")
-    z = to_chains.matrix * lifts
-    if skel.cycles.basis.solve_matrix(z) is None:
-        raise OracleMismatch("lifted class is not a skeletal cycle")
-    matrix = skel.coords_of(z)
-    if direct.dim != skel.dim or not matrix.is_invertible():
+    # reps and boundaries span the cycles, so this also fails off the cycles
+    matrix = skel.coords_of(to_chains.matrix * lifts)
+    if not matrix.is_invertible():
         raise OracleMismatch(
             f"direct/skeletal comparison failed in degree {q}: "
             f"{direct.dim} vs {skel.dim}"

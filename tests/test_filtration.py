@@ -589,6 +589,13 @@ class TestStarShaped:
         fs = triangle_rim()
         assert is_star_shaped(fs, "a", Interval(-2, -1))
 
+    def test_a_lower_endpoint_between_critical_values_is_probed(self):
+        # the edge enters at 2, so at 1 the two points are not coned at a;
+        # 1 is no critical value, and only the interval's endpoint probes it
+        fs = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0, ("a", "b"): 2})
+        assert not is_star_shaped(fs, "a", Interval(1, 3))
+        assert is_star_shaped(fs, "a", Interval(2, 3))
+
     def test_unknown_center_rejected(self):
         with pytest.raises(UnknownVertex):
             is_star_shaped(triangle_rim(), "z", Interval(0, 1))

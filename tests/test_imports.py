@@ -219,7 +219,6 @@ UNBOUNDED_MEMOS = {
     "skeletal._skeleton",
     "skeletal.skeletal_boundary",
     "skeletal.skeletal_chain_group",
-    "skeletal.skeletal_homology",
 }
 
 

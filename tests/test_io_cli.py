@@ -459,6 +459,18 @@ class TestCli:
                                                  "sequence\t4\t2\tj_0\texact",
                                                  "sequence\t5\t1\t0\texact"]
 
+    def test_mv_on_an_improper_cover_exits_2(self, tmp_path, monkeypatch, capsys):
+        # the union of two filtered sets is always a proper cover, so the
+        # cover record is built inside an edge that the two points miss
+        path = tmp_path / "cover.txt"
+        path.write_text("[X1]\n0 a\n[X2]\n0 b\n")
+        monkeypatch.setattr(importlib.import_module("persax.sequences"), "union",
+                            lambda first, second: parse_filtration_text("0 a\n0 b\n0 a b\n"))
+        code = cli.main(["sequence", "--mv", "--pair", str(path), "--interval", "0,0"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "error: cover inclusions do not induce isomorphisms\n"
+
     def test_triad_without_second_cover_set_is_rejected(self, tmp_path):
         path = tmp_path / "half.txt"
         path.write_text("[X1]\n0 a\n")
@@ -481,6 +493,26 @@ class TestCli:
         assert lines[-1].startswith("summary\t")
         # three critical intervals, each running the pair axioms in table order
         assert [ln.split("\t")[1] for ln in lines[:-1]] == ["A1", "A4", "S2"] * 3
+
+    def test_verify_axioms_on_files_runs_each_exactness_check_once(self, pair_file, rim_file,
+                                                                    monkeypatch, capsys):
+        # A4 and S2 name one check, and each (file, interval) shares its run
+        from persax import axioms
+
+        runs = []
+        real = axioms._AXIOMS["A4"].check
+
+        def counted(field, pair, interval):
+            runs.append((pair, interval))
+            return real(field, pair, interval)
+
+        for axiom_id in ("A4", "S2"):
+            monkeypatch.setitem(axioms._AXIOMS, axiom_id,
+                                axioms._AXIOMS[axiom_id]._replace(check=counted))
+        cli.main(["verify-axioms", "--input", str(pair_file), "--input", str(rim_file),
+                  "--format", "records"])
+        axiom_ids = [ln.split("\t")[1] for ln in capsys.readouterr().out.splitlines()[:-1]]
+        assert axiom_ids.count("A4") == axiom_ids.count("S2") == len(runs) == len(set(runs)) == 6
 
     def test_oracle_compare_flags_interval_disagreements(self, tmp_path):
         # interior death: the three paths legitimately disagree, exit code 1

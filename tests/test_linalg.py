@@ -55,6 +55,18 @@ def test_field_arithmetic_is_modular():
     assert f.coerce(Fraction(1, 2)) == 2  # 1/2 = 2 mod 3
 
 
+@pytest.mark.parametrize("field", [GF3, QQ], ids=str)
+def test_fields_take_only_ints_and_fractions(field):
+    assert field.coerce(True) == field.coerce(1) == field.one
+    assert field.coerce(Fraction(4, 2)) == field.coerce(2)
+    for bad in (1.5, 2.0, "1", None):
+        with pytest.raises(TypeError) as info:
+            field.coerce(bad)
+        assert str(info.value) == f"cannot interpret {bad!r} as an element of {field}"
+    with pytest.raises(TypeError, match=r"cannot interpret 1\.5 as an element"):
+        Matrix(field, [[1.5, 2.7]])
+
+
 def test_rationals_mode_is_exact():
     assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
     m = Matrix(QQ, [[Fraction(1, 3), 1], [0, 2]])

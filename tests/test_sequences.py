@@ -47,7 +47,8 @@ from persax import (
     union,
 )
 from persax.fuzz import random_cover, random_pair, random_triple
-from persax.sequences import HypothesisViolated
+from persax import sequences
+from persax.sequences import HypothesisViolated, NotProperTriad
 
 TRIANGLE_RIM = FilteredSet(
     {"a", "b", "c"},
@@ -318,6 +319,20 @@ class TestProperTriads:
                 is_proper_triad(TRIANGLE_RIM, *args, Interval(0, 1))
             assert type(info.value) is ValueError
             assert str(info.value) == f"{role} cover set: {reason}"
+
+    def test_a_cross_inclusion_that_is_no_isomorphism_is_not_proper(self, monkeypatch):
+        # a union of two filtered sets is proper level by level, so the cover
+        # record is built inside the edge ab, which the points a and b miss:
+        # (a, empty) -> (ab, b) takes H_0 = 1 to H_0 = 0
+        edge = standard_simplex(1, 0, ("a", "b"))
+        x1, x2 = point(0, "a"), point(0, "b")
+        iv = Interval(0, 0)
+        monkeypatch.setattr(sequences, "union", lambda first, second: edge)
+        assert not is_proper_triad(edge, x1, x2, iv)
+        for build in (lambda: mayer_vietoris(x1, x2, iv), lambda: triad_sequence(edge, x1, x2, iv)):
+            with pytest.raises(NotProperTriad) as info:
+                build()
+            assert str(info.value) == "cover inclusions do not induce isomorphisms"
 
     def test_nested_cover_reduces_to_triple(self):
         x2 = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0})

@@ -7,6 +7,7 @@ provably hold; the pinned counterexample documents the mixed-absorption
 failure of both, matching the direct construction's own exactness boundary.
 """
 
+import dataclasses
 import hashlib
 import importlib
 import random
@@ -40,9 +41,9 @@ from persax import (
     standard_boundary,
     standard_simplex,
 )
-from persax.skeletal import direct_to_skeletal, generator, incidence_iso
+from persax.skeletal import _skeleton, direct_to_skeletal, generator, incidence_iso
 from persax.fuzz import random_pair
-from persax.homology import _degrees
+from persax.homology import LinearMap, _degrees
 
 RIM_AT_ZERO = FilteredSet(
     {"a", "b", "c"},
@@ -70,8 +71,6 @@ class TestChainGroups:
             assert skeletal_chain_group(pair, q, Interval(0, 1)).dim == 0
 
     def test_degrees_above_the_top_simplex_build_no_skeleton(self):
-        from persax.skeletal import _skeleton
-
         # a solid triangle and a lone vertex: dimension 2 on four vertices
         values = {sk: 0 for sk in standard_simplex(2, 0, ("p", "q", "r")).support}
         pair = pair_of(FilteredSet({"p", "q", "r", "s"}, {**values, ("s",): 0}))
@@ -89,6 +88,22 @@ class TestChainGroups:
                 for q in range(0, pair.total.dimension + 2):
                     cg = skeletal_chain_group(pair, q, iv)
                     assert cg.dim == cg.group.dim == len(cg.generators)
+
+    def test_representatives_off_the_generators_are_a_broken_oracle(self, monkeypatch):
+        # the memo would answer an earlier call: run the construction itself
+        from persax import skeletal
+
+        real = skeletal.homology
+
+        def reversed_reps(pair, q, interval, field):
+            group = real(pair, q, interval, field)
+            return dataclasses.replace(group, reps=Matrix.from_columns(
+                field, group.reps.columns[::-1], group.reps.nrows))
+
+        monkeypatch.setattr(skeletal, "homology", reversed_reps)
+        with pytest.raises(OracleMismatch) as info:
+            skeletal_chain_group.__wrapped__(pair_of(RIM_AT_ZERO), 1, Interval(0, 1), GF2)
+        assert str(info.value) == "chain group representatives are not the generator simplices"
 
 
 class TestGenerators:
@@ -314,7 +329,7 @@ class TestSkeletalHomology:
         monkeypatch.setattr(skeletal, "skeletal_boundary",
                             lambda pair, q, interval, field: Matrix.identity(field, 1))
         with pytest.raises(OracleMismatch) as info:
-            skeletal_homology.__wrapped__(pair_of(TRIANGLE_RIM), 1, Interval(0, 1), GF2)
+            skeletal_homology(pair_of(TRIANGLE_RIM), 1, Interval(0, 1), GF2)
         assert str(info.value) == "boundary image is not made of cycles"
 
     def test_triangle_rim_matches_direct_theory(self):
@@ -363,8 +378,46 @@ class TestComparisonIsomorphism:
         iv = Interval(0, 1)
         assert homology(pair, 0, iv).dim == 1
         assert skeletal_homology(pair, 0, iv).dim == 2
-        with pytest.raises(OracleMismatch):
+        # unequal dimensions make the comparison matrix non-square
+        with pytest.raises(OracleMismatch) as info:
             direct_to_skeletal(pair, 0, iv)
+        assert str(info.value) == "direct/skeletal comparison failed in degree 0: 1 vs 2"
+
+    @staticmethod
+    def _patch_induced(monkeypatch, inclusion_map, matrix_of):
+        """Make ``induced_map`` of one inclusion return ``matrix_of`` its real matrix."""
+        from persax import skeletal
+
+        real = skeletal.induced_map
+
+        def patched(f, n, interval, field):
+            lm = real(f, n, interval, field)
+            if f is not inclusion_map:
+                return lm
+            return LinearMap(lm.source, lm.target, matrix_of(lm.matrix), lm.label)
+
+        monkeypatch.setattr(skeletal, "induced_map", patched)
+
+    def test_a_lift_that_misses_a_direct_class_is_a_broken_oracle(self, monkeypatch):
+        pair = pair_of(TRIANGLE_RIM)
+        self._patch_induced(monkeypatch, _skeleton(pair, 1).to_direct,
+                            lambda m: Matrix.zero(m.field, m.nrows, m.ncols))
+        with pytest.raises(OracleMismatch) as info:
+            direct_to_skeletal(pair, 1, Interval(1, 2))
+        assert str(info.value) == "skeleton inclusion fails to reach a direct class"
+
+    def test_a_class_off_the_skeletal_cycles_is_a_broken_oracle(self, monkeypatch):
+        # one edge of the rim in place of its cycle: coords_of finds no class
+        pair = pair_of(TRIANGLE_RIM)
+
+        def one_edge(m):
+            return Matrix.from_columns(m.field, [(1,) + (0,) * (m.nrows - 1)] * m.ncols, m.nrows)
+
+        self._patch_induced(monkeypatch, _skeleton(pair, 1).to_chains, one_edge)
+        assert skeletal_chain_group(pair, 1, Interval(1, 2)).dim == 3
+        with pytest.raises(OracleMismatch) as info:
+            direct_to_skeletal(pair, 1, Interval(1, 2))
+        assert str(info.value) == "vector's class lies outside the skeletal homology"
 
     def test_inclusions_are_validated_once_per_skeleton_pair(self, monkeypatch):
         # the inclusions between skeleton pairs do not depend on the interval,
