@@ -28,10 +28,10 @@ _EXPORTS = {
             "is_star_shaped", "pair_of", "point", "simplex", "skeleton",
             "standard_boundary", "standard_simplex", "union", "OracleMismatch",
         ),
+        "fields": ("GF", "GF2", "GF3", "QQ"),
         "linalg": (
-            "GF", "GF2", "GF3", "QQ", "DimensionMismatch", "Matrix", "Subspace",
-            "SubspaceNotContained", "boundary_matrix", "chain_map_matrix", "chain_space",
-            "image", "kernel", "preimage",
+            "DimensionMismatch", "Matrix", "Subspace", "SubspaceNotContained",
+            "boundary_matrix", "chain_map_matrix", "chain_space", "image", "kernel", "preimage",
         ),
         "homology": (
             "BettiGrid", "ClassNotInTarget", "DirectSumGroup", "HomologyGroup", "LinearMap",
@@ -57,8 +57,8 @@ _EXPORTS = {
     }.items()
     for name in names
 }
-_SUBMODULES = ("axioms", "barcode", "cli", "filtration", "formats", "fuzz", "homology",
-               "linalg", "sequences", "skeletal")
+_SUBMODULES = ("axioms", "barcode", "cli", "fields", "filtration", "formats", "fuzz",
+               "homology", "linalg", "sequences", "skeletal")
 
 __all__ = list(_EXPORTS)
 __version__ = "0.1.0"

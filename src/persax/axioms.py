@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+from .fields import GF2
 from .filtration import (
     FilteredSet,
     compose,
@@ -24,7 +25,6 @@ from .filtration import (
     union,
 )
 from .homology import _degrees, connecting, homology, induced_map
-from .linalg import GF2
 from .sequences import are_contiguous, check_exact, les_pair
 
 PASS = "pass"

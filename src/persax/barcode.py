@@ -1,26 +1,29 @@
 """Persistent cohomology by column reduction, producing birth/death bars.
 
 This is an independent computation path: one global coboundary matrix over the
-whole filtration instead of per-interval subspace arithmetic, and none of the
-``linalg`` kernels.  Simplices are ordered by the rank of their value, then
-dimension, then vertices.  With field coefficients, reducing the coboundary
-matrix in the reverse order gives the same pairs as reducing the boundary
-matrix (de Silva, Morozov & Vejdemo-Johansson, "Dualities in persistent
-(co)homology", 2011), and it is the cheaper direction (Bauer, "Ripser",
-2021): degrees go from the bottom up, each degree from the youngest simplex
-to the oldest, and a column's pivot is its oldest remaining cofacet.  With
-clearing, a simplex that is the pivot of a column one degree down pairs with
-that column and its own column is never built (Chen & Kerber, "Persistent
-homology computation with a twist", 2011), so top-degree simplices, which
-have no cofacets, never become columns.  A column is kept as its list of
-cofacets until it must be reduced; over GF(2) it is then an int bitset
-reduced by XOR.  Interval homology dimensions are bar counts, which
-``bars_alive`` reads off the sorted barcode by bisection.
+whole filtration instead of per-interval subspace arithmetic.  It imports
+nothing from ``linalg``, only the field objects of ``fields``.  Simplices are
+ordered by the rank of their value, then dimension, then vertices.  With field
+coefficients, reducing the coboundary matrix in the reverse order gives the
+same pairs as reducing the boundary matrix (de Silva, Morozov &
+Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011), and it is
+the cheaper direction (Bauer, "Ripser", 2021): degrees go from the bottom up,
+each degree from the youngest simplex to the oldest, and a column's pivot is
+its oldest remaining cofacet.  With clearing, a simplex that is the pivot of
+a column one degree down pairs with that column and its own column is never
+built (Chen & Kerber, "Persistent homology computation with a twist", 2011),
+so top-degree simplices, which have no cofacets, never become columns.  A
+column is kept as its list of cofacets until it must be reduced; over GF(2)
+it is then an int bitset reduced by XOR.  Interval homology dimensions are
+bar counts, which ``bars_alive`` reads off the sorted barcode by bisection.
 
 Relative pairs reduce to the absolute case by coning the subset off: a fresh
 apex enters at the global minimum value, the cone over each subset simplex
 enters when the subset absorbs it, and reduced bar counts of the coned
-complex match the pair's interval homology in every degree.
+complex match the pair's interval homology in every degree.  The cone is
+merged from the rank tables of the pair's two parts, without ranking the
+total again.  An absolute pair needs no cone: coning off nothing adds one
+point at the global minimum, whose bar the reduced theory removes.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import NamedTuple
 
+from .fields import GF2
 from .filtration import (
     INF,
     FiltValue,
@@ -39,10 +43,10 @@ from .filtration import (
     RelativeFilteredPair,
     Simplex,
     _as_pair,
+    _sorted_values,
     critical_values,
     simplex,
 )
-from .linalg import GF2
 
 
 class Bar(NamedTuple):
@@ -203,21 +207,35 @@ def cone_off_subset(pair: RelativeFilteredPair) -> FilteredSet:
     whose reduced homology matches the pair's relative homology.  Both parts
     are validated and the subset's values dominate, so the cone is a valid
     set by construction, and its values are exactly the pair's.
+
+    The cone is merged from the parts' tables: each value object of either
+    part has its rank among the pair's values, the total's entries are kept
+    as they are, and one sort puts them in simplex order with the new ones.
     """
-    vals = critical_values(pair.total)
-    if not vals:
-        return pair.total
-    apex = _fresh_apex(pair.total.vertices)
-    values = dict(pair.total.entries)
-    values[(apex,)] = vals[0]
-    for sk, val in pair.sub.entries:
-        values[simplex(sk + (apex,))] = val
-    return FilteredSet._trusted(pair.total.vertices | {apex}, values)
+    total, sub = pair
+    if not total.entries:
+        return total
+    values, rank_of_id = _sorted_values(total._critical + sub._critical)
+    apex = _fresh_apex(total.vertices)
+    # _sorted_values keeps the first object of each value and the total's
+    # come first, so every entry carries the object at its rank, as _fill needs
+    entries = [*total.entries, ((apex,), values[0])]
+    entries += [(simplex((*sk, apex)), values[rank_of_id[id(val)]]) for sk, val in sub.entries]
+    entries.sort(key=itemgetter(0))
+    lookup = {sk: rank_of_id[id(val)] for sk, val in entries}
+    return FilteredSet._sorted(total.vertices | {apex}, values, lookup, tuple(entries))
 
 
 def pair_barcode(pair_or_set, field=GF2) -> tuple[Bar, ...]:
-    """Bars whose interval counts equal the pair's interval homology dims."""
-    return reduced_barcode(cone_off_subset(_as_pair(pair_or_set)), field)
+    """Bars whose interval counts equal the pair's interval homology dims.
+
+    Coning off an empty subset adds one point at the global minimum, whose
+    bar ``reduced_barcode`` removes again, so an absolute pair needs no cone.
+    """
+    pair = _as_pair(pair_or_set)
+    if not pair.sub.entries:
+        return barcode(pair.total, field)
+    return reduced_barcode(cone_off_subset(pair), field)
 
 
 def bars_alive(bars, degree: int, interval: Interval) -> int:

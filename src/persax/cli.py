@@ -276,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    from .linalg import GF
+    from .fields import GF
 
     try:
         return args.run(args, GF(args.field))

@@ -168,6 +168,12 @@ def _ranked(table: Mapping[Simplex, FiltValue]):
     return critical, {sk: rank_of_id[id(v)] for sk, v in table.items()}
 
 
+def _in_simplex_order(critical, ranks: Mapping[Simplex, int]):
+    """A rank table in simplex order, and its (simplex, value) pairs."""
+    lookup = dict(sorted(ranks.items()))
+    return lookup, tuple(zip(lookup, map(critical.__getitem__, lookup.values())))
+
+
 def facets(sigma: Simplex) -> list[Simplex]:
     """Codimension-1 faces, in the order of the omitted position."""
     return [sigma[:i] + sigma[i + 1 :] for i in range(len(sigma))]
@@ -232,7 +238,7 @@ class FilteredSet:
                     raise MonotonicityViolation(
                         f"face {fc} at {table[fc]} exceeds {sk} at {table[sk]}"
                     )
-        self._fill(verts, critical, ranks)
+        self._fill(verts, critical, *_in_simplex_order(critical, ranks))
 
     @classmethod
     def _trusted(cls, vertices: frozenset[str], table: dict[Simplex, FiltValue]) -> "FilteredSet":
@@ -242,13 +248,24 @@ class FilteredSet:
         ``vertices``, finite values, a downward-closed support and monotone
         values.
         """
+        critical, ranks = _ranked(table)
+        return cls._sorted(vertices, critical, *_in_simplex_order(critical, ranks))
+
+    @classmethod
+    def _sorted(cls, vertices, critical, lookup, entries) -> "FilteredSet":
+        """A set from its parts, already in simplex order; nothing is checked.
+
+        The caller guarantees what ``_trusted`` requires of its table, and
+        that the parts are those ``_fill`` takes.
+        """
         self = object.__new__(cls)
-        self._fill(vertices, *_ranked(table))
+        self._fill(vertices, critical, lookup, entries)
         return self
 
-    def _fill(self, verts, critical, ranks) -> None:
-        lookup = dict(sorted(ranks.items()))
-        entries = tuple(zip(lookup, map(critical.__getitem__, lookup.values())))
+    def _fill(self, verts, critical, lookup, entries) -> None:
+        """Fill the slots.  ``lookup`` maps each simplex to its rank in
+        ``critical``; ``entries`` pairs each simplex with the value object in
+        ``critical`` at that rank; both are in simplex order."""
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_lookup", lookup)

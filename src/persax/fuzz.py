@@ -13,6 +13,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .axioms import AXIOM_IDS, AxiomReport, verify_axiom
+from .fields import GF2
 from .filtration import (
     FilteredSet,
     Interval,
@@ -28,7 +29,6 @@ from .filtration import (
     union,
 )
 from .formats import instance_tag
-from .linalg import GF2
 
 DEFAULT_POOL = ("a", "b", "c", "d", "e")
 DEFAULT_VALUES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))

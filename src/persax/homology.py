@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .fields import GF2
 from .filtration import (
     EMPTY_SET,
     FiltValue,
@@ -28,7 +29,6 @@ from .filtration import (
     point,
 )
 from .linalg import (
-    GF2,
     Matrix,
     Subspace,
     _face_columns,

@@ -1,8 +1,10 @@
-"""Exact linear algebra over prime fields, plus chain spaces and their matrices.
+"""Exact linear algebra, plus chain spaces and their matrices.
 
-Matrices are immutable tuples of field elements; every reduction is an exact
-Gaussian elimination with a fixed pivoting rule (first nonzero entry in row
-order), so all echelon bases are canonical and bit-identical across runs.
+The coefficient fields, GF(p) and QQ, are defined in ``fields``; this module
+computes over them.  Matrices are immutable tuples of field elements; every
+reduction is an exact Gaussian elimination with a fixed pivoting rule (first
+nonzero entry in row order), so all echelon bases are canonical and
+bit-identical across runs.
 
 ``Matrix.rref`` is the one elimination, with one arithmetic per field: over
 GF(2) each row is a Python int reduced by XOR; over any other GF(p) each row
@@ -19,12 +21,11 @@ columns, and ``_move_rows`` is the one routine that applies them to rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul, or_
 from typing import Sequence
 
+from .fields import GF, GF2
 from .filtration import (
     FiltValue,
     PreservingMap,
@@ -42,115 +43,6 @@ class SubspaceNotContained(ValueError):
 
 class DimensionMismatch(ValueError):
     pass
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-@dataclass(frozen=True)
-class GF:
-    """The prime field with p elements; elements are ints reduced mod p."""
-
-    p: int
-
-    def __post_init__(self):
-        # trial division stays under 46,341 steps below this bound
-        if self.p >= 2**31:
-            raise ValueError(f"characteristic {self.p} is not below 2**31")
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-    def coerce(self, x):
-        # int first: the Fraction test goes through ABCMeta on every entry
-        if isinstance(x, int):
-            return x % self.p
-        if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
-            return x.numerator * pow(x.denominator, -1, self.p) % self.p
-        raise TypeError(f"cannot interpret {x!r} as an element of {self}")
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverting zero")
-        return pow(a, -1, self.p)
-
-    def __str__(self):
-        return f"GF({self.p})"
-
-
-class _Rationals:
-    """Exact rational coefficients; the sign-sensitive secondary mode.
-
-    Same element protocol as GF, with Fraction arithmetic.
-    """
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def coerce(self, x):
-        if isinstance(x, (int, Fraction)):
-            return Fraction(x)
-        raise TypeError(f"cannot interpret {x!r} as an element of {self}")
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverting zero")
-        return 1 / Fraction(a)
-
-    def __eq__(self, other):
-        return isinstance(other, _Rationals)
-
-    def __hash__(self):
-        return hash("persax-rationals")
-
-    def __str__(self):
-        return "QQ"
-
-
-QQ = _Rationals()
-GF2 = GF(2)
-GF3 = GF(3)
 
 
 class Matrix:

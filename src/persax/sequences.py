@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
+from .fields import GF2
 from .filtration import (
     FilteredSet,
     FiltrationError,
@@ -45,7 +46,7 @@ from .homology import (
     reduced_homology,
     zero_group,
 )
-from .linalg import GF2, Matrix, hstack, image, kernel, vstack
+from .linalg import Matrix, hstack, image, kernel, vstack
 
 
 class NotProperTriad(ValueError):

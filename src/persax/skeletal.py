@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
+from .fields import GF2
 from .filtration import (
     Interval,
     OracleMismatch,
@@ -37,7 +38,7 @@ from .homology import (
     homology,
     induced_map,
 )
-from .linalg import (GF2, Matrix, Subspace, SubspaceNotContained, _inclusion_columns, _move_rows,
+from .linalg import (Matrix, Subspace, SubspaceNotContained, _inclusion_columns, _move_rows,
                      image, kernel, quotient_coords)
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import importlib
 import importlib.util
 import random
 from fractions import Fraction
@@ -21,10 +22,11 @@ from persax import (
     critical_intervals,
     critical_values,
     fin,
-    linalg,
     pair_barcode,
     pair_of,
+    reduced_barcode,
 )
+from persax.barcode import cone_off_subset
 from persax.formats import parse_pair_text, serialize_pair
 from persax.fuzz import random_filtration, random_pair, random_subset_of
 
@@ -264,17 +266,68 @@ class TestBarsAlive:
         assert bars_alive((), 0, iv) == 0
 
 
-def test_bars_path_imports_only_field_objects_from_linalg():
-    # the bars path is an oracle for the linalg kernels, so it must not use them
+class TestCone:
+    # the apex is named "w" unless a vertex is, then "w_", "w__" and so on
+    TOTAL = {("a",): 0, ("w",): 0, ("w_",): 0, ("a", "w"): 1, ("a", "w_"): 1, ("w", "w_"): 1,
+             ("a", "w", "w_"): 2, ("b",): 1, ("a", "b"): 2}
+    SUB = {("w",): 1, ("w_",): 0, ("w", "w_"): 1, ("b",): 1}
+
+    def pair(self):
+        return pair_of(FilteredSet({"a", "b", "w", "w_"}, self.TOTAL),
+                       FilteredSet({"b", "w", "w_"}, self.SUB))
+
+    def test_an_apex_name_taken_twice_gives_the_reference_bars(self):
+        pair = self.pair()
+        cone = cone_off_subset(pair)
+        assert cone.vertices == pair.total.vertices | {"w__"}
+        assert cone.value(("w__",)) == fin(0) and cone.value(("w", "w_", "w__")) == fin(1)
+        total = {sk: Fraction(v) for sk, v in self.TOTAL.items()}
+        sub = {sk: Fraction(v) for sk, v in self.SUB.items()}
+        degrees = set()
+        for field, p in FIELDS:
+            bars = _plain(pair_barcode(pair, field))
+            assert bars == reference_pair_bars(total, sub, p)
+            degrees |= {n for n, _, _ in bars}
+        assert degrees == {0, 1}
+
+    def test_an_absolute_pair_builds_no_cone(self, monkeypatch):
+        # coning off nothing adds one point, whose bar the reduced theory removes
+        module = importlib.import_module("persax.barcode")
+        master = random.Random(727)
+        sets = [random_filtration(random.Random(master.getrandbits(64))) for _ in range(60)]
+        coned = {(i, field): reduced_barcode(cone_off_subset(pair_of(x)), field)
+                 for i, x in enumerate(sets) for field, _ in FIELDS}
+
+        def refused(pair):
+            raise AssertionError("an absolute pair was coned")
+
+        monkeypatch.setattr(module, "cone_off_subset", refused)
+        for i, x in enumerate(sets):
+            for field, _ in FIELDS:
+                assert pair_barcode(pair_of(x), field) == barcode(x, field) == coned[i, field]
+                assert pair_barcode(x, field) == coned[i, field]
+
+        calls = []
+
+        def counted(pair):
+            calls.append(pair)
+            return cone_off_subset(pair)
+
+        monkeypatch.setattr(module, "cone_off_subset", counted)
+        pair = self.pair()
+        pair_barcode(pair)
+        assert calls == [pair]
+
+
+def test_bars_path_imports_nothing_from_linalg():
+    # the bars path is an oracle for the linalg kernels, so it must not load them
     tree = ast.parse(BARCODE_SOURCE.read_text())
-    imported = []
+    modules = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
-            imported += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            assert "linalg" not in [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom):
+            modules.append(node.module or "")
+            modules += [alias.name for alias in node.names]
         elif isinstance(node, ast.Import):
-            assert all("linalg" not in alias.name for alias in node.names)
-    assert imported
-    for name in imported:
-        assert isinstance(getattr(linalg, name), (linalg.GF, type(linalg.QQ))), name
+            modules += [alias.name for alias in node.names]
+    assert "fields" in modules
+    assert not [name for name in modules if "linalg" in name]

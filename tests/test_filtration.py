@@ -506,6 +506,7 @@ def _derived_sets(count, seed):
             yield skeleton(x, q)
         yield cone_off_subset(pair)
         yield cone_off_subset(pair_of(x))
+        yield cone_off_subset(random_pair(rng, pool=("a", "b", "w", "w_")))  # apex "w__"
         yield standard_boundary(i % 4, "1/2")
         yield closed_star(1 + i % 3, 3, "v0")
         yield restrict_to_vertices(x, sorted(x.vertices)[i % 2 :: 2])
@@ -523,6 +524,8 @@ class TestTrustedConstruction:
             assert fs.entries == rebuilt.entries and fs.vertices == rebuilt.vertices
             assert critical_values(fs) == tuple(sorted({v for _, v in fs.entries}))
             assert critical_values(fs) == critical_values(rebuilt)
+            # each entry carries the value object at its rank, as a cone reads it
+            assert all(val is fs._critical[fs._lookup[sk]] for sk, val in fs.entries)
             for back in (copy.copy(fs), copy.deepcopy(fs), pickle.loads(pickle.dumps(fs))):
                 assert back == fs and hash(back) == hash(fs)
                 assert critical_values(back) == critical_values(fs)

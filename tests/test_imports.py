@@ -256,9 +256,18 @@ def test_the_oracle_exception_loads_no_skeletal_path():
 
 
 def test_the_bars_path_adds_only_the_reduction_and_its_field():
-    assert persax_modules_after("import persax, persax.cli; persax.pair_barcode") == [
-        "persax", "persax.barcode", "persax.cli", "persax.filtration", "persax.formats",
-        "persax.linalg"]
+    code = ("import sys, persax, persax.cli; persax.pair_barcode\n"
+            "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'")
+    assert persax_modules_after(code) == [
+        "persax", "persax.barcode", "persax.cli", "persax.fields", "persax.filtration",
+        "persax.formats"]
+
+
+def test_a_field_loads_no_linear_algebra_and_no_dataclasses():
+    code = ("import sys, persax, persax.cli; persax.GF(2)\n"
+            "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'")
+    assert persax_modules_after(code) == [
+        "persax", "persax.cli", "persax.fields", "persax.filtration", "persax.formats"]
 
 
 # The package's public names, by the submodule that defines each.
@@ -272,10 +281,10 @@ REEXPORTS = {
         "simplex", "skeleton", "standard_boundary", "standard_simplex", "union",
         "OracleMismatch",
     ),
+    "fields": ("GF", "GF2", "GF3", "QQ"),
     "linalg": (
-        "GF", "GF2", "GF3", "QQ", "DimensionMismatch", "Matrix", "Subspace",
-        "SubspaceNotContained", "boundary_matrix", "chain_map_matrix", "chain_space", "image",
-        "kernel", "preimage",
+        "DimensionMismatch", "Matrix", "Subspace", "SubspaceNotContained", "boundary_matrix",
+        "chain_map_matrix", "chain_space", "image", "kernel", "preimage",
     ),
     "homology": (
         "BettiGrid", "ClassNotInTarget", "DirectSumGroup", "HomologyGroup", "LinearMap",
@@ -309,6 +318,7 @@ def test_every_public_name_is_its_submodules_object():
         source = importlib.import_module(f"persax.{module}")
         for name in group:
             assert getattr(persax, name) is getattr(source, name), name
+    assert importlib.import_module("persax.linalg").GF is persax.GF  # computes over it
 
 
 def test_an_unknown_name_is_an_attribute_error():

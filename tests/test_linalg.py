@@ -1,7 +1,9 @@
 """Exact field arithmetic, echelon forms, subspace calculus, chain matrices."""
 
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -26,6 +28,7 @@ from persax import (
     critical_intervals,
     critical_values,
     fin,
+    homology,
     image,
     kernel,
     pair_of,
@@ -46,6 +49,54 @@ def test_gf_rejects_characteristics_from_two_to_the_31():
     assert GF(2147483647).p == 2**31 - 1
     with pytest.raises(ValueError, match="not below 2\\*\\*31"):
         GF(1000000000000000003)
+
+
+@pytest.mark.parametrize("p", [3.0, "3", Fraction(3), None], ids=repr)
+def test_gf_takes_only_an_int_characteristic(p):
+    with pytest.raises(TypeError, match="is not an int"):
+        GF(p)
+
+
+@pytest.mark.parametrize("p, message", [
+    (6, "6 is not prime"), (1, "1 is not prime"), (True, "True is not prime"),
+    (2**31, "characteristic 2147483648 is not below 2\\*\\*31"),
+])
+def test_gf_rejects_non_primes_and_large_characteristics(p, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GF(p)
+
+
+def test_a_refused_characteristic_leaves_the_memos_clean():
+    # a float characteristic once built a field equal to GF3 with float
+    # entries, whose failed reduction stayed in the shared memos
+    edge = FilteredSet("ab", {("a",): 0, ("b",): 0, ("a", "b"): 1})
+    with pytest.raises(TypeError):
+        homology(pair_of(edge), 0, Interval(0, 1), GF(3.0))
+    assert homology(pair_of(edge), 0, Interval(0, 1), GF3).dim == 1
+
+
+def test_gf_is_an_immutable_value():
+    assert GF(3) == GF3 and hash(GF(3)) == hash(GF3) and GF(3) is not GF3
+    assert GF(5) != GF3 and GF3 != QQ and QQ != GF3 and GF3 != 3
+    assert (repr(GF3), str(GF3), GF(p=7).p) == ("GF(p=3)", "GF(3)", 7)
+    for change in (lambda f: setattr(f, "p", 5), lambda f: delattr(f, "p"),
+                   lambda f: setattr(f, "q", 5)):
+        with pytest.raises(AttributeError):
+            change(GF3)
+    assert GF3.p == 3
+
+
+def test_a_copied_field_is_equal_and_finds_its_memo_entries():
+    edge = FilteredSet("ab", {("a",): 0, ("b",): 0, ("a", "b"): 1})
+    d1 = boundary_matrix(pair_of(edge), 1, fin(1), GF3)
+    copies = [copy.copy(GF3), copy.deepcopy(GF3)]
+    copies += [pickle.loads(pickle.dumps(GF3, protocol)) for protocol in
+               range(pickle.HIGHEST_PROTOCOL + 1)]
+    for field in copies:
+        assert field == GF3 and hash(field) == hash(GF3) and type(field) is type(GF3)
+        assert field.add(2, 2) == 1
+        assert {GF3: "memo"}[field] == "memo"
+        assert boundary_matrix(pair_of(edge), 1, fin(1), field) is d1
 
 
 def test_field_arithmetic_is_modular():
