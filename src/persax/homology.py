@@ -137,12 +137,28 @@ def _homology_cached(pair: RelativeFilteredPair, n: int, interval: Interval, fld
     if not simplices:  # no chains, as below degree 0: the zero group, with no reduction
         empty = Subspace.zero(fld, 0)
         return HomologyGroup(simplices, empty, empty, Matrix.zero(fld, 0, 0))
-    # the lower-endpoint cycles, moved into the upper-endpoint chains
-    included = _inclusion_columns(chain_space(pair, n, interval.lo))
-    persisted = image(_move_rows(_cycles(pair, n, interval.lo, fld).basis, included, simplices))
+    # the lower-endpoint cycles, moved into the upper-endpoint chains; the
+    # move keeps their echelon form, pivots remapped, unless the subset has
+    # absorbed a pivot simplex by the upper endpoint
+    ambient = len(simplices)
+    lower = chain_space(pair, n, interval.lo)
+    cycles = _cycles(pair, n, interval.lo, fld)
+    moved = _move_rows(cycles.basis, _inclusion_columns(lower), simplices)
+    position = {sk: i for i, sk in enumerate(simplices)}
+    pivots = tuple(position.get(lower[p], -1) for p in cycles.pivots)
+    persisted = image(moved) if -1 in pivots else Subspace(ambient, moved, pivots)
     bnd = _boundaries(pair, n, interval.hi, fld)
-    dying = persisted.intersect(bnd)
-    reps = persisted.complement_in(dying)
+    # a persisted column dies when it lies in the boundaries plus the later
+    # columns: reduce [boundaries | persisted, last column first] once, and
+    # keep the columns that are pivots
+    k, b = persisted.dim, bnd.dim
+    keep = range(k)
+    if b and k:
+        stacked = tuple(u + v[::-1] for u, v in zip(bnd.basis.rows, persisted.basis.rows))
+        live = Matrix._trusted(fld, stacked, ambient, b + k).rref()[1]
+        keep = [k - 1 - (c - b) for c in reversed(live) if c >= b]
+    reps = persisted.basis if len(keep) == k else Matrix._trusted(
+        fld, tuple(tuple(row[j] for j in keep) for row in persisted.basis.rows), ambient, len(keep))
     return HomologyGroup(simplices, persisted, bnd, reps)
 
 

@@ -8,10 +8,14 @@ bit-identical across runs.
 
 ``Matrix.rref`` is the one elimination, with one arithmetic per field: over
 GF(2) each row is a Python int reduced by XOR; over any other GF(p) each row
-update is one ``% p`` per entry on plain ints; over QQ (reachable from the
-library only) it calls the field's methods on ``Fraction`` entries.  Products
-list each right-hand column's nonzero entries once and reduce each output
-entry once.
+is updated in place at the pivot row's nonzero columns only, one ``% p`` per
+updated entry on plain ints; over QQ (reachable from the library only) it
+calls the field's methods on ``Fraction`` entries.  Products list each
+right-hand column's nonzero entries once and reduce each output entry once.
+
+One reduction per subspace: ``image`` reduces the spanning vectors, and
+``kernel`` reduces the matrix's columns last to first, which leaves the null
+vectors already in reduced echelon form; the zero subspace takes none.
 
 The chain-level constructions live here too: ordered simplex bases for the
 relative chain groups of a pair at a level, and boundary matrices.  Chain
@@ -254,26 +258,42 @@ def _rref_bits(rows: tuple[tuple, ...], ncols: int) -> tuple[tuple[tuple, ...], 
 
 
 def _rref_rows(fld, rows: tuple[tuple, ...], nrows: int, ncols: int) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
-    """``Matrix.rref`` row by row: one ``% p`` per entry over GF(p), field methods over QQ."""
+    """``Matrix.rref`` row by row, over GF(p) for p > 2 or over QQ.
+
+    ``clear(r, c)`` scales row r to a unit at column c and clears column c
+    in every other row.  Over GF(p) it lists the pivot row's nonzero
+    ``(column, entry)`` pairs once and updates the other rows in place at
+    those columns only, one ``% p`` per updated entry; over QQ it calls the
+    field's methods on every entry.
+    """
+    zero = fld.zero
+    rows = [list(r) for r in rows]
     if isinstance(fld, GF):
         p = fld.p
 
-        def scaled(f, row):
-            return [f * a % p for a in row]
-
-        def minus(row, f, prow):
-            return [(a - f * b) % p for a, b in zip(row, prow)]
+        def clear(r, c):
+            # rows r and below are zero left of column c
+            prow = rows[r]
+            inv = fld.inv(prow[c])
+            entries = [(j, inv * prow[j] % p) for j in range(c, ncols) if prow[j]]
+            for j, b in entries:
+                prow[j] = b
+            for i, row in enumerate(rows):
+                f = row[c]
+                if f and i != r:
+                    for j, b in entries:
+                        row[j] = (row[j] - f * b) % p
     else:
         mul, sub = fld.mul, fld.sub
 
-        def scaled(f, row):
-            return [mul(f, a) for a in row]
+        def clear(r, c):
+            inv = fld.inv(rows[r][c])
+            prow = rows[r] = [mul(inv, a) for a in rows[r]]
+            for i in range(nrows):
+                factor = rows[i][c]
+                if i != r and factor != zero:
+                    rows[i] = [sub(a, mul(factor, b)) for a, b in zip(rows[i], prow)]
 
-        def minus(row, f, prow):
-            return [sub(a, mul(f, b)) for a, b in zip(row, prow)]
-
-    zero = fld.zero
-    rows = [list(r) for r in rows]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -281,11 +301,7 @@ def _rref_rows(fld, rows: tuple[tuple, ...], nrows: int, ncols: int) -> tuple[tu
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        prow = rows[r] = scaled(fld.inv(rows[r][c]), rows[r])
-        for i in range(nrows):
-            factor = rows[i][c]
-            if i != r and factor != zero:
-                rows[i] = minus(rows[i], factor, prow)
+        clear(r, c)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -326,7 +342,7 @@ class Subspace:
 
     @classmethod
     def zero(cls, field, ambient: int) -> "Subspace":
-        return image(Matrix.zero(field, ambient, 0))
+        return cls(ambient, Matrix.zero(field, ambient, 0), ())
 
     @property
     def dim(self) -> int:
@@ -386,7 +402,12 @@ def _echelon(field, vectors: Sequence[Sequence], ambient: int) -> Subspace:
     are the basis columns, so every subspace is reduced by the one loop.
     """
     red, pivots = Matrix._trusted(field, tuple(vectors), len(vectors), ambient).rref()
-    basis = Matrix._trusted(field, red.rows[: len(pivots)], len(pivots), ambient).transpose()
+    return _from_rows(field, red.rows[: len(pivots)], pivots, ambient)
+
+
+def _from_rows(field, rows: tuple[tuple, ...], pivots: tuple[int, ...], ambient: int) -> Subspace:
+    """The subspace whose canonical basis, taken as rows, is already ``rows``."""
+    basis = Matrix._trusted(field, rows, len(rows), ambient).transpose()
     return Subspace(ambient, basis, pivots)
 
 
@@ -396,20 +417,33 @@ def _check_same_ambient(u: Subspace, v: Subspace):
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Null space of a matrix, canonicalized; checks rank-nullity."""
-    red, pivots = m.rref()
-    fld = m.field
+    """Null space of a matrix, canonicalized with one reduction per subspace; checks rank-nullity.
+
+    The columns are reduced last to first.  A free column's null vector then
+    has its leading 1 on that column and its other nonzero entries only on
+    later pivot columns, so the null vectors are already the reduced echelon
+    basis, and no second reduction is needed.
+    """
+    fld, ncols = m.field, m.ncols
+    last = ncols - 1
+    red, pivots = Matrix._trusted(fld, tuple(row[::-1] for row in m.rows), m.nrows, ncols).rref()
     lead = set(pivots)
-    free = [j for j in range(m.ncols) if j not in lead]
-    vectors = []
-    for j in free:
-        vec = [fld.zero] * m.ncols
+    neg, zero = fld.neg, fld.zero
+    vectors, free = [], []
+    for j in range(ncols):
+        c = last - j  # column j of m is column c of the reversed matrix
+        if c in lead:
+            continue
+        vec = [zero] * ncols
         vec[j] = fld.one
-        for r, p in enumerate(pivots):
-            vec[p] = fld.neg(red.rows[r][j])
+        for row, p in zip(red.rows, pivots):
+            if p > c:  # a row is zero left of its pivot
+                break
+            vec[last - p] = neg(row[c])
         vectors.append(tuple(vec))
-    space = _echelon(fld, vectors, m.ncols)
-    if space.dim + len(pivots) != m.ncols:
+        free.append(j)
+    space = _from_rows(fld, tuple(vectors), tuple(free), ncols)
+    if space.dim + len(pivots) != ncols:
         raise AssertionError("rank-nullity failed; reduction is broken")
     return space
 

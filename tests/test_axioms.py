@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 
 from persax import (
+    GF2,
     GF3,
     FilteredSet,
     Interval,
     MalformedInstance,
+    Matrix,
     PreservingMap,
     fin,
     pair_of,
@@ -185,15 +187,19 @@ def test_rows_that_share_a_check_and_its_objects_run_it_once(monkeypatch):
     assert reports == alone
 
 
-def test_fuzz_compares_few_fractions(monkeypatch):
-    # sets compare by identity or by rank tables, and groups with no chains
-    # skip the reduction.  The memos start empty: a warm memo compares its
-    # keys' values on every hit.
+def _clear_memos():
     for name, module in list(sys.modules.items()):
         if name.startswith("persax."):
             for value in vars(module).values():
                 if hasattr(value, "cache_clear"):
                     value.cache_clear()
+
+
+def test_fuzz_compares_few_fractions(monkeypatch):
+    # sets compare by identity or by rank tables, and groups with no chains
+    # skip the reduction.  The memos start empty: a warm memo compares its
+    # keys' values on every hit.
+    _clear_memos()
     calls = []
 
     def counted(self, other, _original=Fraction.__eq__):
@@ -204,3 +210,17 @@ def test_fuzz_compares_few_fractions(monkeypatch):
     fuzz_axiom_reports(20, 7)
     monkeypatch.undo()
     assert len(calls) <= 12_000
+
+
+def test_fuzz_stays_within_the_reduction_budget(monkeypatch):
+    # one reduction per canonical subspace, and none for a zero one: a kernel
+    # reduces its columns once, and a group's representatives come from one
+    # reduction of the boundaries beside the persisted cycles.  Two reductions
+    # per kernel and an intersection per group took 19,029.
+    _clear_memos()
+    calls = []
+    real = Matrix.rref
+    monkeypatch.setattr(Matrix, "rref", lambda self: calls.append(1) or real(self))
+    fuzz_axiom_reports(100, 7, GF2)
+    monkeypatch.undo()
+    assert len(calls) <= 7_340

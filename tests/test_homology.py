@@ -47,7 +47,7 @@ from persax.homology import NotRepresentableAtLowerEndpoint, _degrees
 from persax.linalg import _move_rows, chain_map_matrix
 
 from .oracles import brute_pair_dim, reference_chain_map
-from .test_linalg import inclusion_as_matrix
+from .test_linalg import _typed, inclusion_as_matrix
 
 TRIANGLE_RIM = FilteredSet(
     {"a", "b", "c"},
@@ -156,6 +156,43 @@ class TestGroupsWithNoChains:
             want = _group_by_reduction(pair, 0, iv, field)
             assert want.cycles.basis.shape == (0, 0)
             self._assert_same_group(homology(pair, 0, iv, field), want)
+
+
+class TestGroupsMatchTheReduction:
+    """Every group equals, bit for bit, the one the intersection builds.
+
+    ``homology`` reads the representatives off one reduction of the
+    boundaries beside the persisted cycles, and keeps the moved lower cycles
+    as they are when no pivot simplex of theirs is absorbed;
+    ``_group_by_reduction`` intersects and takes the complement.
+    """
+
+    @staticmethod
+    def _assert_bit_identical(got, want):
+        assert got.simplices == want.simplices
+        for part in ("cycles", "boundaries"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert (a.ambient, a.pivots, a.basis.shape) == (b.ambient, b.pivots, b.basis.shape)
+            assert _typed(a.basis.rows) == _typed(b.basis.rows)
+        assert got.reps.shape == want.reps.shape
+        assert _typed(got.reps.rows) == _typed(want.reps.rows)
+
+    def test_every_degree_and_critical_interval_of_forty_pairs(self):
+        master = random.Random(83)
+        moves = {True: 0, False: 0}  # by whether a pivot simplex was absorbed
+        for _ in range(40):
+            pair = random_pair(random.Random(master.getrandbits(64)))
+            for iv in critical_intervals(pair):
+                for n in range(pair.total.dimension + 2):
+                    lower = chain_space(pair, n, iv.lo)
+                    upper = set(chain_space(pair, n, iv.hi))
+                    for field in (GF2, GF3, QQ):
+                        self._assert_bit_identical(homology(pair, n, iv, field),
+                                                   _group_by_reduction(pair, n, iv, field))
+                        pivots = kernel(boundary_matrix(pair, n, iv.lo, field)).pivots
+                        if upper and pivots:
+                            moves[any(lower[p] not in upper for p in pivots)] += 1
+        assert moves[True] > 0 and moves[False] > 0
 
 
 class TestInducedMaps:

@@ -606,3 +606,68 @@ class TestCli:
         assert out.endswith("summary: fail=8 pass=991 vacuous=1\n")
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "89040fa93aafa455da26d965d150fed73a746b59ea94aa17ab20d162f056f931")
+
+
+# four vertices born at 0-2 and joined over eight values, so that grids,
+# oracle rows and induced maps have more than one nonzero entry to show
+STEPS_TEXT = """\
+0 a
+0 b
+1 c
+1 a b
+2 b c
+2 d
+3 a c
+3 c d
+4 a d
+5 a b c
+6 b d
+7 a c d
+"""
+
+
+class TestPinnedCommandOutputs:
+    """Outputs no other test prints, pinned on one fixed input each."""
+
+    @pytest.fixture()
+    def steps_file(self, tmp_path):
+        path = tmp_path / "steps.txt"
+        path.write_text(STEPS_TEXT)
+        return path
+
+    def test_grid_text(self, steps_file, capsys):
+        assert cli.main(["grid", "--input", str(steps_file), "--degree", "1"]) == 0
+        assert capsys.readouterr().out == (
+            "degree 1 grid over critical values ['0', '1', '2', '3', '4', '5', '6', '7']\n"
+            "  0: 0 0 0 0 0 0 0 0\n"
+            "  1: . 0 0 0 0 0 0 0\n"
+            "  2: . . 0 0 0 0 0 0\n"
+            "  3: . . . 1 1 0 0 0\n"
+            "  4: . . . . 2 1 1 0\n"
+            "  5: . . . . . 1 1 0\n"
+            "  6: . . . . . . 2 1\n"
+            "  7: . . . . . . . 1\n"
+        )
+
+    def test_oracle_compare_text(self, steps_file, capsys):
+        assert cli.main(["oracle-compare", "--input", str(steps_file), "--field", "3"]) == 1
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert len(lines) == 144 and sum(ln.endswith("[MISMATCH]") for ln in lines) == 26
+        assert lines[4] == "degree 0 [0,1]: direct=1 skeletal=2 bars=1 [MISMATCH]"
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0cb6686c8f63e10d8cc7d8666876c32d98d1d8a9f3bd51a907102bb5ca64c8e5")
+
+    def test_induced_records(self, tmp_path, capsys):
+        rim = tmp_path / "rim.txt"
+        rim.write_text("0 a\n0 b\n0 c\n1 a b\n1 a c\n1 b c\n")
+        swap = tmp_path / "swap.txt"
+        swap.write_text(f"domain: {rim}\ncodomain: {rim}\na -> b\nb -> a\nc -> c\n")
+        out = []
+        for degree, interval in (("0", "0,0"), ("1", "1,2")):
+            assert cli.main(["induced", "--map", str(swap), "--degree", degree,
+                             "--interval", interval, "--field", "3", "--format", "records"]) == 0
+            out.append(capsys.readouterr().out)
+        # the swap permutes the points and reverses the loop: -1 is 2 in GF(3)
+        assert out == ["induced\t0\t0\t0\t3x3\nrow\t0\t1\t0\nrow\t1\t0\t0\nrow\t0\t0\t1\n",
+                       "induced\t1\t1\t2\t1x1\nrow\t2\n"]

@@ -504,6 +504,33 @@ def _reference_rref(m):
     return tuple(map(tuple, rows)), tuple(pivots)
 
 
+def _reference_kernel(m):
+    """The null space as ``kernel`` built it with two reductions: reduce m,
+    read one null vector off each free column, and reduce those vectors.
+    Returns the basis vectors (as rows) and their pivots."""
+    fld = m.field
+    rows, pivots = _reference_rref(m)
+    vectors = []
+    for j in range(m.ncols):
+        if j not in pivots:
+            vec = [fld.zero] * m.ncols
+            vec[j] = fld.one
+            for r, p in enumerate(pivots):
+                vec[p] = fld.neg(rows[r][j])
+            vectors.append(vec)
+    red, basis_pivots = _reference_rref(Matrix(fld, vectors, len(vectors), m.ncols))
+    return red[: len(basis_pivots)], basis_pivots
+
+
+def _assert_kernel_matches_the_reference(m):
+    space = kernel(m)
+    ref_rows, ref_pivots = _reference_kernel(m)
+    assert space.pivots == ref_pivots and space.ambient == m.ncols
+    assert space.basis.shape == (m.ncols, len(ref_pivots))
+    assert _typed(space.basis.transpose().rows) == _typed(ref_rows)
+    assert (m * space.basis).is_zero()
+
+
 def _reference_dot(fld, u, v):
     acc = fld.zero
     for a, b in zip(u, v):
@@ -560,6 +587,7 @@ class TestNativeKernels:
             assert pivots == ref_pivots
             assert _typed(red.rows) == _typed(ref_rows)
             assert red == Matrix(a.field, ref_rows, a.nrows, a.ncols)
+            _assert_kernel_matches_the_reference(a)
             product = a * b
             assert product.shape == (a.nrows, b.ncols)
             assert _typed(product.rows) == _typed(_reference_product(a, b))
@@ -583,6 +611,22 @@ class TestNativeKernels:
             assert (red.rows, pivots) == _reference_rref(a)
             assert all(red.rows[r][p] == 1 for r, p in enumerate(pivots))
             assert all(not any(row) for row in red.rows[len(pivots):])
+
+    @pytest.mark.parametrize("field", [GF3, GF(7)])
+    def test_wide_sparse_gfp_rref_updates_only_the_pivot_rows_nonzeros(self, field):
+        rng = random.Random(17 + field.p)
+        for _ in range(12):
+            n, m = rng.randint(1, 30), rng.randint(65, 130)
+            base = [[rng.randrange(1, field.p) if rng.random() < 0.1 else 0 for _ in range(m)]
+                    for _ in range(n)]
+            # a combination and a repeat of rows make the rank fall short of the height
+            base += [[x + 2 * y for x, y in zip(base[0], base[-1])], base[0]]
+            a = Matrix(field, base)
+            red, pivots = a.rref()
+            ref_rows, ref_pivots = _reference_rref(a)
+            assert pivots == ref_pivots
+            assert _typed(red.rows) == _typed(ref_rows)
+            _assert_kernel_matches_the_reference(a)
 
     def test_trusted_matrix_equals_and_hashes_like_a_coerced_one(self):
         cases = [
