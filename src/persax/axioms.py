@@ -9,7 +9,6 @@ instance keys, and ``verify_axiom`` turns a verdict into a report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .fields import GF2
@@ -36,8 +35,7 @@ class MalformedInstance(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     axiom: str
     instance: str
     verdict: str

@@ -40,7 +40,8 @@ def random_filtration(rng: random.Random, pool: Sequence[str] = DEFAULT_POOL,
     """Random monotone filtration built by inserting simplices with all faces.
 
     Each insertion adds a random simplex at a random value and lowers faces as
-    needed, which preserves closure and monotonicity by construction.
+    needed, which preserves closure and monotonicity by construction, so the
+    set is not checked again; ``pool`` must hold distinct vertex names.
     """
     table: dict[tuple, Fraction] = {}
     attempts = rng.randint(1, 6)
@@ -55,7 +56,7 @@ def random_filtration(rng: random.Random, pool: Sequence[str] = DEFAULT_POOL,
             prev = table.get(key)
             if prev is None or val < prev:
                 table[key] = val
-    return FilteredSet(pool, table)
+    return FilteredSet._trusted(frozenset(pool), {k: fin(v) for k, v in table.items()})
 
 
 def restrict_to_vertices(x: FilteredSet, keep: Sequence[str]) -> FilteredSet:
@@ -70,7 +71,11 @@ def restrict_to_vertices(x: FilteredSet, keep: Sequence[str]) -> FilteredSet:
 
 
 def random_subset_of(rng: random.Random, x: FilteredSet) -> FilteredSet:
-    """A random filtered subset of x: restricted support, values bumped up."""
+    """A random filtered subset of x: restricted support, values bumped up.
+
+    A bump never drops a simplex below its facets, so the subset is valid by
+    construction and is not checked again.
+    """
     verts = sorted(x.vertices)
     keep = [v for v in verts if rng.random() < 0.7]
     restricted = restrict_to_vertices(x, keep)
@@ -87,7 +92,7 @@ def random_subset_of(rng: random.Random, x: FilteredSet) -> FilteredSet:
             if face in bumped and bumped[face] > candidate:
                 candidate = bumped[face]
         bumped[sk] = candidate
-    return FilteredSet(keep, bumped)
+    return FilteredSet._trusted(frozenset(keep), bumped)
 
 
 def random_pair(rng: random.Random, **kw) -> RelativeFilteredPair:

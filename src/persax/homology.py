@@ -11,8 +11,8 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .fields import GF2
 from .filtration import (
@@ -65,8 +65,7 @@ def _boundaries(pair: RelativeFilteredPair, n: int, eps: FiltValue, fld) -> Subs
     return image(boundary_matrix(pair, n + 1, eps, fld))
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(NamedTuple):
     """A computed interval homology group with chosen representative cycles.
 
     ``simplices`` is the upper-endpoint chain basis, as ``chain_space``
@@ -94,8 +93,7 @@ class HomologyGroup:
         return coords
 
 
-@dataclass(frozen=True)
-class LinearMap:
+class LinearMap(NamedTuple):
     """A homomorphism between computed groups, as a matrix over their bases."""
 
     source: object
@@ -120,8 +118,7 @@ class LinearMap:
         return LinearMap(self.target, self.source, self.matrix.inverse(), f"{self.label}^-1")
 
 
-@dataclass(frozen=True)
-class DirectSumGroup:
+class DirectSumGroup(NamedTuple):
     """Formal direct sum node used by Mayer-Vietoris sequences."""
 
     parts: tuple
@@ -282,8 +279,7 @@ def coefficient_group(interval: Interval, alpha, field=GF2) -> HomologyGroup:
     return group
 
 
-@dataclass(frozen=True)
-class BettiGrid:
+class BettiGrid(NamedTuple):
     """Interval homology dimensions over all critical-value endpoint pairs."""
 
     values: tuple[FiltValue, ...]

@@ -70,6 +70,9 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.field, self.rows, self.nrows, self.ncols)
+
     @classmethod
     def _trusted(cls, field, rows: tuple[tuple, ...], nrows: int, ncols: int) -> "Matrix":
         """A matrix over a tuple of equal-length tuples of already reduced entries.
@@ -339,6 +342,9 @@ class Subspace:
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.ambient, self.basis, self.pivots)
 
     @classmethod
     def zero(cls, field, ambient: int) -> "Subspace":

@@ -12,7 +12,6 @@ triviality, deformation retracts, proper covers, and direct-sum splittings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 from .fields import GF2
@@ -61,24 +60,36 @@ class HypothesisViolated(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ExactSequence:
-    """A finite chain of groups and arrows, truncated with a zero cap."""
-
+class _SequenceFields(NamedTuple):
     nodes: tuple
     arrows: tuple[LinearMap, ...]
     labels: tuple[str, ...]
     description: str
 
-    def __post_init__(self):
-        if len(self.arrows) != len(self.nodes) - 1 or len(self.labels) != len(self.arrows):
+
+class ExactSequence(_SequenceFields):
+    """A finite chain of groups and arrows, truncated with a zero cap.
+
+    The fields are those of a ``NamedTuple``; building one, ``_replace``
+    included, first checks that the arrows line up with the nodes.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, nodes, arrows, labels, description):
+        if len(arrows) != len(nodes) - 1 or len(labels) != len(arrows):
             raise ValueError("nodes, arrows, and labels do not line up")
-        for node, arrow in zip(self.nodes, self.arrows):
+        for node, arrow in zip(nodes, arrows):
             if arrow.matrix.ncols != node.dim:
                 raise ValueError("arrow source dimension mismatch")
-        for node, arrow in zip(self.nodes[1:], self.arrows):
+        for node, arrow in zip(nodes[1:], arrows):
             if arrow.matrix.nrows != node.dim:
                 raise ValueError("arrow target dimension mismatch")
+        return tuple.__new__(cls, (nodes, arrows, labels, description))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def dims(self) -> tuple[int, ...]:
         return tuple(node.dim for node in self.nodes)
@@ -90,8 +101,7 @@ class ExactSequence:
         return ExactSequence(self.nodes, tuple(arrows), self.labels, self.description + " (edited)")
 
 
-@dataclass(frozen=True)
-class NodeCheck:
+class NodeCheck(NamedTuple):
     index: int
     image_dim: int
     kernel_dim: int
@@ -102,8 +112,7 @@ class NodeCheck:
         return self.witness is None
 
 
-@dataclass(frozen=True)
-class ExactnessReport:
+class ExactnessReport(NamedTuple):
     checks: tuple[NodeCheck, ...]
 
     @property
@@ -438,8 +447,7 @@ def deformation_retract_check(pair: RelativeFilteredPair, subpair: RelativeFilte
     return are_contiguous(compose(inclusion(subpair, pair), r), identity_map(pair))
 
 
-@dataclass(frozen=True)
-class DirectSumVerdict:
+class DirectSumVerdict(NamedTuple):
     total_dim: int
     part_dims: tuple[int, ...]
     joint_rank: int

@@ -11,7 +11,6 @@ inclusion maps, not just by dimension counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -66,8 +65,7 @@ def skeletal_pair(pair: RelativeFilteredPair, q: int) -> RelativeFilteredPair:
     return _skeleton(pair, q).pair
 
 
-@dataclass(frozen=True)
-class SkeletalChainGroup:
+class SkeletalChainGroup(NamedTuple):
     """Degree-q chains with one generator per surviving q-simplex.
 
     A q-simplex generates when it is present by the lower endpoint and the
@@ -148,8 +146,7 @@ def skeletal_boundary(pair: RelativeFilteredPair, q: int, interval: Interval,
     return jmat.matrix * alpha.matrix
 
 
-@dataclass(frozen=True)
-class SkeletalHomology:
+class SkeletalHomology(NamedTuple):
     """Homology of the skeletal chain complex in one degree."""
 
     cycles: Subspace

@@ -42,7 +42,7 @@ from persax import (
 )
 from persax.barcode import cone_off_subset
 from persax.formats import canonical_text, serialize_pair
-from persax.fuzz import random_filtration, random_pair, restrict_to_vertices
+from persax.fuzz import random_filtration, random_pair, random_subset_of, restrict_to_vertices
 
 TRIANGLE_RIM = {
     ("a",): 0, ("b",): 0, ("c",): 0,
@@ -511,6 +511,9 @@ def _derived_sets(count, seed):
         yield closed_star(1 + i % 3, 3, "v0")
         yield restrict_to_vertices(x, sorted(x.vertices)[i % 2 :: 2])
         yield restrict_to_vertices(pair.sub, sorted(pair.sub.vertices)[1:])
+        # the fuzz generators' own sets, which are not checked either
+        yield y
+        yield random_subset_of(rng, y)
 
 
 class TestTrustedConstruction:

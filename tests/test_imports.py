@@ -270,6 +270,16 @@ def test_a_field_loads_no_linear_algebra_and_no_dataclasses():
         "persax", "persax.cli", "persax.fields", "persax.filtration", "persax.formats"]
 
 
+def test_the_direct_path_and_a_fuzz_run_load_no_dataclasses():
+    code = ("import sys, io, contextlib\n"
+            "import persax.cli, persax.homology, persax.sequences, persax.axioms, persax.fuzz,"
+            " persax.skeletal\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    persax.cli.main(['verify-axioms', '--fuzz', '1'])\n"
+            "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'")
+    assert "persax.skeletal" in persax_modules_after(code)
+
+
 # The package's public names, by the submodule that defines each.
 REEXPORTS = {
     "filtration": (

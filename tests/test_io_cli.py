@@ -625,6 +625,10 @@ STEPS_TEXT = """\
 7 a c d
 """
 
+# the same set with a subset that keeps two of its points, their edge and a
+# third point: relative groups, pair sequences and pair oracle rows
+STEPS_PAIR_TEXT = "[X]\n" + STEPS_TEXT + "[A]\n0 a\n0 b\n1 a b\n2 d\n"
+
 
 class TestPinnedCommandOutputs:
     """Outputs no other test prints, pinned on one fixed input each."""
@@ -634,6 +638,87 @@ class TestPinnedCommandOutputs:
         path = tmp_path / "steps.txt"
         path.write_text(STEPS_TEXT)
         return path
+
+    @pytest.fixture()
+    def steps_pair_file(self, tmp_path):
+        path = tmp_path / "steps_pair.txt"
+        path.write_text(STEPS_PAIR_TEXT)
+        return path
+
+    def run(self, capsys, *args, code=0):
+        assert cli.main([str(a) for a in args]) == code
+        return capsys.readouterr().out
+
+    def test_compute_text_and_records(self, steps_file, capsys):
+        common = ("compute", "--input", steps_file, "--interval", "3,4", "--degree", "1")
+        assert self.run(capsys, *common) == (
+            "H_1[3,4] over GF(2): dim 1\n"
+            "  rep 0: 1*{a,b} + 1*{a,c} + 1*{b,c}\n")
+        assert self.run(capsys, *common, "--format", "records") == "dim\t1\t3\t4\t1\n"
+
+    def test_compute_pair_text(self, steps_pair_file, capsys):
+        assert self.run(capsys, "compute", "--input", steps_pair_file, "--pair",
+                        "--interval", "4,6", "--degree", "1", "--field", "3") == (
+            "H_1[4,6] over GF(3): dim 2\n"
+            "  rep 0: 1*{a,d}\n"
+            "  rep 1: 1*{b,c} + 1*{c,d}\n")
+
+    def test_grid_records(self, steps_file, capsys):
+        out = self.run(capsys, "grid", "--input", steps_file, "--degree", "1",
+                       "--format", "records")
+        lines = out.splitlines()
+        # one line per cell on or above the diagonal of the text grid
+        assert len(lines) == 36 and all(ln.startswith("grid\t1\t") for ln in lines)
+        assert [ln for ln in lines if not ln.endswith("\t0")] == [
+            "grid\t1\t3\t3\t1", "grid\t1\t3\t4\t1", "grid\t1\t4\t4\t2",
+            "grid\t1\t4\t5\t1", "grid\t1\t4\t6\t1", "grid\t1\t5\t5\t1",
+            "grid\t1\t5\t6\t1", "grid\t1\t6\t6\t2", "grid\t1\t6\t7\t1",
+            "grid\t1\t7\t7\t1"]
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4354d3972ce2a541881ebaee9702501ece549fabfd12dd2222d0fc4e35d66c0a")
+
+    def test_grid_pair_text(self, steps_pair_file, capsys):
+        assert self.run(capsys, "grid", "--input", steps_pair_file, "--pair",
+                        "--degree", "1") == (
+            "degree 1 grid over critical values ['0', '1', '2', '3', '4', '5', '6', '7']\n"
+            "  0: 0 0 0 0 0 0 0 0\n"
+            "  1: . 0 0 0 0 0 0 0\n"
+            "  2: . . 0 0 0 0 0 0\n"
+            "  3: . . . 2 2 1 1 1\n"
+            "  4: . . . . 3 2 2 1\n"
+            "  5: . . . . . 2 2 1\n"
+            "  6: . . . . . . 3 2\n"
+            "  7: . . . . . . . 2\n"
+        )
+
+    def test_sequence_text(self, steps_pair_file, capsys):
+        dims = (0, 0, 0, 0, 0, 0, 0, 1, 2, 2, 1, 0, 0)
+        labels = "i_3 j_3 d_3 i_2 j_2 d_2 i_1 j_1 d_1 i_0 j_0 0".split()
+        expected = "".join(
+            f"node {i}: dim {d} [{'-' if i in (0, 12) else 'exact'}]"
+            + (f" --{labels[i]}-->" if i < 12 else "") + "\n"
+            for i, d in enumerate(dims))
+        out = self.run(capsys, "sequence", "--pair", steps_pair_file, "--interval", "3,4")
+        assert out == expected
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "39bbe369edd5009365cc2d6db8a6d9262bd6d088cc742c864489dbb08dd71444")
+
+    def test_oracle_compare_records(self, steps_file, capsys):
+        out = self.run(capsys, "oracle-compare", "--input", steps_file, "--field", "3",
+                       "--format", "records", code=1)
+        lines = out.splitlines()
+        assert len(lines) == 144 and sum(ln.endswith("\tMISMATCH") for ln in lines) == 26
+        assert lines[4] == "oracle\t0\t0\t1\t1\t2\t1\tMISMATCH"
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "beeb1e1e5d1db15cc54b2519b34a6a55ca78b1d332fa1982b5c226767d8f3061")
+
+    def test_oracle_compare_pair_text(self, steps_pair_file, capsys):
+        out = self.run(capsys, "oracle-compare", "--input", steps_pair_file, "--pair", code=1)
+        lines = out.splitlines()
+        assert len(lines) == 144 and sum(ln.endswith("[MISMATCH]") for ln in lines) == 14
+        assert lines[36] == "degree 0 [1,2]: direct=0 skeletal=1 bars=0 [MISMATCH]"
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "eff41ea509e0f3eebe012512b252879d5de075b6fc94f55cf7defe67ade95a16")
 
     def test_grid_text(self, steps_file, capsys):
         assert cli.main(["grid", "--input", str(steps_file), "--degree", "1"]) == 0

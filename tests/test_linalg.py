@@ -147,6 +147,18 @@ class TestMatrix:
         assert m.inverse() * m == Matrix.identity(GF3, 2)
 
 
+def test_matrices_and_subspaces_copy_and_pickle_with_every_slot():
+    m = Matrix(QQ, [[Fraction(1, 3), 0, 2], [0, 0, 1]])
+    for value in (m, Matrix.zero(GF3, 2, 0), Matrix.zero(GF3, 0, 2), image(m.transpose()),
+                  kernel(Matrix(GF3, [[1, 2, 0]]))):
+        copies = [copy.copy(value), copy.deepcopy(value)]
+        copies += [pickle.loads(pickle.dumps(value, protocol)) for protocol in
+                   range(pickle.HIGHEST_PROTOCOL + 1)]
+        for back in copies:
+            assert type(back) is type(value) and back == value and hash(back) == hash(value)
+            assert all(getattr(back, s) == getattr(value, s) for s in type(value).__slots__)
+
+
 class TestEchelonDeterminism:
     def test_reducing_twice_is_bit_identical(self):
         rng = random.Random(3)

@@ -16,6 +16,7 @@ import pytest
 from persax import (
     GF2,
     GF3,
+    ExactSequence,
     FilteredSet,
     Interval,
     LinearMap,
@@ -177,6 +178,54 @@ class TestCheckExact:
         for seq in seqs:
             check_exact(seq)
         assert len(calls) <= 1_200
+
+
+class TestExactSequenceShape:
+    """Building a sequence checks that its arrows fit its nodes."""
+
+    @pytest.fixture()
+    def seq(self):
+        seq = les_pair(pair_of(TRIANGLE_RIM), Interval(1, 2))
+        assert seq.dims() == (0, 0, 0, 0, 1, 1, 0, 1, 1, 0)
+        return seq
+
+    @staticmethod
+    def reshaped(arrow, nrows, ncols):
+        return LinearMap(arrow.source, arrow.target,
+                         Matrix.zero(arrow.matrix.field, nrows, ncols), "reshaped")
+
+    def test_nodes_arrows_and_labels_line_up(self, seq):
+        for arrows, labels in ((seq.arrows[:-1], seq.labels), (seq.arrows, seq.labels[1:])):
+            with pytest.raises(ValueError, match="^nodes, arrows, and labels do not line up$"):
+                ExactSequence(seq.nodes, arrows, labels, seq.description)
+
+    def test_arrow_source_dimension(self, seq):
+        idx = seq.labels.index("i_1")  # H_1(a) = 0 -> H_1(x) = 1
+        arrows = list(seq.arrows)
+        arrows[idx] = self.reshaped(arrows[idx], 1, 1)
+        with pytest.raises(ValueError, match="^arrow source dimension mismatch$"):
+            ExactSequence(seq.nodes, tuple(arrows), seq.labels, seq.description)
+
+    def test_arrow_target_dimension(self, seq):
+        idx = seq.labels.index("j_1")  # H_1(x) = 1 -> H_1(x, a) = 1
+        arrows = list(seq.arrows)
+        arrows[idx] = self.reshaped(arrows[idx], 2, 1)
+        with pytest.raises(ValueError, match="^arrow target dimension mismatch$"):
+            ExactSequence(seq.nodes, tuple(arrows), seq.labels, seq.description)
+
+    def test_with_arrow_checks_the_new_arrow(self, seq):
+        idx = seq.labels.index("j_1")
+        with pytest.raises(ValueError, match="^arrow source dimension mismatch$"):
+            seq.with_arrow(idx, self.reshaped(seq.arrows[idx], 1, 2))
+        edited = seq.with_arrow(idx, self.reshaped(seq.arrows[idx], 1, 1))
+        assert edited.nodes == seq.nodes and edited.labels == seq.labels
+        assert edited.description == seq.description + " (edited)"
+        assert edited.arrows[idx].label == "reshaped"
+
+    def test_replace_checks_like_the_constructor(self, seq):
+        with pytest.raises(ValueError, match="^nodes, arrows, and labels do not line up$"):
+            seq._replace(labels=seq.labels[1:])
+        assert seq._replace(description="renamed").description == "renamed"
 
 
 class TestLesTriple:

@@ -7,7 +7,6 @@ provably hold; the pinned counterexample documents the mixed-absorption
 failure of both, matching the direct construction's own exactness boundary.
 """
 
-import dataclasses
 import hashlib
 import importlib
 import random
@@ -97,7 +96,7 @@ class TestChainGroups:
 
         def reversed_reps(pair, q, interval, field):
             group = real(pair, q, interval, field)
-            return dataclasses.replace(group, reps=Matrix.from_columns(
+            return group._replace(reps=Matrix.from_columns(
                 field, group.reps.columns[::-1], group.reps.nrows))
 
         monkeypatch.setattr(skeletal, "homology", reversed_reps)
