@@ -42,10 +42,10 @@ _EXPORTS = {
         "barcode": ("Bar", "bars_alive", "barcode", "pair_barcode", "reduced_barcode"),
         "sequences": (
             "ExactSequence", "ExactnessReport", "HypothesisViolated", "NotARetraction",
-            "NotProperTriad", "are_contiguous", "are_contiguously_equivalent",
-            "check_exact", "deformation_retract_check", "direct_sum_check",
-            "is_homologically_trivial", "is_proper_triad", "les_pair", "les_triple",
-            "mayer_vietoris", "reduced_les_pair", "triad_sequence",
+            "are_contiguous", "are_contiguously_equivalent", "check_exact",
+            "deformation_retract_check", "direct_sum_check", "is_homologically_trivial",
+            "is_proper_triad", "les_pair", "les_triple", "mayer_vietoris", "reduced_les_pair",
+            "triad_sequence",
         ),
         "skeletal": (
             "SkeletalChainGroup", "SkeletalHomology", "direct_to_skeletal", "generator",

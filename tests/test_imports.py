@@ -305,7 +305,7 @@ REEXPORTS = {
     "barcode": ("Bar", "bars_alive", "barcode", "pair_barcode", "reduced_barcode"),
     "sequences": (
         "ExactSequence", "ExactnessReport", "HypothesisViolated", "NotARetraction",
-        "NotProperTriad", "are_contiguous", "are_contiguously_equivalent", "check_exact",
+        "are_contiguous", "are_contiguously_equivalent", "check_exact",
         "deformation_retract_check", "direct_sum_check", "is_homologically_trivial",
         "is_proper_triad", "les_pair", "les_triple", "mayer_vietoris", "reduced_les_pair",
         "triad_sequence",

@@ -377,6 +377,13 @@ def sequence_records(dims, labels, verdicts):
                    for i, (d, label, v) in enumerate(zip(dims, labels, verdicts.split())))
 
 
+def sequence_text(dims, labels, verdicts):
+    """``sequence`` text stdout for the given nodes."""
+    labels = [f" --{label}-->" for label in labels.split()] + [""]
+    return "".join(f"node {i}: dim {d} [{v}]{label}\n"
+                   for i, (d, label, v) in enumerate(zip(dims, labels, verdicts.split())))
+
+
 PAIR_LABELS = "i_2 j_2 d_2 i_1 j_1 d_1 i_0 j_0 0"
 ALL_EXACT = "- " + "exact " * 8 + "-"
 
@@ -458,18 +465,6 @@ class TestCli:
         assert proc.stdout.splitlines()[3:6] == ["sequence\t3\t1\ti_0\texact",
                                                  "sequence\t4\t2\tj_0\texact",
                                                  "sequence\t5\t1\t0\texact"]
-
-    def test_mv_on_an_improper_cover_exits_2(self, tmp_path, monkeypatch, capsys):
-        # the union of two filtered sets is always a proper cover, so the
-        # cover record is built inside an edge that the two points miss
-        path = tmp_path / "cover.txt"
-        path.write_text("[X1]\n0 a\n[X2]\n0 b\n")
-        monkeypatch.setattr(importlib.import_module("persax.sequences"), "union",
-                            lambda first, second: parse_filtration_text("0 a\n0 b\n0 a b\n"))
-        code = cli.main(["sequence", "--mv", "--pair", str(path), "--interval", "0,0"])
-        out, err = capsys.readouterr()
-        assert (code, out) == (2, "")
-        assert err == "error: cover inclusions do not induce isomorphisms\n"
 
     def test_triad_without_second_cover_set_is_rejected(self, tmp_path):
         path = tmp_path / "half.txt"
@@ -628,6 +623,8 @@ STEPS_TEXT = """\
 # the same set with a subset that keeps two of its points, their edge and a
 # third point: relative groups, pair sequences and pair oracle rows
 STEPS_PAIR_TEXT = "[X]\n" + STEPS_TEXT + "[A]\n0 a\n0 b\n1 a b\n2 d\n"
+# the arrows of a pair or triple sequence on the steps set, degree 3 down
+STEPS_LABELS = "i_3 j_3 d_3 i_2 j_2 d_2 i_1 j_1 d_1 i_0 j_0 0"
 
 
 class TestPinnedCommandOutputs:
@@ -692,16 +689,34 @@ class TestPinnedCommandOutputs:
         )
 
     def test_sequence_text(self, steps_pair_file, capsys):
-        dims = (0, 0, 0, 0, 0, 0, 0, 1, 2, 2, 1, 0, 0)
-        labels = "i_3 j_3 d_3 i_2 j_2 d_2 i_1 j_1 d_1 i_0 j_0 0".split()
-        expected = "".join(
-            f"node {i}: dim {d} [{'-' if i in (0, 12) else 'exact'}]"
-            + (f" --{labels[i]}-->" if i < 12 else "") + "\n"
-            for i, d in enumerate(dims))
         out = self.run(capsys, "sequence", "--pair", steps_pair_file, "--interval", "3,4")
-        assert out == expected
+        assert out == sequence_text((0, 0, 0, 0, 0, 0, 0, 1, 2, 2, 1, 0, 0), STEPS_LABELS,
+                                    "- " + "exact " * 11 + "-")
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "39bbe369edd5009365cc2d6db8a6d9262bd6d088cc742c864489dbb08dd71444")
+
+    @pytest.mark.parametrize("flag, text, args, code, dims, labels, verdicts, digest", [
+        ("--triple", STEPS_PAIR_TEXT + "[B]\n0 a\n0 b\n", ("2,3",), 1,
+         (0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 0, 0, 0), STEPS_LABELS,
+         "- " + "exact " * 8 + "FAIL exact exact -",
+         "a1568751c7d4673001749ba155bcf42663cc6a15db7a128c4f3e092b31c73146"),
+        ("--mv", COVER_TEXT, ("1,2",), 1, (0, 0, 0, 0, 0, 0, 2, 2, 1, 0),
+         "(i,-i)_2 (j+j)_2 D_2 (i,-i)_1 (j+j)_1 D_1 (i,-i)_0 (j+j)_0 0",
+         "- exact exact exact exact exact FAIL exact exact -",
+         "32b1c40a529ba86777a47b6d6ca89c0eb8148b9678b606960cf54c1355de0877"),
+        ("--triad", COVER_TEXT, ("1,2",), 0, (0, 0, 0, 1, 1, 0, 0, 0, 0, 0), PAIR_LABELS,
+         ALL_EXACT, "eff558b083922fed9302240eed945203a1809be526e4e3e7b4012b466ab1db98"),
+        ("--triad", TRIAD_TEXT, ("2,2", "--field", "3"), 0, (0, 0, 0, 1, 2, 1, 0, 0, 0, 0),
+         PAIR_LABELS, ALL_EXACT,
+         "e1edbcb74ff8330335f74894b8aee6a6d75a305c8446912aeb61e55bfa6e5eb8"),
+    ], ids=["triple", "mv", "triad-in-the-union", "triad-in-a-larger-set"])
+    def test_sequence_kinds_text(self, tmp_path, capsys, flag, text, args, code, dims, labels,
+                                 verdicts, digest):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        out = self.run(capsys, "sequence", flag, "--pair", path, "--interval", *args, code=code)
+        assert out == sequence_text(dims, labels, verdicts)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_oracle_compare_records(self, steps_file, capsys):
         out = self.run(capsys, "oracle-compare", "--input", steps_file, "--field", "3",
@@ -743,16 +758,25 @@ class TestPinnedCommandOutputs:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "0cb6686c8f63e10d8cc7d8666876c32d98d1d8a9f3bd51a907102bb5ca64c8e5")
 
-    def test_induced_records(self, tmp_path, capsys):
-        rim = tmp_path / "rim.txt"
-        rim.write_text("0 a\n0 b\n0 c\n1 a b\n1 a c\n1 b c\n")
-        swap = tmp_path / "swap.txt"
-        swap.write_text(f"domain: {rim}\ncodomain: {rim}\na -> b\nb -> a\nc -> c\n")
+    @pytest.fixture()
+    def swap(self, rim_file, tmp_path):
+        # the swap permutes the points and reverses the loop: -1 is 2 in GF(3)
+        path = tmp_path / "swap.txt"
+        path.write_text(f"domain: {rim_file}\ncodomain: {rim_file}\na -> b\nb -> a\nc -> c\n")
+        return path
+
+    def test_induced_records(self, swap, capsys):
         out = []
         for degree, interval in (("0", "0,0"), ("1", "1,2")):
             assert cli.main(["induced", "--map", str(swap), "--degree", degree,
                              "--interval", interval, "--field", "3", "--format", "records"]) == 0
             out.append(capsys.readouterr().out)
-        # the swap permutes the points and reverses the loop: -1 is 2 in GF(3)
         assert out == ["induced\t0\t0\t0\t3x3\nrow\t0\t1\t0\nrow\t1\t0\t0\nrow\t0\t0\t1\n",
                        "induced\t1\t1\t2\t1x1\nrow\t2\n"]
+
+    def test_induced_text(self, swap, capsys):
+        out = [self.run(capsys, "induced", "--map", swap, "--degree", degree,
+                        "--interval", interval, "--field", "3")
+               for degree, interval in (("0", "0,0"), ("1", "1,2"))]
+        assert out == ["induced map in degree 0 over [0,0]: 3x3\n  0 1 0\n  1 0 0\n  0 0 1\n",
+                       "induced map in degree 1 over [1,2]: 1x1\n  2\n"]
