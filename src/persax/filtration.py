@@ -14,6 +14,10 @@ and monotone (faces never carry larger values than their cofaces).  Each set
 keeps its sorted distinct values and every simplex's integer rank among them,
 so the checks and orderings that need only the order of the values compare
 ints, not ``Fraction``s.
+
+The memos of the direct and skeletal paths live here too, one per set: what
+is computed for a pair is stored on the pair's total set (``memoized``), so
+an entry lives exactly as long as the set it describes.
 """
 
 from __future__ import annotations
@@ -22,10 +26,11 @@ import itertools
 import sys
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
+from weakref import WeakSet
 
 
 class FiltrationError(ValueError):
@@ -189,10 +194,12 @@ class FilteredSet:
     ``_canonical``, and sets derived from validated sets are built by
     ``_trusted`` without checking again.  Each set keeps its
     sorted distinct values, which ``critical_values`` reads, and maps each
-    supported simplex, in entry order, to its rank among them.
+    supported simplex, in entry order, to its rank among them.  ``_memo``
+    holds what ``memoized`` functions computed for pairs with this total; it
+    is made on first use, and a copy starts without one.
     """
 
-    __slots__ = ("vertices", "entries", "_lookup", "_critical", "_hash")
+    __slots__ = ("vertices", "entries", "_lookup", "_critical", "_hash", "_memo")
 
     def __init__(self, vertices: Iterable[str], values: Mapping):
         verts = frozenset(vertices)
@@ -271,6 +278,7 @@ class FilteredSet:
         object.__setattr__(self, "_lookup", lookup)
         object.__setattr__(self, "_critical", critical)
         object.__setattr__(self, "_hash", None)  # on first use: the bars path never hashes
+        object.__setattr__(self, "_memo", None)  # on first use: the bars path keeps no memo
 
     def __setattr__(self, name, value):
         raise AttributeError("FilteredSet is immutable")
@@ -364,6 +372,60 @@ def _as_pair(obj) -> RelativeFilteredPair:
     return obj if isinstance(obj, RelativeFilteredPair) else pair_of(obj)
 
 
+class _Memo(dict):
+    """One set's memo: keys ``(function, subset, *arguments)``, values what
+    the function returned for the pair (set, subset) and those arguments.
+    Memos compare and hash by identity, as members of ``_MEMOS``."""
+
+    __slots__ = ("__weakref__",)
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+
+_MEMOS: WeakSet = WeakSet()  # the live memos, read only for statistics
+
+
+class MemoInfo(NamedTuple):
+    """Computations and live entries of one memoized function."""
+
+    misses: int
+    currsize: int
+
+
+def memoized(fn):
+    """``fn(pair, *args)``, kept in the memo of the pair's total set.
+
+    There is no global cache: an entry goes when its total set goes, and
+    ``EMPTY_SET`` and the interned standard sets keep theirs for the
+    process.  Arguments are positional, and an exception is not kept.
+    ``memo_info()`` gives the function's misses and live entries.
+    """
+    misses = 0
+
+    @wraps(fn)
+    def lookup(pair, *args):
+        nonlocal misses
+        total, sub = pair
+        memo = total._memo
+        if memo is None:
+            memo = _Memo()
+            object.__setattr__(total, "_memo", memo)
+            _MEMOS.add(memo)
+        key = (lookup, sub, *args)
+        try:
+            return memo[key]
+        except KeyError:
+            pass
+        misses += 1
+        value = memo[key] = fn(pair, *args)
+        return value
+
+    def memo_info() -> MemoInfo:
+        return MemoInfo(misses, sum(key[0] is lookup for memo in list(_MEMOS) for key in memo))
+
+    lookup.memo_info = memo_info
+    return lookup
+
+
 class Interval(tuple):
     """A closed interval ``(lo, hi)`` of filtration values with finite hi."""
 
@@ -390,52 +452,108 @@ class Interval(tuple):
         return f"[{self.lo},{self.hi}]"
 
 
-def _level(x: FilteredSet, eps: FiltValue) -> tuple[Mapping[Simplex, int], int]:
-    """The set's ranks, in entry order, and the number of its values at most
-    eps: a simplex lies in the sublevel complex at eps when its rank is below
-    that number.  The level is bisected once; the simplices compare ints."""
-    return x._lookup, bisect_right(x._critical, eps)
+_FINITE = itemgetter(1)
+
+
+def _top(x: FilteredSet, eps: FiltValue) -> int:
+    """The number of the set's values at most eps: a simplex lies in the
+    sublevel complex at eps when its rank is below that number.
+
+    The ``Fraction`` parts are bisected, so only ``Fraction.__lt__`` runs;
+    the values themselves would compare their ``Fraction``s for equality
+    first.  Every eps between two critical values gets the same number.
+    """
+    critical = x._critical
+    return len(critical) if eps[0] else bisect_right(critical, eps[1], key=_FINITE)
+
+
+@memoized
+def _level(pair: RelativeFilteredPair, eps: FiltValue) -> tuple[int, int]:
+    """The pair's level at eps: ``_top`` of the total and of the subset.
+
+    Levels key the chain-level memos and the groups, so every eps between
+    two critical values of the pair shares their entries; this memo, keyed
+    on eps, bisects each value once per pair.
+    """
+    return _top(pair[0], eps), _top(pair[1], eps)
 
 
 def complex_at(x: FilteredSet, eps: FiltValue) -> frozenset[Simplex]:
     """Sublevel complex at eps: all supported simplices with value <= eps."""
-    ranks, top = _level(x, eps)
-    return frozenset(sk for sk, r in ranks.items() if r < top)
+    top = _top(x, eps)
+    return frozenset(sk for sk, r in x._lookup.items() if r < top)
+
+
+# Entries are finite, so the operations below compare their Fraction parts,
+# with ``<`` only.  An operation that would rebuild one of its inputs
+# unchanged returns that input, so equal sets stay one object, and one memo.
 
 
 def union(x: FilteredSet, y: FilteredSet) -> FilteredSet:
     """Union of filtered sets: pointwise minimum of the two filtrations.
 
     A simplex carried by only one side keeps that side's value; simplices
-    spanning both sides but contained in neither support stay at INF.
+    spanning both sides but contained in neither support stay at INF.  When
+    one input is a filtered subset of the other, the other is returned.
     """
-    values: dict[Simplex, FiltValue] = {}
-    for fs in (x, y):
-        for sk, val in fs.entries:
-            prev = values.get(sk)
-            if prev is None or val < prev:
+    values: dict[Simplex, FiltValue] = dict(x.entries)
+    y_in_x = x_in_y = True
+    shared = 0
+    for sk, val in y.entries:
+        prev = values.get(sk)
+        if prev is None:
+            values[sk] = val
+            y_in_x = False
+        else:
+            shared += 1
+            if val[1] < prev[1]:
                 values[sk] = val
+                y_in_x = False
+            elif prev[1] < val[1]:
+                x_in_y = False
+    if y_in_x and y.vertices <= x.vertices:
+        return x
+    if x_in_y and shared == len(x.entries) and x.vertices <= y.vertices:
+        return y
     return FilteredSet._trusted(x.vertices | y.vertices, values)
 
 
 def intersection(x: FilteredSet, y: FilteredSet) -> FilteredSet:
-    """Intersection of filtered sets: pointwise maximum on common simplices."""
+    """Intersection of filtered sets: pointwise maximum on common simplices.
+
+    When one input is a filtered subset of the other, it is returned.
+    """
     values = {}
     xmap = dict(x.entries)
+    y_in_x = x_in_y = True
     for sk, val in y.entries:
         xval = xmap.get(sk)
-        if xval is not None:
-            values[sk] = max(val, xval)
+        if xval is None:
+            y_in_x = False
+        elif val[1] < xval[1]:
+            values[sk] = xval
+            y_in_x = False
+        else:
+            values[sk] = val
+            if xval[1] < val[1]:
+                x_in_y = False
+    if y_in_x and y.vertices <= x.vertices:
+        return y
+    if x_in_y and len(values) == len(xmap) and x.vertices <= y.vertices:
+        return x
     return FilteredSet._trusted(x.vertices & y.vertices, values)
 
 
 def skeleton(x: FilteredSet, q: int) -> FilteredSet:
     """Keep simplices of dimension <= q; push higher ones to INF.
 
-    q = -1 empties the support while keeping the vertex set.
+    q = -1 empties the support while keeping the vertex set.  From the set's
+    dimension up, the set itself is returned.
     """
     if q < -1:
         raise ValueError("skeleton degree must be >= -1")
+    if q >= x.dimension:
+        return x
     values = {sk: val for sk, val in x.entries if len(sk) - 1 <= q}
     return FilteredSet._trusted(x.vertices, values)
 

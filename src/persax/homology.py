@@ -7,11 +7,19 @@ are matrices over those representatives.  A group holds only what was
 computed; the pair, degree, interval and field it was computed for stay with
 the caller.  Everything is exact over the chosen coefficient field and fully
 deterministic.
+
+Groups, and the cycle and boundary spaces they are reduced from, are
+memoised on the pair's total set (``filtration.memoized``), so they go when
+that set goes.  They are keyed on the pair's integer levels at the
+endpoints, as ``linalg`` keys chains, so the intervals whose endpoints lie
+between the same critical values share one group.
+``_homology_cached.cache_info()`` reports the groups computed and those
+alive.  A pair with no chains at any level, such as ``EMPTY_SET``'s, gets
+its zero group without a memo.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .fields import GF2
@@ -23,18 +31,21 @@ from .filtration import (
     PreservingMap,
     RelativeFilteredPair,
     _as_pair,
+    _level,
     critical_values,
     fin,
+    memoized,
     pair_of,
     point,
 )
 from .linalg import (
     Matrix,
     Subspace,
+    _boundary,
+    _chains,
     _face_columns,
     _inclusion_columns,
     _move_rows,
-    boundary_matrix,
     chain_space,
     chain_map_matrix,
     image,
@@ -55,14 +66,14 @@ class VertexNotPresent(ValueError):
     pass
 
 
-@lru_cache(maxsize=None)
-def _cycles(pair: RelativeFilteredPair, n: int, eps: FiltValue, fld) -> Subspace:
-    return kernel(boundary_matrix(pair, n, eps, fld))
+@memoized
+def _cycles(pair: RelativeFilteredPair, n: int, level: tuple[int, int], fld) -> Subspace:
+    return kernel(_boundary(pair, n, level, fld))
 
 
-@lru_cache(maxsize=None)
-def _boundaries(pair: RelativeFilteredPair, n: int, eps: FiltValue, fld) -> Subspace:
-    return image(boundary_matrix(pair, n + 1, eps, fld))
+@memoized
+def _boundaries(pair: RelativeFilteredPair, n: int, level: tuple[int, int], fld) -> Subspace:
+    return image(_boundary(pair, n + 1, level, fld))
 
 
 class HomologyGroup(NamedTuple):
@@ -128,23 +139,29 @@ class DirectSumGroup(NamedTuple):
         return sum(p.dim for p in self.parts)
 
 
-@lru_cache(maxsize=None)
-def _homology_cached(pair: RelativeFilteredPair, n: int, interval: Interval, fld) -> HomologyGroup:
-    simplices = chain_space(pair, n, interval.hi)
-    if not simplices:  # no chains, as below degree 0: the zero group, with no reduction
-        empty = Subspace.zero(fld, 0)
-        return HomologyGroup(simplices, empty, empty, Matrix.zero(fld, 0, 0))
+def _zero_group(fld) -> HomologyGroup:
+    empty = Subspace.zero(fld, 0)
+    return HomologyGroup((), empty, empty, Matrix.zero(fld, 0, 0))
+
+
+@memoized
+def _homology_cached(pair: RelativeFilteredPair, n: int, lo: tuple[int, int], hi: tuple[int, int],
+                     fld) -> HomologyGroup:
+    """The group over every interval from level lo to level hi of the pair."""
+    simplices = _chains(pair, n, hi)
+    if not simplices:  # no chains: the zero group, with no reduction
+        return _zero_group(fld)
     # the lower-endpoint cycles, moved into the upper-endpoint chains; the
     # move keeps their echelon form, pivots remapped, unless the subset has
     # absorbed a pivot simplex by the upper endpoint
     ambient = len(simplices)
-    lower = chain_space(pair, n, interval.lo)
-    cycles = _cycles(pair, n, interval.lo, fld)
+    lower = _chains(pair, n, lo)
+    cycles = _cycles(pair, n, lo, fld)
     moved = _move_rows(cycles.basis, _inclusion_columns(lower), simplices)
     position = {sk: i for i, sk in enumerate(simplices)}
     pivots = tuple(position.get(lower[p], -1) for p in cycles.pivots)
     persisted = image(moved) if -1 in pivots else Subspace(ambient, moved, pivots)
-    bnd = _boundaries(pair, n, interval.hi, fld)
+    bnd = _boundaries(pair, n, hi, fld)
     # a persisted column dies when it lies in the boundaries plus the later
     # columns: reduce [boundaries | persisted, last column first] once, and
     # keep the columns that are pivots
@@ -159,6 +176,9 @@ def _homology_cached(pair: RelativeFilteredPair, n: int, interval: Interval, fld
     return HomologyGroup(simplices, persisted, bnd, reps)
 
 
+_homology_cached.cache_info = _homology_cached.memo_info  # read under this name by perfbench/tracer.py
+
+
 def _degrees(*sets: FilteredSet, start: int = 0) -> range:
     """Degrees from ``start`` through one past the largest dimension of the
     sets, counting an empty set as dimension 0."""
@@ -167,7 +187,11 @@ def _degrees(*sets: FilteredSet, start: int = 0) -> range:
 
 def homology(pair_or_set, n: int, interval: Interval, field=GF2) -> HomologyGroup:
     """The degree-n homology group of a pair (or absolute set) over an interval."""
-    return _homology_cached(_as_pair(pair_or_set), n, interval, field)
+    pair = _as_pair(pair_or_set)
+    if n < 0 or not pair[0]._critical:  # no chains at any level
+        return _zero_group(field)
+    lo, hi = interval
+    return _homology_cached(pair, n, _level(pair, lo), _level(pair, hi), field)
 
 
 def zero_group(field, interval: Interval) -> HomologyGroup:

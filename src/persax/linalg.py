@@ -21,11 +21,18 @@ The chain-level constructions live here too: ordered simplex bases for the
 relative chain groups of a pair at a level, and boundary matrices.  Chain
 maps (inclusions between levels, faces, vertex maps) are sparse signed
 columns, and ``_move_rows`` is the one routine that applies them to rows.
+
+Bases and boundary matrices are memoised on the pair's total set
+(``filtration.memoized``) and keyed on the pair's integer level, the number
+of the total's and of the subset's values at or below eps, so every eps
+between two critical values shares one entry and no key holds a
+``Fraction``.  ``boundary_matrix.cache_info()`` reports the boundary
+matrices computed and those alive.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import mul, or_
 from typing import Sequence
 
@@ -37,6 +44,7 @@ from .filtration import (
     Simplex,
     _level,
     facets,
+    memoized,
     simplex,
 )
 
@@ -489,34 +497,42 @@ def quotient_coords(reps: Matrix, sub: Subspace, vectors: Matrix) -> Matrix | No
 # Chain spaces and chain-level matrices
 
 
-@lru_cache(maxsize=None)
 def chain_space(pair: RelativeFilteredPair, n: int, eps: FiltValue) -> tuple[Simplex, ...]:
     """Ordered simplex basis of the relative chains of a pair at one finite level.
 
     The basis lists the degree-n simplices present in the total sublevel
     complex but absent from the subset's, in the total's entry order, which
-    is canonical simplex order.  The level is bisected once into each part's
-    values, and the simplices are then tested by their int ranks.
+    is canonical simplex order.
     """
+    return _chains(pair, n, _level(pair, eps))
+
+
+@memoized
+def _chains(pair: RelativeFilteredPair, n: int, level: tuple[int, int]) -> tuple[Simplex, ...]:
+    """``chain_space`` at a level of the pair; the simplices compare int ranks."""
     if n < 0:
         return ()
-    ranks, top = _level(pair.total, eps)
-    sub_ranks, sub_top = _level(pair.sub, eps)
-    sub_rank = sub_ranks.get
+    top, sub_top = level
+    sub_rank = pair[1]._lookup.get
     size = n + 1
     # a simplex the subset lacks has no rank: it takes sub_top, never below it
-    return tuple(sk for sk, r in ranks.items()
+    return tuple(sk for sk, r in pair[0]._lookup.items()
                  if r < top and len(sk) == size and sub_rank(sk, sub_top) >= sub_top)
 
 
-@lru_cache(maxsize=None)
 def boundary_matrix(pair: RelativeFilteredPair, n: int, eps: FiltValue, field=GF2) -> Matrix:
     """Alternating-sign face map on the relative chain bases at one level.
 
     Faces absorbed into the subset's sublevel complex project to zero.
     """
-    rows = chain_space(pair, n - 1, eps)
-    cols = chain_space(pair, n, eps)
+    return _boundary(pair, n, _level(pair, eps), field)
+
+
+@memoized
+def _boundary(pair: RelativeFilteredPair, n: int, level: tuple[int, int], field) -> Matrix:
+    """``boundary_matrix`` at a level of the pair."""
+    rows = _chains(pair, n - 1, level)
+    cols = _chains(pair, n, level)
     index = {sk: i for i, sk in enumerate(rows)}
     out = [[field.zero] * len(cols) for _ in range(len(rows))]
     for j, terms in enumerate(_face_columns(cols)):
@@ -525,6 +541,9 @@ def boundary_matrix(pair: RelativeFilteredPair, n: int, eps: FiltValue, field=GF
             if r is not None:
                 out[r][j] = field.add(out[r][j], sign)
     return Matrix._trusted(field, tuple(map(tuple, out)), len(rows), len(cols))
+
+
+boundary_matrix.cache_info = _boundary.memo_info  # read under this name by perfbench/tracer.py
 
 
 def _inclusion_columns(basis) -> tuple:

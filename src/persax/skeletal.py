@@ -7,15 +7,20 @@ composite of the connecting map with the quotient onto the next chain group.
 Homology of this chain complex must agree with the direct construction, and
 the agreement is witnessed by an explicit invertible matrix built from the
 inclusion maps, not just by dimension counts.
+
+Skeleton pairs, chain groups and boundaries are memoised on the pair's
+total set (``filtration.memoized``), so they go when that set goes.  Each
+level, the q-skeleton merged with the subset, is built once per pair, so
+that the skeleton pairs of degrees q and q + 1 share it, and their memos.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .fields import GF2
 from .filtration import (
+    FilteredSet,
     Interval,
     OracleMismatch,
     PreservingMap,
@@ -24,6 +29,7 @@ from .filtration import (
     UnknownVertex,
     closed_star,
     inclusion,
+    memoized,
     pair_of,
     skeleton,
     standard_boundary,
@@ -50,10 +56,17 @@ class _Skeleton(NamedTuple):
     quotient: PreservingMap  # the absolute q-skeleton onto the skeleton pair
 
 
-@lru_cache(maxsize=None)
+@memoized
+def _merged_skeleton(pair: RelativeFilteredPair, q: int) -> FilteredSet:
+    """The q-skeleton of the total merged with the subset; below degree 0,
+    the subset on the total's vertices."""
+    return union(skeleton(pair.total, max(q, -1)), pair.sub)
+
+
+@memoized
 def _skeleton(pair: RelativeFilteredPair, q: int) -> _Skeleton:
-    total = union(skeleton(pair.total, max(q, -1)), pair.sub)
-    sub = union(skeleton(pair.total, max(q - 1, -1)), pair.sub)
+    total = _merged_skeleton(pair, q)
+    sub = _merged_skeleton(pair, q - 1)
     skel = RelativeFilteredPair(total, sub)
     mid = RelativeFilteredPair(total, pair.sub)
     return _Skeleton(skel, inclusion(mid, pair), inclusion(mid, skel),
@@ -82,9 +95,13 @@ class SkeletalChainGroup(NamedTuple):
         return len(self.generators)
 
 
-@lru_cache(maxsize=None)
 def skeletal_chain_group(pair: RelativeFilteredPair, q: int, interval: Interval,
                          field=GF2) -> SkeletalChainGroup:
+    return _chain_group(pair, q, interval, field)
+
+
+@memoized
+def _chain_group(pair: RelativeFilteredPair, q: int, interval: Interval, field) -> SkeletalChainGroup:
     if q < 0 or q > pair.total.dimension:
         group = homology(pair, -1, interval, field)
         return SkeletalChainGroup((), group)
@@ -128,7 +145,6 @@ def generator(g, vertices: Sequence[str], pair: RelativeFilteredPair, interval: 
     return pushed.matrix.apply((field.coerce(g),))
 
 
-@lru_cache(maxsize=None)
 def skeletal_boundary(pair: RelativeFilteredPair, q: int, interval: Interval,
                       field=GF2) -> Matrix:
     """Boundary matrix between chain groups, over generator coordinates.
@@ -137,6 +153,11 @@ def skeletal_boundary(pair: RelativeFilteredPair, q: int, interval: Interval,
     quotient onto the next skeleton pair, never from a face formula; the
     face formula is a theorem about this matrix, not its definition.
     """
+    return _skeletal_boundary(pair, q, interval, field)
+
+
+@memoized
+def _skeletal_boundary(pair: RelativeFilteredPair, q: int, interval: Interval, field) -> Matrix:
     source = skeletal_chain_group(pair, q, interval, field)
     target = skeletal_chain_group(pair, q - 1, interval, field)
     if q < 1 or source.dim == 0:

@@ -387,6 +387,76 @@ class TestUnionIntersection:
             assert got == complex_at(x, eps) & complex_at(y, eps)
 
 
+def _is_filtered_subset(y, x) -> bool:
+    """Whether (x, y) is a valid pair, by the pair constructor's checks."""
+    try:
+        RelativeFilteredPair(x, y)
+    except FiltrationError:
+        return False
+    return True
+
+
+def _pointwise(x, y, pick):
+    """The union (pick=min) or intersection (pick=max), from the values alone."""
+    if pick is min:
+        support, vertices = set(x.support) | set(y.support), x.vertices | y.vertices
+    else:
+        support, vertices = set(x.support) & set(y.support), x.vertices & y.vertices
+    return FilteredSet(vertices, {sk: pick(x.value(sk), y.value(sk)) for sk in support})
+
+
+def _operand_pairs(count, seed):
+    """Seeded operands: nested both ways, equal, overlapping and unrelated."""
+    master = random.Random(seed)
+    for _ in range(count):
+        rng = random.Random(master.getrandbits(64))
+        pair, y = random_pair(rng), random_filtration(rng)
+        x, sub = pair
+        yield from ((x, sub), (sub, x), (x, y), (y, x), (y, random_subset_of(rng, y)),
+                    (x, FilteredSet(x.vertices, dict(x.entries))))
+
+
+class TestInputsReturnedWhole:
+    """An operation that would rebuild an input unchanged returns that input."""
+
+    def test_union_and_intersection_are_pointwise_and_return_a_nesting_input(self):
+        kinds = set()
+        for x, y in _operand_pairs(150, 859):
+            u, meet = union(x, y), intersection(x, y)
+            assert u == _pointwise(x, y, min) and meet == _pointwise(x, y, max)
+            if _is_filtered_subset(y, x):
+                kinds.add("y in x")
+                assert u is x and meet is y
+            elif _is_filtered_subset(x, y):
+                kinds.add("x in y")
+                assert u is y and meet is x
+            else:
+                kinds.add("neither")
+                assert u is not x and u is not y and meet is not x and meet is not y
+        assert kinds == {"y in x", "x in y", "neither"}
+
+    def test_a_lower_value_or_an_extra_vertex_is_not_nested(self):
+        edge = FilteredSet("ab", {("a",): 0, ("b",): 0, ("a", "b"): 1})
+        early = FilteredSet("ab", {("a",): 0, ("b",): 0, ("a", "b"): "1/2"})
+        wider = FilteredSet("abc", {("a",): 0, ("b",): 0})
+        assert union(edge, early) is early and union(early, edge) is early
+        assert intersection(edge, early) is edge and intersection(early, edge) is edge
+        assert union(edge, wider) == FilteredSet("abc", dict(edge.entries))
+        assert intersection(wider, edge) == FilteredSet("ab", {("a",): 0, ("b",): 0})
+        for x, y in ((edge, wider), (wider, edge)):
+            assert union(x, y) is not x and union(x, y) is not y
+
+    def test_a_skeleton_from_the_dimension_up_is_the_set(self):
+        master = random.Random(863)
+        for _ in range(100):
+            x = random_filtration(random.Random(master.getrandbits(64)))
+            for q in range(-1, x.dimension + 3):
+                cut = skeleton(x, q)
+                assert (cut is x) == (q >= x.dimension)
+                assert cut == FilteredSet(x.vertices, {sk: v for sk, v in x.entries
+                                                       if len(sk) <= q + 1})
+
+
 class TestSkeleton:
     def test_minus_one_empties_support(self):
         fs = skeleton(triangle_rim(), -1)
@@ -502,6 +572,8 @@ def _derived_sets(count, seed):
         x = pair.total
         yield union(x, y)
         yield intersection(x, y)
+        yield union(pair.sub, x)  # x itself
+        yield intersection(pair.sub, x)  # the subset itself
         for q in range(-1, x.dimension + 2):
             yield skeleton(x, q)
         yield cone_off_subset(pair)

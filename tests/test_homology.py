@@ -432,6 +432,61 @@ class TestPointClasses:
         assert h0_decomposition(one_component, "v1", Interval(0, 1)) == (0, 1)
 
 
+class TestDefensiveChecks:
+    """The checks of h0_decomposition and coefficient_group, and connecting's
+    lower-endpoint check, reached through a patched dependency."""
+
+    TWO = FilteredSet({"a", "b"}, {("a",): 0, ("b",): 0})
+
+    def test_a_vertex_class_inside_the_reduced_part_is_caught(self, monkeypatch):
+        module = importlib.import_module("persax.homology")
+        iv = Interval(0, 1)
+        group = homology(self.TWO, 0, iv, GF3)
+        inside = group.coords_of(reduced_homology(self.TWO, 0, iv, GF3).reps).column(0)
+        monkeypatch.setattr(module, "point_class", lambda *args: inside)
+        with pytest.raises(AssertionError) as info:
+            h0_decomposition(self.TWO, "a", iv, GF3)
+        assert str(info.value) == "vertex class meets the reduced part"
+
+    def test_a_reduced_part_too_small_is_caught(self, monkeypatch):
+        module = importlib.import_module("persax.homology")
+        real = module.reduced_homology
+
+        def no_reduced_classes(x, n, interval, field):
+            group = real(x, n, interval, field)
+            return group._replace(reps=Matrix.zero(field, group.reps.nrows, 0))
+
+        monkeypatch.setattr(module, "reduced_homology", no_reduced_classes)
+        with pytest.raises(AssertionError) as info:
+            h0_decomposition(self.TWO, "a", Interval(0, 1), GF3)
+        assert str(info.value) == "degree-0 homology does not split as expected"
+
+    def test_a_point_group_of_the_wrong_dimension_is_caught(self, monkeypatch):
+        module = importlib.import_module("persax.homology")
+        monkeypatch.setattr(module, "homology",
+                            lambda pair, n, interval, field: module._zero_group(field))
+        with pytest.raises(AssertionError) as info:
+            coefficient_group(Interval(1, 2), 1, GF3)
+        assert str(info.value) == "one-point group has unexpected dimension"
+
+    def test_a_boundary_class_missing_at_the_lower_endpoint_is_caught(self, monkeypatch):
+        # (edge, its two ends): the boundary of the edge class is [b] - [a]
+        module = importlib.import_module("persax.homology")
+        pair = pair_of(standard_simplex(1, 0, ("a", "b")), standard_boundary(1, 0, ("a", "b")))
+        real, ends = module.homology, pair_of(pair.sub)
+
+        def ends_without_classes(p, n, interval, field):
+            group = real(p, n, interval, field)
+            if p == ends:
+                return group._replace(reps=Matrix.zero(field, group.reps.nrows, 0))
+            return group
+
+        monkeypatch.setattr(module, "homology", ends_without_classes)
+        with pytest.raises(NotRepresentableAtLowerEndpoint) as info:
+            connecting(pair, 1, Interval(0, 1), GF3)
+        assert str(info.value) == "degree 1 boundary class has no lower-endpoint representative"
+
+
 class TestBettiGrid:
     def test_triangle_rim_degree_one_grid(self):
         grid = betti_grid(TRIANGLE_RIM, 1)

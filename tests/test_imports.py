@@ -209,17 +209,10 @@ def test_no_unread_public_names():
 
 
 # The memos that keep every entry for the life of the process (ROADMAP item
-# 5).  A new memo takes a maxsize, and this list may only shrink.
-UNBOUNDED_MEMOS = {
-    "homology._boundaries",
-    "homology._cycles",
-    "homology._homology_cached",
-    "linalg.boundary_matrix",
-    "linalg.chain_space",
-    "skeletal._skeleton",
-    "skeletal.skeletal_boundary",
-    "skeletal.skeletal_chain_group",
-}
+# 5).  The direct and skeletal paths memoise on the pair's total set
+# (``filtration.memoized``), so none is left.  A new memo takes a maxsize,
+# and this list may only shrink.
+UNBOUNDED_MEMOS = set()
 
 
 def test_no_new_unbounded_memos():

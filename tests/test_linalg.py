@@ -35,6 +35,7 @@ from persax import (
     preimage,
     standard_simplex,
 )
+from persax.filtration import INF, _level
 from persax.fuzz import random_pair
 from persax.linalg import _inclusion_columns, _move_rows
 
@@ -426,6 +427,40 @@ def test_rank_tests_match_the_value_definition_at_every_level():
                              and val <= eps and pair.sub.value(sk) > eps)
                 assert chain_space(pair, n, eps) == want
     assert levels_seen == {True, False}
+
+
+class TestLevels:
+    """Chains, boundaries and groups are memoised on a pair's integer level."""
+
+    def test_a_level_counts_each_part_s_values_at_or_below_eps(self):
+        master = random.Random(43)
+        for _ in range(80):
+            pair = random_pair(random.Random(master.getrandbits(64)))
+            for eps in _levels(critical_values(pair)) + [INF]:
+                want = tuple(sum(val <= eps for val in critical_values(x)) for x in pair)
+                assert _level(pair, eps) == want
+
+    @pytest.mark.parametrize("field", [GF2, GF3], ids=["GF2", "GF3"])
+    def test_levels_strictly_between_critical_values_share_the_lower_one_s_entries(self, field):
+        master = random.Random(47)
+        shared = 0
+        for _ in range(60):
+            pair = random_pair(random.Random(master.getrandbits(64)))
+            values = critical_values(pair)
+            degrees = range(-1, pair.total.dimension + 2)
+            for lower, upper in zip(values, values[1:]):
+                gap = upper.finite - lower.finite
+                for eps in (fin(lower.finite + gap / 3), fin(lower.finite + gap / 2)):
+                    for n in degrees:
+                        basis = chain_space(pair, n, lower)
+                        assert chain_space(pair, n, eps) is basis
+                        assert boundary_matrix(pair, n, eps, field) is boundary_matrix(
+                            pair, n, lower, field)
+                        group = homology(pair, n, Interval(lower, lower), field)
+                        alike = homology(pair, n, Interval(lower, eps), field)
+                        assert alike is group if n >= 0 else alike == group
+                        shared += 1
+        assert shared == 500
 
 
 def _dump_matrix(m):

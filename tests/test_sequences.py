@@ -52,7 +52,8 @@ from persax import (
     triad_sequence,
     union,
 )
-from persax.fuzz import random_cover, random_pair, random_triple
+from persax.fuzz import (random_cover, random_filtration, random_pair, random_triple,
+                         restrict_to_vertices)
 from persax import sequences
 from persax.sequences import HypothesisViolated
 
@@ -323,6 +324,24 @@ class TestMayerVietoris:
         assert {c.witness[0] for c in report.failures()} == {"kernel_not_in_image"}
 
 
+def _cover_meeting_in_an_edge(rng):
+    """Two vertex-restricted parts of a random set that both keep one edge.
+
+    Their vertex sets cover the set, as ``fuzz.random_cover``'s do, and their
+    intersection holds the edge.
+    """
+    x = random_filtration(rng)
+    while not any(len(sk) == 2 for sk in x.support):
+        x = random_filtration(rng)
+    edge = rng.choice([sk for sk in x.support if len(sk) == 2])
+    rest = sorted(x.vertices - set(edge))
+    first = [v for v in rest if rng.random() < 0.6]
+    second = [v for v in rest if v not in first or rng.random() < 0.4]
+    x1, x2 = restrict_to_vertices(x, [*edge, *first]), restrict_to_vertices(x, [*edge, *second])
+    assert intersection(x1, x2).dimension >= 1
+    return x1, x2
+
+
 class TestProperTriads:
     def test_cut_out_configuration_is_proper(self):
         x1 = standard_simplex(2, 0, ("a", "b", "c"))
@@ -372,10 +391,14 @@ class TestProperTriads:
     def test_the_cross_inclusion_is_excision_on_chains(self, field):
         # every cover is proper without a check: at each level (x1, x1 & x2)
         # and (x1 | x2, x2) share their relative chains and boundary, so the
-        # cross inclusion the sequences invert is the identity on homology
-        master = random.Random(157)
-        for _ in range(50):
-            x1, x2 = random_cover(random.Random(master.getrandbits(64)))
+        # cross inclusion the sequences invert is the identity on homology.
+        # random_cover's parts often meet in nothing or in vertices only, so
+        # 50 covers whose parts share an edge run too.
+        master, meeting = random.Random(157), random.Random(163)
+        covers = [random_cover(random.Random(master.getrandbits(64))) for _ in range(50)]
+        covers += [_cover_meeting_in_an_edge(random.Random(meeting.getrandbits(64)))
+                   for _ in range(50)]
+        for x1, x2 in covers:
             u, _, k1 = sequences._cover(x1, x2)
             source, target = k1.domain, k1.codomain
             assert (source.total, target.total, target.sub) == (x1, u, x2)

@@ -49,6 +49,11 @@ RIM_AT_ZERO = FilteredSet(
     {("a",): 0, ("b",): 0, ("c",): 0, ("a", "b"): 0, ("a", "c"): 0, ("b", "c"): 0},
 )
 
+def _rebuilt(x: FilteredSet) -> FilteredSet:
+    """A set equal to x, built apart: its memo starts empty."""
+    return FilteredSet(x.vertices, dict(x.entries))
+
+
 TRIANGLE_RIM = FilteredSet(
     {"a", "b", "c"},
     {("a",): 0, ("b",): 0, ("c",): 0, ("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1},
@@ -73,11 +78,11 @@ class TestChainGroups:
         # a solid triangle and a lone vertex: dimension 2 on four vertices
         values = {sk: 0 for sk in standard_simplex(2, 0, ("p", "q", "r")).support}
         pair = pair_of(FilteredSet({"p", "q", "r", "s"}, {**values, ("s",): 0}))
-        built = _skeleton.cache_info().currsize
         for q in (3, 4, 5):
             cg = skeletal_chain_group(pair, q, Interval(0, 1), GF3)
             assert cg.generators == () and cg.group.dim == 0
-        assert _skeleton.cache_info().currsize == built
+        # the memo of the pair's total holds no skeleton pair
+        assert not any(key[0] is _skeleton for key in pair.total._memo)
 
     def test_generator_count_matches_group_dimension(self):
         master = random.Random(101)
@@ -89,7 +94,8 @@ class TestChainGroups:
                     assert cg.dim == cg.group.dim == len(cg.generators)
 
     def test_representatives_off_the_generators_are_a_broken_oracle(self, monkeypatch):
-        # the memo would answer an earlier call: run the construction itself
+        # the memo of RIM_AT_ZERO would answer an earlier call: a fresh equal
+        # set has an empty one, so the construction runs
         from persax import skeletal
 
         real = skeletal.homology
@@ -101,7 +107,7 @@ class TestChainGroups:
 
         monkeypatch.setattr(skeletal, "homology", reversed_reps)
         with pytest.raises(OracleMismatch) as info:
-            skeletal_chain_group.__wrapped__(pair_of(RIM_AT_ZERO), 1, Interval(0, 1), GF2)
+            skeletal_chain_group(pair_of(_rebuilt(RIM_AT_ZERO)), 1, Interval(0, 1), GF2)
         assert str(info.value) == "chain group representatives are not the generator simplices"
 
 
@@ -421,7 +427,7 @@ class TestComparisonIsomorphism:
     def test_inclusions_are_validated_once_per_skeleton_pair(self, monkeypatch):
         # the inclusions between skeleton pairs do not depend on the interval,
         # so covering more intervals must not validate more maps
-        from persax import filtration, skeletal
+        from persax import filtration
 
         x = FilteredSet({"a", "b", "c"}, {("a",): 0, ("b",): 0, ("c",): 1,
                                           ("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 2})
@@ -429,16 +435,15 @@ class TestComparisonIsomorphism:
         real = filtration.PreservingMap.__init__
 
         def count_validations(intervals):
-            for value in vars(skeletal).values():
-                if hasattr(value, "cache_clear"):
-                    value.cache_clear()
+            # a fresh equal pair, whose total's memo is empty
+            fresh = pair_of(_rebuilt(pair.total), _rebuilt(pair.sub))
             calls = []
             monkeypatch.setattr(filtration.PreservingMap, "__init__",
                                 lambda *args: calls.append(args) or real(*args))
             for iv in intervals:
                 for q in range(0, x.dimension + 2):
                     try:
-                        direct_to_skeletal(pair, q, iv, GF3)
+                        direct_to_skeletal(fresh, q, iv, GF3)
                     except OracleMismatch:
                         pass  # interior deaths break the comparison, not its inputs
             monkeypatch.setattr(filtration.PreservingMap, "__init__", real)
