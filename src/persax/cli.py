@@ -137,7 +137,7 @@ def _axiom_lines(reports, records: bool) -> tuple[list[str], bool]:
 
 def _cmd_verify_axioms(args, field) -> int:
     from .axioms import _AXIOMS, verify_axiom
-    from .fuzz import fuzz_axiom_reports
+    from .fuzz import _spread_fuzz_reports
 
     if args.fuzz < 0:
         raise ValueError(f"--fuzz must not be negative, got {args.fuzz}")
@@ -153,7 +153,7 @@ def _cmd_verify_axioms(args, field) -> int:
             reports.extend(verify_axiom(axiom, field, _runs=runs, pair=pair,
                                         interval=interval, tag=tag) for axiom in on_pair)
     if args.fuzz:
-        reports.extend(fuzz_axiom_reports(args.fuzz, args.seed, field))
+        reports.extend(_spread_fuzz_reports(args.fuzz, args.seed, field))
     lines, all_ok = _axiom_lines(reports, args.format == "records")
     counts = {}
     for rep in reports:

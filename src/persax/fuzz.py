@@ -1,5 +1,6 @@
 """Seeded random instance generation for the verification suites, and the
-seeded run of every axiom on such instances.
+seeded run of every axiom on such instances, in one process or spread over
+forked workers.
 
 Everything is driven by an explicit ``random.Random``; the same seed always
 produces the same instances, byte for byte, on every platform.
@@ -7,7 +8,12 @@ produces the same instances, byte for byte, on every platform.
 
 from __future__ import annotations
 
+import os
+import pickle
 import random
+import signal
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -254,13 +260,143 @@ def _fuzz_instances(rng) -> dict:
     }
 
 
+def _instance_seeds(count: int, seed: int) -> list[int]:
+    """The 64-bit seed of each of ``count`` fuzz instances, drawn in order
+    from ``Random(seed)``."""
+    master = random.Random(seed)
+    return [master.getrandbits(64) for _ in range(count)]
+
+
+def _instance_reports(instance_seed: int, field) -> list[AxiomReport]:
+    """The reports of one fuzz instance, in axiom order."""
+    instances = _fuzz_instances(random.Random(instance_seed))
+    runs = {}  # A4/S2 and A7/S1 run one check on the same objects
+    return [verify_axiom(axiom_id, field, _runs=runs, **instances[axiom_id])
+            for axiom_id in AXIOM_IDS]
+
+
 def fuzz_axiom_reports(count: int, seed: int, field=GF2) -> list[AxiomReport]:
     """Seeded random instances for every axiom; deterministic for a seed."""
-    master = random.Random(seed)
+    return [rep for instance_seed in _instance_seeds(count, seed)
+            for rep in _instance_reports(instance_seed, field)]
+
+
+def _allowed_cpus() -> set[int]:
+    """The CPUs this process may run on, or none where it cannot fork fuzz
+    workers: ``fork`` or CPU affinity is missing, or another thread runs,
+    which a forked child would not hold."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return set()
+    if threading.active_count() > 1:
+        return set()
+    return os.sched_getaffinity(0)
+
+
+def _run_share(seeds, field) -> tuple[list, Exception | None]:
+    """The reports of each instance in turn, up to the first that raises,
+    and that exception (None when none raises)."""
+    done = []
+    try:
+        for instance_seed in seeds:
+            done.append(_instance_reports(instance_seed, field))
+    except Exception as exc:
+        return done, exc
+    return done, None
+
+
+def _worker(out_fd: int, inherited: list[int], cpu: int, seeds, field):
+    """The body of a forked worker: close the pipe ends it inherited, move to
+    its CPU, run its share, pickle the reports and the exception's class and
+    arguments to ``out_fd``, and end the process.  It writes nothing to
+    stdout or stderr."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        os.sched_setaffinity(0, {cpu})
+        done, exc = _run_share(seeds, field)
+        error = None if exc is None else (type(exc), exc.args)
+        with os.fdopen(out_fd, "wb") as out:
+            pickle.dump((done, error), out, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _unpickled_share(worker: int, data: bytes, status: int) -> tuple[list, Exception | None]:
+    """A worker's reports and exception, rebuilt from what its pipe carried."""
+    try:
+        done, error = pickle.loads(data)
+    except (EOFError, pickle.UnpicklingError):
+        if os.WIFSIGNALED(status):
+            how = f"was killed by signal {os.WTERMSIG(status)}"
+        else:
+            how = f"exited with status {os.waitstatus_to_exitcode(status)}"
+        raise ChildProcessError(f"fuzz worker {worker} {how} without a result") from None
+    if error is None:
+        return done, None
+    cls, args = error
+    exc = cls.__new__(cls)
+    exc.args = args
+    return done, exc
+
+
+def _spread_fuzz_reports(count: int, seed: int, field) -> list[AxiomReport]:
+    """``fuzz_axiom_reports(count, seed, field)``, with the instances spread
+    over one process per CPU that this process may run on.
+
+    This process is worker 0 and forks the others; instance i runs in worker
+    i mod k, and each child's reports come back pickled through a pipe and
+    are put back in instance order.  Instance 0 runs before the fork, so
+    that the workers inherit the imports and the memos of the interned sets
+    that it loads instead of each loading them again.  Worker w is pinned
+    to the w-th of the allowed CPUs until it ends, this process until the
+    reports are read: left to the scheduler, a forked child can share its
+    parent's CPU for the whole run while another CPU idles.  Where instances
+    raise, the exception of the first of them is raised here, with its
+    class and arguments, as the serial loop would raise it.  Every child is
+    reaped before this returns or raises, and killed first if its result
+    is not read.
+    """
+    allowed = _allowed_cpus()
+    cpus = sorted(allowed)[:count]
+    k = len(cpus)
+    if k < 2:
+        return fuzz_axiom_reports(count, seed, field)
+    seeds = _instance_seeds(count, seed)
+    first = _instance_reports(seeds[0], field)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []  # (worker, pid, read end of its pipe)
+    all_read = False
+    try:
+        os.sched_setaffinity(0, {cpus[0]})
+        for worker in range(1, k):
+            in_fd, out_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker(out_fd, [in_fd, *(pipe.fileno() for _, _, pipe in children)],
+                        cpus[worker], seeds[worker::k], field)
+            os.close(out_fd)
+            children.append((worker, pid, os.fdopen(in_fd, "rb")))
+        done, exc = _run_share(seeds[k::k], field)
+        shares = [([first, *done], exc)]
+        payloads = [pipe.read() for _, _, pipe in children]
+        all_read = True
+    finally:
+        os.sched_setaffinity(0, allowed)
+        statuses = []
+        for _, pid, pipe in children:
+            pipe.close()
+            if not all_read:
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    shares.extend(_unpickled_share(worker, data, status)
+                  for (worker, _, _), data, status in zip(children, payloads, statuses))
     reports = []
-    for _ in range(count):
-        instances = _fuzz_instances(random.Random(master.getrandbits(64)))
-        runs = {}  # A4/S2 and A7/S1 run one check on the same objects
-        reports.extend(verify_axiom(axiom_id, field, _runs=runs, **instances[axiom_id])
-                       for axiom_id in AXIOM_IDS)
+    for i in range(count):
+        done, exc = shares[i % k]
+        if i // k == len(done):
+            raise exc
+        reports.extend(done[i // k])
     return reports

@@ -4,8 +4,8 @@ An opt-in tool, not a test: pytest does not collect this file.  It runs the
 test suite in this process under a ``sys.settrace`` line collector, and
 reaches the ``python -m persax`` children through a temporary
 ``sitecustomize`` on ``PYTHONPATH`` that installs the same collector in each
-of them.  It prints the unrun lines of each module of ``src/persax`` and
-their total.
+of them; the fuzz workers that a process forks count too.  It prints the
+unrun lines of each module of ``src/persax`` and their total.
 
 Run it from anywhere; extra arguments go to pytest (default ``-q``).  The
 traced suite takes about three times as long as the plain one::
@@ -24,7 +24,9 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "persax"
 
 # Runs as the children's sitecustomize, and in this process by exec; each
-# child writes its hits to a file of its own when it exits.
+# child writes its hits to a file of its own when it exits.  A forked child
+# starts with no hits and ends through ``os._exit``, which skips ``atexit``,
+# so the collector wraps ``os._exit`` to write them first.
 COLLECTOR = """\
 import os, sys
 
@@ -49,7 +51,14 @@ def _dump():
         out.writelines(f"{name}\\t{line}\\n" for name, line in _hits)
 
 
+def _exit(status, _real_exit=os._exit):
+    _dump()
+    _real_exit(status)
+
+
 sys.settrace(_call)
+os.register_at_fork(after_in_child=_hits.clear)
+os._exit = _exit
 if __name__ == "sitecustomize":
     import atexit
     atexit.register(_dump)

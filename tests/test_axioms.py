@@ -3,6 +3,7 @@
 import random
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,6 +24,8 @@ from persax import (
 from persax import axioms, filtration, fuzz
 from persax.axioms import AXIOM_IDS, FAIL, PASS, VACUOUS
 from persax.fuzz import fuzz_axiom_reports
+
+from ._cli import fake_cpus, main_on_cpus
 
 
 TRIANGLE_RIM = FilteredSet(
@@ -233,3 +236,71 @@ def test_fuzz_stays_within_the_reduction_budget(monkeypatch):
     fuzz_axiom_reports(100, 7, GF2)
     monkeypatch.undo()
     assert len(calls) <= 7_043
+
+
+def _double_induced_maps(monkeypatch):
+    """Every induced map the verifier reads, times 2: over GF(3) the identity
+    fails, and so does a composite, since 2 * 2 = 1."""
+    real = axioms.induced_map
+
+    def doubled(f, n, interval, field):
+        lm = real(f, n, interval, field)
+        m = lm.matrix
+        return lm._replace(matrix=Matrix(field, [[a + a for a in row] for row in m.rows],
+                                         m.nrows, m.ncols))
+
+    monkeypatch.setattr(axioms, "induced_map", doubled)
+
+
+def _shift_dimensions(monkeypatch):
+    """Every group dimension the verifier reads, one too high."""
+    real = axioms.homology
+
+    def shifted(pair, n, interval, field):
+        return SimpleNamespace(dim=real(pair, n, interval, field).dim + 1)
+
+    monkeypatch.setattr(axioms, "homology", shifted)
+
+
+def test_doubled_induced_maps_fail_identity_and_composition(monkeypatch):
+    _double_induced_maps(monkeypatch)
+    pair = pair_of(TRIANGLE_RIM)
+    rep = verify_axiom("A1", GF3, pair=pair, interval=Interval(0, 0))
+    # three points at 0: the first degree is 0, and the witness is 2 * I
+    assert (rep.verdict, rep.details) == (FAIL, (("degree", "0"),))
+    assert rep.witness == ((2, 0, 0), (0, 2, 0), (0, 0, 2))
+    rot = PreservingMap(pair, pair, {"a": "b", "b": "c", "c": "a"})
+    rep = verify_axiom("A2", GF3, f=rot, g=rot, interval=Interval(1, 2))
+    # one class at [1,2]: (f g)_* reads 2, f_* g_* reads 2 * 2 = 1
+    assert (rep.verdict, rep.details) == (FAIL, (("degree", "0"),))
+    assert rep.witness == (((2,),), ((1,),))
+
+
+def test_shifted_dimensions_fail_both_dimension_axioms(monkeypatch):
+    _shift_dimensions(monkeypatch)
+    intervals = (Interval(0, 0), Interval(1, 2))
+    rep = verify_axiom("A6", alpha=1, intervals=intervals)
+    # the point is born at 1, so [0,0] wants 0 in degree 0
+    assert rep.verdict == FAIL
+    assert rep.details == (("interval", "[0,0]"), ("degree", "0"), ("got", "1"), ("want", "0"))
+    rep = verify_axiom("S3", alpha=0, intervals=intervals)
+    assert rep.verdict == FAIL
+    assert rep.details == (("q", "0"), ("degree", "0"), ("interval", "[0,0]"),
+                           ("got", "2"), ("want", "1"))
+
+
+def test_failures_cross_the_worker_pipes_unchanged(monkeypatch, capsys):
+    # details and witnesses are pickled by a forked worker and read back;
+    # the first A2 failure is instance 21's, which the child runs
+    _double_induced_maps(monkeypatch)
+    _shift_dimensions(monkeypatch)
+    serial = fuzz_axiom_reports(23, 7, GF3)
+    failing = {r.axiom for r in serial if r.verdict == FAIL}
+    assert {"A1", "A2", "A6", "S3"} <= failing
+    fake_cpus(monkeypatch, 2)
+    assert fuzz._spread_fuzz_reports(23, 7, GF3) == serial
+    argv = ["verify-axioms", "--fuzz", "23", "--seed", "7", "--field", "3"]
+    text = main_on_cpus(1, argv, monkeypatch, capsys)
+    assert main_on_cpus(2, argv, monkeypatch, capsys) == (*text[:3], 1)
+    assert text[0] == 1
+    assert {ln.split(" [")[0] for ln in text[1].splitlines() if ": fail (" in ln} == failing
