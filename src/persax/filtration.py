@@ -467,13 +467,11 @@ def _top(x: FilteredSet, eps: FiltValue) -> int:
     return len(critical) if eps[0] else bisect_right(critical, eps[1], key=_FINITE)
 
 
-@memoized
 def _level(pair: RelativeFilteredPair, eps: FiltValue) -> tuple[int, int]:
     """The pair's level at eps: ``_top`` of the total and of the subset.
 
     Levels key the chain-level memos and the groups, so every eps between
-    two critical values of the pair shares their entries; this memo, keyed
-    on eps, bisects each value once per pair.
+    two critical values of the pair shares their entries.
     """
     return _top(pair[0], eps), _top(pair[1], eps)
 
@@ -736,17 +734,18 @@ def critical_intervals(obj) -> tuple[Interval, ...]:
     return tuple(Interval(a, b) for i, a in enumerate(vals) for b in vals[i:])
 
 
-def _probe_levels(*objs, interval: Interval | None = None) -> tuple[FiltValue, ...]:
-    """Levels where predicates on the objects' sublevel complexes must be evaluated.
+def _entry_levels(entries, interval: Interval | None = None):
+    """Each (simplex, value) entry present at some level of the interval,
+    with the level where it enters: the larger of its value and lo.
 
-    Sublevel complexes are constant between critical values, so the critical
-    values of every object cover every level; with an interval, its endpoints
-    plus the critical values inside it do.
+    Sublevel complexes only grow, so a simplex that meets a condition on
+    them where it enters meets it at every later level.  Without an
+    interval, each entry enters at its value.
     """
-    levels = [c for obj in objs for c in critical_values(obj)]
-    if interval is not None:
-        levels = [c for c in levels if interval.lo <= c <= interval.hi] + [interval.lo, interval.hi]
-    return _sorted_values(levels)[0]
+    if interval is None:
+        return entries
+    lo, hi = interval
+    return [(sk, max(v, lo)) for sk, v in entries if v <= hi]
 
 
 def is_star_shaped(x: FilteredSet, a: str, interval: Interval) -> bool:
@@ -754,15 +753,12 @@ def is_star_shaped(x: FilteredSet, a: str, interval: Interval) -> bool:
 
     A complex is coned at ``a`` when every simplex extends to one containing
     ``a`` -- equivalently, adjoining ``a`` to any simplex stays in the complex.
+    Each simplex is checked once, at the level where it enters.
     """
     if a not in x.vertices:
         raise UnknownVertex(f"{a!r} is not a vertex")
-    for level in _probe_levels(x, interval=interval):
-        complex_ = complex_at(x, level)
-        for sk in complex_:
-            if simplex(set(sk) | {a}) not in complex_:
-                return False
-    return True
+    return all(x.value(set(sk) | {a}) <= level
+               for sk, level in _entry_levels(x.entries, interval))
 
 
 def _primed_names(vertices: frozenset[str]) -> dict[str, str]:

@@ -24,8 +24,7 @@ from .filtration import (
     RelativeFilteredPair,
     UnknownVertex,
     _as_pair,
-    _probe_levels,
-    complex_at,
+    _entry_levels,
     compose,
     identity_map,
     inclusion,
@@ -305,8 +304,7 @@ def triad_sequence(x: FilteredSet, x1: FilteredSet, x2: FilteredSet, interval: I
                    field=GF2) -> ExactSequence:
     """The homology sequence of a cover inside x; its boundary inverts the
     cross inclusion, an isomorphism by excision (see is_proper_triad)."""
-    _require_filtered_subset(x1, x, "first cover set")
-    _require_filtered_subset(x2, x, "second cover set")
+    is_proper_triad(x, x1, x2, interval, field)
     u, _, k1 = _cover(x1, x2)
     rel_u = pair_of(x, u)
     # inside the union itself, (x1, meet) -> (x, x2) is the cross inclusion k1
@@ -372,23 +370,18 @@ def reduced_les_pair(pair: RelativeFilteredPair, interval: Interval,
 def are_contiguous(f: PreservingMap, g: PreservingMap, interval: Interval | None = None) -> bool:
     """Whether the two maps' images always share a common coface.
 
-    At each probed level, the union of both images of every simplex must be
+    At every level, the union of both images of every simplex must be
     present in the codomain complex, and land in the codomain subset whenever
-    the simplex lies in the domain subset.  Unqualified contiguity (interval
-    None) probes every critical value of both pairs.
+    the simplex lies in the domain subset.  Each simplex of each part is
+    checked once, at the level where it enters that part; unqualified
+    contiguity (interval None) covers every level.
     """
     if f.domain != g.domain or f.codomain != g.codomain:
         raise ValueError("contiguity needs a shared domain and codomain")
-    for level in _probe_levels(f.domain, f.codomain, interval=interval):
-        dom_total = complex_at(f.domain.total, level)
-        dom_sub = complex_at(f.domain.sub, level)
-        cod_total = complex_at(f.codomain.total, level)
-        cod_sub = complex_at(f.codomain.sub, level)
-        for sk in dom_total:
-            joint = simplex({f.vertex_map[v] for v in sk} | {g.vertex_map[v] for v in sk})
-            if joint not in cod_total:
-                return False
-            if sk in dom_sub and joint not in cod_sub:
+    fv, gv = f.vertex_map, g.vertex_map
+    for dom, cod in zip(f.domain, f.codomain):  # the total parts, then the subsets
+        for sk, level in _entry_levels(dom.entries, interval):
+            if cod.value(simplex({fv[v] for v in sk} | {gv[v] for v in sk})) > level:
                 return False
     return True
 

@@ -198,3 +198,42 @@ def reference_pair_bars(total: dict, sub: dict, p: int | None = None) -> list:
     bars = reference_bars(table, p)
     bars.remove((0, start, None))
     return bars
+
+
+def probed_levels(tables, interval) -> list:
+    """Every level where a predicate on the tables' sublevel complexes can
+    change: all their values, or, with an interval (lo, hi), its endpoints
+    and the values between them.  Complexes are constant between values."""
+    levels = {v for table in tables for v in table.values() if v is not None}
+    if interval is not None:
+        lo, hi = interval
+        levels = {v for v in levels if lo <= v <= hi} | {lo, hi}
+    return sorted(levels)
+
+
+def reference_star_shaped(values: dict, a: str, interval) -> bool:
+    """Whether each sublevel complex of a plain table in the interval is
+    coned at ``a``: adjoining ``a`` to any of its simplices stays in it.
+    Every probed level is checked, with the whole complex there."""
+    for level in probed_levels([values], interval):
+        complex_ = sublevel(values, level)
+        if any(tuple(sorted(set(sk) | {a})) not in complex_ for sk in complex_):
+            return False
+    return True
+
+
+def reference_contiguous(domain, codomain, f: dict, g: dict, interval) -> bool:
+    """Contiguity of two vertex maps between pairs of plain tables.
+
+    ``domain`` and ``codomain`` are (total, sub) tables.  At every probed
+    level of all four, both images of each simplex of the domain total's
+    complex span a simplex of the codomain total's, and of the codomain
+    subset's when the simplex lies in the domain subset's complex.
+    """
+    for level in probed_levels([*domain, *codomain], interval):
+        for dom, cod in zip(domain, codomain):
+            present = sublevel(cod, level)
+            for sk in sublevel(dom, level):
+                if tuple(sorted({f[v] for v in sk} | {g[v] for v in sk})) not in present:
+                    return False
+    return True

@@ -474,6 +474,10 @@ class TestSkeleton:
         assert skeleton(skeleton(fs, 1), 1) == skeleton(fs, 1)
         assert skeleton(fs, 5) == fs
 
+    def test_degrees_below_minus_one_are_rejected(self):
+        with pytest.raises(ValueError, match="^skeleton degree must be >= -1$"):
+            skeleton(triangle_rim(), -2)
+
 
 class TestStandardObjects:
     def test_boundary_of_edge_is_two_points(self):
@@ -708,6 +712,12 @@ class TestValidateMap:
         f = PreservingMap(pair_of(x), pair_of(point(0)), {v: "p" for v in x.vertices})
         g = identity_map(pair_of(x))
         assert compose(f, g).vertex_map == f.vertex_map
+
+    def test_maps_that_do_not_compose_are_rejected(self):
+        f = identity_map(pair_of(point(0, "a")))
+        g = identity_map(pair_of(point(0, "b")))
+        with pytest.raises(ValueError, match="^maps are not composable$"):
+            compose(f, g)
 
     # the edge a b at 0, alone and with the subset {a}; x y as a late edge,
     # and as an early edge whose subset {x} comes late

@@ -165,7 +165,6 @@ LIBRARY_ONLY = {
     "sequences.deformation_retract_check",
     "sequences.direct_sum_check",
     "sequences.is_homologically_trivial",
-    "sequences.is_proper_triad",
     "skeletal.generator",
     "skeletal.incidence_iso",
 }
