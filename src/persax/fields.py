@@ -11,6 +11,7 @@ bars path loads no linear algebra.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 
 def _is_prime(p: int) -> bool:
@@ -24,16 +25,22 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class GF:
+class _GFFields(NamedTuple):
+    p: int
+
+
+class GF(_GFFields):
     """The prime field with p elements; elements are ints reduced mod p.
 
     ``p`` must be an int: a float that equals a prime is refused, since its
-    entries would be floats and no reduction could invert them.
+    entries would be floats and no reduction could invert them.  The field
+    is a one-field ``NamedTuple``: it compares and hashes as the tuple
+    ``(p,)``, and building one, ``_replace`` included, checks ``p`` first.
     """
 
-    __slots__ = ("p",)
+    __slots__ = ()
 
-    def __init__(self, p: int):
+    def __new__(cls, p: int):
         if not isinstance(p, int):
             raise TypeError(f"characteristic {p!r} is not an int")
         # trial division stays under 46,341 steps below this bound
@@ -41,27 +48,11 @@ class GF:
             raise ValueError(f"characteristic {p} is not below 2**31")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
-        object.__setattr__(self, "p", p)
+        return tuple.__new__(cls, (p,))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GF is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("GF is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.p,)
-
-    def __eq__(self, other):
-        if type(other) is not GF:
-            return NotImplemented
-        return self.p == other.p
-
-    def __hash__(self):
-        return hash((self.p,))
-
-    def __repr__(self):
-        return f"GF(p={self.p})"
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def __str__(self):
         return f"GF({self.p})"

@@ -6,7 +6,8 @@ that image.  Groups carry explicit representative cycles; maps between groups
 are matrices over those representatives.  A group holds only what was
 computed; the pair, degree, interval and field it was computed for stay with
 the caller.  Everything is exact over the chosen coefficient field and fully
-deterministic.
+deterministic.  The echelon bases belong to ``linalg``, which gives the
+persisted cycles and the representatives; this module reads no pivots.
 
 Groups, and the cycle and boundary spaces they are reduced from, are
 memoised on the pair's total set (``filtration.memoized``), so they go when
@@ -44,7 +45,9 @@ from .linalg import (
     _boundary,
     _chains,
     _face_columns,
+    _included,
     _inclusion_columns,
+    _independent_columns,
     _move_rows,
     chain_space,
     chain_map_matrix,
@@ -151,29 +154,11 @@ def _homology_cached(pair: RelativeFilteredPair, n: int, lo: tuple[int, int], hi
     simplices = _chains(pair, n, hi)
     if not simplices:  # no chains: the zero group, with no reduction
         return _zero_group(fld)
-    # the lower-endpoint cycles, moved into the upper-endpoint chains; the
-    # move keeps their echelon form, pivots remapped, unless the subset has
-    # absorbed a pivot simplex by the upper endpoint
-    ambient = len(simplices)
-    lower = _chains(pair, n, lo)
-    cycles = _cycles(pair, n, lo, fld)
-    moved = _move_rows(cycles.basis, _inclusion_columns(lower), simplices)
-    position = {sk: i for i, sk in enumerate(simplices)}
-    pivots = tuple(position.get(lower[p], -1) for p in cycles.pivots)
-    persisted = image(moved) if -1 in pivots else Subspace(ambient, moved, pivots)
+    # the lower-endpoint cycles, moved into the upper-endpoint chains; a
+    # persisted cycle dies when it lies in the boundaries plus the later ones
+    persisted = _included(_cycles(pair, n, lo, fld), _chains(pair, n, lo), simplices)
     bnd = _boundaries(pair, n, hi, fld)
-    # a persisted column dies when it lies in the boundaries plus the later
-    # columns: reduce [boundaries | persisted, last column first] once, and
-    # keep the columns that are pivots
-    k, b = persisted.dim, bnd.dim
-    keep = range(k)
-    if b and k:
-        stacked = tuple(u + v[::-1] for u, v in zip(bnd.basis.rows, persisted.basis.rows))
-        live = Matrix._trusted(fld, stacked, ambient, b + k).rref()[1]
-        keep = [k - 1 - (c - b) for c in reversed(live) if c >= b]
-    reps = persisted.basis if len(keep) == k else Matrix._trusted(
-        fld, tuple(tuple(row[j] for j in keep) for row in persisted.basis.rows), ambient, len(keep))
-    return HomologyGroup(simplices, persisted, bnd, reps)
+    return HomologyGroup(simplices, persisted, bnd, _independent_columns(persisted, bnd))
 
 
 _homology_cached.cache_info = _homology_cached.memo_info  # read under this name by perfbench/tracer.py
@@ -224,14 +209,13 @@ def connecting(pair: RelativeFilteredPair, n: int, interval: Interval, field=GF2
     target = homology(pair_of(pair.sub), n - 1, interval, field)
     lower = chain_space(pair_of(pair.total), n - 1, interval.hi)
     dchains = _move_rows(source.reps, _face_columns(source.simplices), lower)
-    sub_simplices = chain_space(pair_of(pair.sub), n - 1, interval.hi)
-    sub_basis = set(sub_simplices)
+    sub_basis = set(target.simplices)
     if not sub_basis <= set(lower):
         raise AssertionError("subset simplex missing from the ambient complex")
     if any(any(row) for sk, row in zip(lower, dchains.rows) if sk not in sub_basis):
         raise AssertionError("boundary of a relative cycle escaped the subset")
     try:
-        coords = target.coords_of(_move_rows(dchains, _inclusion_columns(lower), sub_simplices))
+        coords = target.coords_of(_move_rows(dchains, _inclusion_columns(lower), target.simplices))
     except ClassNotInTarget as exc:
         raise NotRepresentableAtLowerEndpoint(
             f"degree {n} boundary class has no lower-endpoint representative"

@@ -17,10 +17,15 @@ One reduction per subspace: ``image`` reduces the spanning vectors, and
 ``kernel`` reduces the matrix's columns last to first, which leaves the null
 vectors already in reduced echelon form; the zero subspace takes none.
 
+This module owns the echelon bases: no other module reduces rows, reads
+pivots or builds a ``Subspace``, so a new storage for them changes this
+module only.
+
 The chain-level constructions live here too: ordered simplex bases for the
 relative chain groups of a pair at a level, and boundary matrices.  Chain
 maps (inclusions between levels, faces, vertex maps) are sparse signed
-columns, and ``_move_rows`` is the one routine that applies them to rows.
+columns; ``_move_rows`` is the one routine that applies them to rows, and
+``_dense`` the one that turns them into a matrix.
 
 Bases and boundary matrices are memoised on the pair's total set
 (``filtration.memoized``) and keyed on the pair's integer level, the number
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import mul, or_
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .fields import GF, GF2
 from .filtration import (
@@ -333,26 +338,18 @@ def vstack(top: Matrix, bottom: Matrix) -> Matrix:
     return Matrix._trusted(top.field, top.rows + bottom.rows, top.nrows + bottom.nrows, top.ncols)
 
 
-class Subspace:
+class Subspace(NamedTuple):
     """A subspace of a coordinate space, held as a canonical echelon basis.
 
     The basis matrix is the unique reduced column echelon form of any spanning
-    set: unit pivots strictly descending the rows, pivot rows zero elsewhere.
-    Two computations of the same subspace are therefore bit-identical.
+    set: unit pivots strictly descending the rows, pivot rows zero elsewhere;
+    ``pivots`` lists each column's pivot row.  Two computations of the same
+    subspace are therefore bit-identical.
     """
 
-    __slots__ = ("ambient", "basis", "pivots")
-
-    def __init__(self, ambient: int, basis: Matrix, pivots: tuple[int, ...]):
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "pivots", pivots)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.ambient, self.basis, self.pivots)
+    ambient: int
+    basis: Matrix
+    pivots: tuple[int, ...]
 
     @classmethod
     def zero(cls, field, ambient: int) -> "Subspace":
@@ -368,16 +365,6 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return self.basis.solve_matrix(other.basis) is not None
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.ambient == other.ambient
-            and self.basis == other.basis
-        )
-
-    def __hash__(self):
-        return hash((self.ambient, self.basis))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"
@@ -493,6 +480,17 @@ def quotient_coords(reps: Matrix, sub: Subspace, vectors: Matrix) -> Matrix | No
     return Matrix._trusted(reps.field, sol.rows[: reps.ncols], reps.ncols, sol.ncols)
 
 
+def _first_outside(sub: Subspace, space: Subspace) -> tuple:
+    """The first basis column of ``space`` outside ``sub``, for a ``sub`` inside a larger ``space``.
+
+    One reduction of [sub | space]: a column lies outside exactly when its
+    reduced entries below sub's rank are not all zero.
+    """
+    red = hstack(sub.basis, space.basis).rref()[0]
+    bad = next(j for j in range(space.dim) if any(red.column(sub.dim + j)[sub.dim:]))
+    return space.basis.column(bad)
+
+
 # ---------------------------------------------------------------------------
 # Chain spaces and chain-level matrices
 
@@ -531,16 +529,7 @@ def boundary_matrix(pair: RelativeFilteredPair, n: int, eps: FiltValue, field=GF
 @memoized
 def _boundary(pair: RelativeFilteredPair, n: int, level: tuple[int, int], field) -> Matrix:
     """``boundary_matrix`` at a level of the pair."""
-    rows = _chains(pair, n - 1, level)
-    cols = _chains(pair, n, level)
-    index = {sk: i for i, sk in enumerate(rows)}
-    out = [[field.zero] * len(cols) for _ in range(len(rows))]
-    for j, terms in enumerate(_face_columns(cols)):
-        for face, sign in terms:
-            r = index.get(face)
-            if r is not None:
-                out[r][j] = field.add(out[r][j], sign)
-    return Matrix._trusted(field, tuple(map(tuple, out)), len(rows), len(cols))
+    return _dense(field, _face_columns(_chains(pair, n, level)), _chains(pair, n - 1, level))
 
 
 boundary_matrix.cache_info = _boundary.memo_info  # read under this name by perfbench/tracer.py
@@ -599,3 +588,47 @@ def _move_rows(m: Matrix, columns, new_basis) -> Matrix:
             out.append(tuple([coerce(sum(map(mul, signs, entries)))
                               for entries in zip(*(row for _, row in terms))]))
     return Matrix._trusted(fld, tuple(out), len(new_basis), m.ncols)
+
+
+def _dense(field, columns, basis) -> Matrix:
+    """The dense matrix of sparse signed columns (as ``_move_rows`` takes them)
+    with rows along ``basis``; a term on a simplex ``basis`` lacks is dropped."""
+    index = {sk: i for i, sk in enumerate(basis)}
+    out = [[field.zero] * len(columns) for _ in range(len(basis))]
+    for j, terms in enumerate(columns):
+        for sk, sign in terms:
+            r = index.get(sk)
+            if r is not None:
+                out[r][j] = field.add(out[r][j], sign)
+    return Matrix._trusted(field, tuple(map(tuple, out)), len(basis), len(columns))
+
+
+def _included(sub: Subspace, basis, new_basis) -> Subspace:
+    """``sub``, over the simplex ``basis``, included into the chains over ``new_basis``.
+
+    Rows on simplices that ``new_basis`` lacks are dropped.  The echelon form
+    survives, pivots remapped, unless a pivot row is dropped; then it is
+    reduced again.
+    """
+    moved = _move_rows(sub.basis, _inclusion_columns(basis), new_basis)
+    position = {sk: i for i, sk in enumerate(new_basis)}
+    pivots = tuple(position.get(basis[p], -1) for p in sub.pivots)
+    return image(moved) if -1 in pivots else Subspace(len(new_basis), moved, pivots)
+
+
+def _independent_columns(space: Subspace, sub: Subspace) -> Matrix:
+    """The basis columns of ``space`` whose classes modulo ``sub`` form a basis.
+
+    A column is dropped when it lies in ``sub`` plus the later columns: one
+    reduction of [sub | columns, last first] keeps those that are pivots.
+    """
+    k, b = space.dim, sub.dim
+    keep = range(k)
+    if b and k:
+        stacked = tuple(u + v[::-1] for u, v in zip(sub.basis.rows, space.basis.rows))
+        live = Matrix._trusted(space.field, stacked, space.ambient, b + k).rref()[1]
+        keep = [k - 1 - (c - b) for c in reversed(live) if c >= b]
+    if len(keep) == k:
+        return space.basis
+    rows = tuple(tuple(row[j] for j in keep) for row in space.basis.rows)
+    return Matrix._trusted(space.field, rows, space.ambient, len(keep))

@@ -45,7 +45,7 @@ from .homology import (
     reduced_homology,
     zero_group,
 )
-from .linalg import Matrix, hstack, image, kernel, vstack
+from .linalg import Matrix, _first_outside, hstack, image, kernel, vstack
 
 
 class NotARetraction(ValueError):
@@ -136,12 +136,8 @@ def check_exact(seq: ExactSequence) -> ExactnessReport:
                 unit = tuple(field.one if k == bad else field.zero for k in range(composite.ncols))
                 witness = ("image_not_in_kernel", unit)
             else:
-                # the image lies in the kernel, so some kernel column does not
-                # lie in the image: its reduction against the image basis
-                # leaves a nonzero entry below the image's rank
-                red = hstack(im.basis, ker.basis).rref()[0]
-                bad = next(j for j in range(ker.dim) if any(red.column(im.dim + j)[im.dim:]))
-                witness = ("kernel_not_in_image", ker.basis.column(bad))
+                # the image lies in the kernel, so some kernel column lies outside it
+                witness = ("kernel_not_in_image", _first_outside(im, ker))
         checks.append(NodeCheck(i, im.dim, ker.dim, witness))
     return ExactnessReport(tuple(checks))
 
@@ -173,13 +169,12 @@ def _long_sequence(top: int, interval: Interval, field, triangle, delta, kind: s
 
 def _inclusion_triangle(inc_i: PreservingMap, c, interval: Interval, field):
     """The triangle H(a) -> H(b) -> H(c) of inc_i: a -> b and b into c, as i_n and j_n."""
-    a, b = inc_i.domain, inc_i.codomain
-    inc_j = inclusion(b, c)
+    inc_j = inclusion(inc_i.codomain, c)
 
     def triangle(n):
-        groups = [homology(p, n, interval, field) for p in (a, b, c)]
-        return groups, [(induced_map(inc_i, n, interval, field), f"i_{n}"),
-                        (induced_map(inc_j, n, interval, field), f"j_{n}")]
+        i_n = induced_map(inc_i, n, interval, field)
+        j_n = induced_map(inc_j, n, interval, field)
+        return [i_n.source, i_n.target, j_n.target], [(i_n, f"i_{n}"), (j_n, f"j_{n}")]
 
     return triangle
 
@@ -273,17 +268,11 @@ def mayer_vietoris(x1: FilteredSet, x2: FilteredSet, interval: Interval,
     l1 = include(pair_of(u), pair_of(u, x2))
 
     def triangle(n):
-        h_meet = homology(meet_abs, n, interval, field)
-        summed = DirectSumGroup((homology(pair_of(x1), n, interval, field),
-                                 homology(pair_of(x2), n, interval, field)))
-        h_union = homology(pair_of(u), n, interval, field)
-        split = LinearMap(h_meet, summed, vstack(induced_map(inc1, n, interval, field).matrix,
-                                                 -induced_map(inc2, n, interval, field).matrix),
-                          f"(i,-i)_{n}")
-        merge = LinearMap(summed, h_union, hstack(induced_map(j1, n, interval, field).matrix,
-                                                  induced_map(j2, n, interval, field).matrix),
-                          f"(j+j)_{n}")
-        return [h_meet, summed, h_union], [(split, split.label), (merge, merge.label)]
+        i1n, i2n, j1n, j2n = (induced_map(m, n, interval, field) for m in (inc1, inc2, j1, j2))
+        summed = DirectSumGroup((i1n.target, i2n.target))
+        split = LinearMap(i1n.source, summed, vstack(i1n.matrix, -i2n.matrix), f"(i,-i)_{n}")
+        merge = LinearMap(summed, j1n.target, hstack(j1n.matrix, j2n.matrix), f"(j+j)_{n}")
+        return [split.source, summed, merge.target], [(split, split.label), (merge, merge.label)]
 
     def delta(n):
         k1n = induced_map(k1, n, interval, field)
@@ -291,9 +280,7 @@ def mayer_vietoris(x1: FilteredSet, x2: FilteredSet, interval: Interval,
             connecting(k1.domain, n, interval, field)
             .compose(k1n.inverse())
             .compose(induced_map(l1, n, interval, field))
-        )
-        bnd = LinearMap(homology(pair_of(u), n, interval, field),
-                        homology(meet_abs, n - 1, interval, field), bnd.matrix, f"D_{n}")
+        )._replace(label=f"D_{n}")
         return bnd, bnd.label
 
     return _long_sequence(max(u.dimension, 0) + 1, interval, field, triangle, delta,

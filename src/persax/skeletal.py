@@ -43,8 +43,8 @@ from .homology import (
     homology,
     induced_map,
 )
-from .linalg import (Matrix, Subspace, SubspaceNotContained, _inclusion_columns, _move_rows,
-                     image, kernel, quotient_coords)
+from .linalg import (Matrix, Subspace, SubspaceNotContained, _dense, _inclusion_columns, image,
+                     kernel, quotient_coords)
 
 
 class _Skeleton(NamedTuple):
@@ -111,8 +111,7 @@ def _chain_group(pair: RelativeFilteredPair, q: int, interval: Interval, field) 
         if len(sk) == q + 1 and val <= interval.lo and pair.sub.value(sk) > interval.hi
     )
     group = homology(skeletal_pair(pair, q), q, interval, field)
-    expected = _move_rows(Matrix.identity(field, len(generators)),
-                          _inclusion_columns(generators), group.simplices)
+    expected = _dense(field, _inclusion_columns(generators), group.simplices)
     if group.reps != expected:
         raise OracleMismatch("chain group representatives are not the generator simplices")
     return SkeletalChainGroup(generators, group)

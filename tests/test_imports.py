@@ -3,8 +3,9 @@ private name a module defines is used somewhere in the package, every
 public constant a module defines is read somewhere in the package or tests,
 and every public function, class and method is read somewhere in the
 package, outside a fixed list.  No memo beyond a fixed list grows without
-bound.  A fresh process loads only the modules its work reaches, and every
-public name of the package resolves to its submodule's object.
+bound.  Only ``linalg`` reduces rows or reads pivots.  A fresh process loads
+only the modules its work reaches, and every public name of the package
+resolves to its submodule's object.
 
 The package ``__init__`` is exempt from the first check, and its export
 table, which names the public re-exports, is not a read.
@@ -205,6 +206,52 @@ def test_no_unread_public_names():
                     leaf in read[column] for read in reads if id(read[0]) not in own):
                 unread.add(f"{path.stem}.{name}")
     assert unread == LIBRARY_ONLY
+
+
+# ``linalg`` owns the echelon bases: no other module reduces rows, builds a
+# matrix or subspace past its checks, or reads pivots, so a new storage for
+# them touches one module.  A dense identity outside it stays only where
+# ``direct_to_skeletal`` takes its right inverse (ROADMAP item 2).
+IDENTITY_ALLOWED = {("skeletal", "direct_to_skeletal")}
+
+
+def echelon_uses(tree: ast.Module):
+    """Each use of the echelon format in a module, as (top-level statement,
+    line, what): an ``.rref()``, ``Matrix._trusted`` or ``Matrix.identity``
+    call, a ``Subspace(...)`` call or a ``.pivots`` read."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "pivots":
+                yield top, node.lineno, ".pivots"
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "Subspace":
+                yield top, node.lineno, "Subspace(...)"
+            elif isinstance(func, ast.Attribute):
+                owner = func.value.id if isinstance(func.value, ast.Name) else None
+                if func.attr == "rref":
+                    yield top, node.lineno, ".rref()"
+                elif owner == "Matrix" and func.attr in ("_trusted", "identity"):
+                    yield top, node.lineno, f"Matrix.{func.attr}"
+
+
+def test_the_echelon_check_sees_every_use():
+    code = ("def f(m, s):\n    m.rref(); s.pivots; Subspace(1, m, ())\n"
+            "    Matrix._trusted(F, (), 0, 0); Matrix.identity(F, 2)\n")
+    assert [what for _, _, what in echelon_uses(ast.parse(code))] == [
+        ".rref()", ".pivots", "Subspace(...)", "Matrix._trusted", "Matrix.identity"]
+
+
+def test_only_linalg_reads_echelon_bases():
+    found = [
+        f"{path.name}:{line} {what}"
+        for path in MODULES if path.stem != "linalg"
+        for top, line, what in echelon_uses(ast.parse(path.read_text()))
+        if not (what == "Matrix.identity"
+                and (path.stem, getattr(top, "name", None)) in IDENTITY_ALLOWED)
+    ]
+    assert not found, f"echelon bases read outside linalg: {found}"
 
 
 # The memos that keep every entry for the life of the process (ROADMAP item

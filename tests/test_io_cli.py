@@ -350,6 +350,37 @@ class TestMapFiles:
             parse_map(tmp_path / "map.txt")
         assert exc.value.line_no == 4
 
+    @pytest.mark.parametrize("body, line_no, message", [
+        ("a -> p\n\n   # a comment\nb q\n", 6, "expected 'v -> w'"),  # blank lines count
+        ("a p\n", 3, "expected 'v -> w'"),
+        ("a ->\n", 3, "expected 'v -> w'"),
+        ("a -> p\n -> q\n", 4, "expected 'v -> w'"),
+    ], ids=["after-blank-lines", "no-arrow", "empty-image", "empty-source"])
+    def test_malformed_arrow_is_rejected_at_its_line(self, tmp_path, ends, capsys, body, line_no,
+                                                     message):
+        path = tmp_path / "map.txt"
+        path.write_text(ends + body)
+        with pytest.raises(ParseError) as exc:
+            parse_map(path)
+        assert (str(exc.value), exc.value.line_no) == (f"{path}:{line_no}: {message}", line_no)
+        assert cli.main(["induced", "--map", str(path), "--interval", "0,0", "--degree", "0"]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}:{line_no}: {message}\n")
+
+    def test_blank_lines_are_skipped(self, tmp_path, ends):
+        (tmp_path / "map.txt").write_text("\n" + ends + "\na -> p\n  \nb -> q\n")
+        assert parse_map(tmp_path / "map.txt").vertex_map == {"a": "p", "b": "q"}
+
+    @pytest.mark.parametrize("kept", ["domain: dom.txt\n", "codomain: cod.txt\n", ""])
+    def test_missing_endpoint_line_is_a_whole_file_error(self, tmp_path, ends, capsys, kept):
+        path = tmp_path / "map.txt"
+        path.write_text(kept + "a -> p\nb -> q\n")
+        message = f"{path}:0: map files need domain: and codomain: lines"
+        with pytest.raises(ParseError) as exc:
+            parse_map(path)
+        assert (str(exc.value), exc.value.line_no) == (message, 0)
+        assert cli.main(["induced", "--map", str(path), "--interval", "0,0", "--degree", "0"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 COVER_TEXT = """\
 [X1]

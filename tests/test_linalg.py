@@ -85,6 +85,9 @@ def test_gf_is_an_immutable_value():
         with pytest.raises(AttributeError):
             change(GF3)
     assert GF3.p == 3
+    assert GF3._replace(p=5) == GF(5) and type(GF3._replace(p=5)) is GF
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        GF3._replace(p=4)
 
 
 def test_a_copied_field_is_equal_and_finds_its_memo_entries():

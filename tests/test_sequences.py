@@ -313,6 +313,14 @@ class TestMayerVietoris:
             for c in critical_values(union(x1, x2)):
                 assert check_exact(mayer_vietoris(x1, x2, Interval(c, c))).ok
 
+    def test_random_cover_gives_an_empty_second_part_the_last_vertex(self):
+        # seed 11 draws every vertex into the first part and none into the
+        # second (21 of seeds 0-2,999 do), so the fallback supplies one
+        whole = random_filtration(random.Random(11))
+        x1, x2 = random_cover(random.Random(11))
+        assert sorted(whole.vertices) == sorted(x1.vertices) == ["a", "b", "c", "d", "e"]
+        assert x2 == restrict_to_vertices(whole, ["e"])
+
     def test_pinned_nonexactness_with_two_late_paths(self):
         # both covers kill [a]-[b]; the witness square is born too late
         x1 = FilteredSet({"a", "b", "c"},
